@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import DirichletCharacter, eta_power
+from .errors import BudgetExceeded
 from .padic import PadicNumber, fraction_valuation
 
 __all__ = [
@@ -25,8 +26,12 @@ __all__ = [
     "multi_gen_bernoulli_poly",
     "stirling_first",
     "pochhammer",
+    "residue_sums",
     "sum_counts",
 ]
+
+#: ceiling on the r*F rows of a grouped sum over residue vectors in [1,F]^r
+TERM_BUDGET = 10 ** 7
 
 _BERNOULLI = [Fraction(1)]
 
@@ -111,7 +116,6 @@ def pochhammer(x, r: int):
 def sum_counts(f: int, r: int) -> tuple:
     """counts[t] = #{(a_1..a_r) in [1,f]^r : sum a_i = t}, t = 0..r*f."""
     counts = [1]
-    step = [0] + [1] * f
     for _ in range(r):
         nxt = [0] * (len(counts) + f)
         for i, c in enumerate(counts):
@@ -120,6 +124,20 @@ def sum_counts(f: int, r: int) -> tuple:
                     nxt[i + j] += c
         counts = nxt
     return tuple(counts)
+
+
+def residue_sums(F: int, r: int, chi: DirichletCharacter, p: int = None) -> list:
+    """Rows of a sum over residue vectors (a_1..a_r) in [1,F]^r grouped by
+    t = a_1+...+a_r: the pairs (t, count) for t in [r, rF] with chi(t)
+    nonzero (and, with p given, t prime to p), count being the number of
+    vectors with sum t.  Raises BudgetExceeded, before the count table is
+    built, when the r*F rows exceed TERM_BUDGET."""
+    if r * F > TERM_BUDGET:
+        raise BudgetExceeded("grouped sum has %d rows, budget is %d"
+                             % (r * F, TERM_BUDGET))
+    counts = sum_counts(F, r)
+    return [(t, counts[t]) for t in range(r, r * F + 1)
+            if chi.exponent(t) is not None and (p is None or t % p != 0)]
 
 
 def _grouped_to_value(groups: dict, chi: DirichletCharacter, prec):
@@ -194,12 +212,9 @@ def multi_gen_bernoulli_poly(n: int, r: int, chi: DirichletCharacter,
     f = chi.modulus
     z = Fraction(z)
     scale = Fraction(f) ** (n - r)
-    counts = sum_counts(f, r)
     groups = {}
-    for t in range(r, r * f + 1):
+    for t, count in residue_sums(f, r, chi):
         e = chi.exponent(t)
-        if e is None:
-            continue
-        term = counts[t] * scale * norlund_poly(n, r, Fraction(z + t, f))
+        term = count * scale * norlund_poly(n, r, Fraction(z + t, f))
         groups[e] = groups.get(e, Fraction(0)) + term
     return _grouped_to_value(groups, chi, prec)

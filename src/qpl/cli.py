@@ -164,9 +164,19 @@ def _cmd_qbernoulli(spec: RunSpec, stream) -> int:
     return 0
 
 
+def _emit_series(params: dict, ctx: QContext, result, stream) -> int:
+    _emit({
+        "params": dict(params, q_exact=str(ctx.q)),
+        "value": _padic_doc(result.value),
+        "terms_used": result.terms_used,
+        "tail_valuation_bound": result.tail_valuation_bound,
+        "converged": result.converged,
+        "convention": ctx.convention,
+    }, stream)
+    return 0
+
+
 def _cmd_lp(spec: RunSpec, stream) -> int:
-    if spec.s.strip() == "r":
-        return _cmd_lp_at_r(spec, stream)
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
     F = spec.F or choose_F(chi.conductor, spec.p, spec.r, "interpolation")
@@ -174,17 +184,10 @@ def _cmd_lp(spec: RunSpec, stream) -> int:
     s = _parse_scalar(spec.s)
     if s.denominator == 1:
         s = int(s)
-    params = LParams(r=spec.r, chi=chi, F=F, z=z, s=s)
-    result = Lpq_eval(ctx, params)
-    _emit({
-        "params": dict(spec.to_dict(), F=F, q_exact=str(ctx.q)),
-        "value": _padic_doc(result.value),
-        "terms_used": result.terms_used,
-        "tail_valuation_bound": result.tail_valuation_bound,
-        "converged": result.converged,
-        "convention": ctx.convention,
-    }, stream)
-    return 0
+    else:
+        s = PadicNumber.from_fraction(s, spec.p, ctx.prec)
+    result = Lpq_eval(ctx, LParams(r=spec.r, chi=chi, F=F, z=z, s=s))
+    return _emit_series(dict(spec.to_dict(), F=F), ctx, result, stream)
 
 
 def _cmd_lp_at_r(spec: RunSpec, stream) -> int:
@@ -192,15 +195,7 @@ def _cmd_lp_at_r(spec: RunSpec, stream) -> int:
     chi = parse_char_spec(spec.chi, spec.p)
     z = _parse_scalar(spec.z) if spec.z is not None else 0
     result = Lpq_at_r(ctx, spec.r, chi, z, spec.F)
-    _emit({
-        "params": dict(spec.to_dict(), q_exact=str(ctx.q)),
-        "value": _padic_doc(result.value),
-        "terms_used": result.terms_used,
-        "tail_valuation_bound": result.tail_valuation_bound,
-        "converged": result.converged,
-        "convention": ctx.convention,
-    }, stream)
-    return 0
+    return _emit_series(spec.to_dict(), ctx, result, stream)
 
 
 def _cmd_lp_table(spec: RunSpec, stream) -> int:
@@ -242,14 +237,12 @@ def _grid_worker(task: dict) -> list:
 def _default_grid(spec: RunSpec) -> list:
     """The stock verification grid at one prime: both characters used by the
     worked examples, r in {1,2}, k in {1,2}, two z samples per point."""
-    from .congruences import _z_step
-
     tasks = []
     base = spec.to_dict()
     for chi_spec in ("principal", "omega^2"):
         for r in (1, 2):
             chi = parse_char_spec(chi_spec, spec.p)
-            step = _z_step(spec.p, r, chi.conductor)
+            step = choose_F(chi.conductor, spec.p, r, "difference")
             for k in (1, 2):
                 for z in (step, 2 * step):
                     tasks.append({

@@ -16,7 +16,7 @@ Kummer baseline for B_n/n).
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial, lcm, inf
+from math import comb, factorial, inf
 
 from .errors import InconclusivePrecision, PreconditionViolated
 from .padic import (
@@ -24,12 +24,11 @@ from .padic import (
     QContext,
     fraction_valuation,
     int_valuation,
-    p_star,
     rstar_threshold,
 )
 from .characters import DirichletCharacter
 from .classical import bernoulli_number, gen_bernoulli_poly, stirling_first
-from .lfunctions import Lpq_special
+from .lfunctions import Lpq_special, choose_F
 
 # every pass verdict must be certified this many digits past the bound
 CERT_MARGIN = 3
@@ -206,13 +205,6 @@ def _point(ctx: QContext, chi, **kw) -> dict:
     return d
 
 
-def _z_step(p: int, r: int, f: int) -> int:
-    """Generator of the admissible z lattice: p (p*)^{-1} r lcm(f, p*)."""
-    ps = p_star(p)
-    f0 = lcm(f, ps)
-    return p * r * f0 // ps
-
-
 def _z_valuation_ok(z, p: int, need: int) -> bool:
     if isinstance(z, PadicNumber):
         bound, _ = z.valuation_bound()
@@ -266,7 +258,7 @@ def verify_thm53(ctx: QContext, chi: DirichletCharacter, r: int,
     n_list = sorted(set(n_list))
     if not n_list or n_list[0] < 1:
         raise PreconditionViolated("n_list must contain positive integers")
-    step = _z_step(ctx.p, r, chi.conductor)
+    step = choose_F(chi.conductor, ctx.p, r, "difference")
     notes = _check_z(ctx, z, step)
     ps_val = int_valuation(ctx.p_star, ctx.p)
     thr = rstar_threshold(ctx.p)
@@ -312,7 +304,7 @@ def verify_thm54(ctx: QContext, chi: DirichletCharacter, r: int, n: int,
         raise PreconditionViolated(
             "k = %d and k' = %d differ mod p - 1 = %d" % (k, k_prime, ctx.p - 1)
         )
-    step = _z_step(ctx.p, r, chi.conductor)
+    step = choose_F(chi.conductor, ctx.p, r, "difference")
     notes = _check_z(ctx, z, step)
     ps_val = int_valuation(ctx.p_star, ctx.p)
     required = 1 + rstar_threshold(ctx.p)
@@ -351,7 +343,7 @@ def verify_binom_op_thm(ctx: QContext, chi: DirichletCharacter, r: int,
     n_list = sorted(set(n_list))
     if not n_list or n_list[0] < 1:
         raise PreconditionViolated("n_list must contain positive integers")
-    step = _z_step(ctx.p, 1, chi.conductor)
+    step = choose_F(chi.conductor, ctx.p, 1, "difference")
     notes = _check_z(ctx, z, step)
     ps_val = int_valuation(ctx.p_star, ctx.p)
     thr = rstar_threshold(ctx.p)

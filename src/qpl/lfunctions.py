@@ -19,19 +19,14 @@ changes Euler factors at its extra primes).  The inner series coefficients
 beta^(r)_k follow the context convention flag; see qbernoulli.series_beta.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter, char_twist_omega, induce
-from .classical import pochhammer, sum_counts
-from .errors import (
-    BudgetExceeded,
-    DivergenceDetected,
-    DomainError,
-    PoleError,
-    PrecisionExhausted,
-)
+from .classical import pochhammer, residue_sums
+from .errors import DivergenceDetected, DomainError, PoleError
 from .padic import (
     ExponentForm,
     PadicNumber,
@@ -42,9 +37,17 @@ from .padic import (
     in_R,
     int_valuation,
     iwasawa_log,
+    p_star,
     padic_power,
 )
-from .qbernoulli import TERM_BUDGET, multi_gen_q_beta_poly, multi_q_beta_poly, series_beta
+from .qbernoulli import (
+    _beta_headroom,
+    _certified,
+    _clamp,
+    _window_sum,
+    multi_q_beta_poly,
+    series_beta,
+)
 
 # hard ceiling on monitored k-series length; the stop rule should fire or
 # fail long before this
@@ -94,11 +97,6 @@ class LParams:
                 "F = %d must be a multiple of lcm(modulus, p*) = %d"
                 % (self.F, base)
             )
-        if self.F ** self.r > TERM_BUDGET:
-            raise BudgetExceeded(
-                "outer sum has %d terms, budget is %d"
-                % (self.F ** self.r, TERM_BUDGET)
-            )
         z = self.z
         if isinstance(z, PadicNumber):
             if z.p != ctx.p or not in_R(z):
@@ -120,8 +118,6 @@ def choose_F(f: int, p: int, r: int = 1, purpose: str = "interpolation") -> int:
     difference: a multiple of p (p*)^(-1) r lcm(f, p*), the shift step
     the difference identity needs.
     """
-    from .padic import p_star
-
     base = math.lcm(f, p_star(p))
     if purpose == "interpolation":
         return base
@@ -134,33 +130,6 @@ def _neg_pochhammer(n: int, r: int):
     """(-1)^r / (n+1)_r as an exact Fraction, plus its p-content."""
     c = pochhammer(n + 1, r)
     return Fraction((-1) ** r, c), c
-
-
-def _ceil_log(p: int, n: int) -> int:
-    out, m = 0, 1
-    while m < n:
-        m *= p
-        out += 1
-    return out
-
-
-def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:
-    """Certified bound on -v(beta^(r)_{k,q^F}) over k <= m; factors that
-    multiply such a beta need this many extra digits to keep target
-    absolute precision."""
-    if m < r:
-        return 0
-    vd = ctx.v_q1 + int_valuation(F, ctx.p)
-    return (m - r) * vd + r * (vd + _ceil_log(ctx.p, m - r + 1))
-
-
-def _clamp(x: PadicNumber, prec: int) -> PadicNumber:
-    """Truncate x to absolute precision prec (never extends)."""
-    if x.is_exact_zero:
-        return x if x.prec <= prec else PadicNumber.exact_zero(x.p, prec)
-    if x.prec <= prec:
-        return x
-    return x + PadicNumber.zero_at(x.p, prec)
 
 
 # -- closed-form special values ----------------------------------------------
@@ -198,44 +167,26 @@ def partial_q_zeta_special(ctx: QContext, n: int, r: int, a_list, F: int,
 
 def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
                z=0, F: int = None) -> PadicNumber:
-    """Multiple Dirichlet q-L value at s = -n.
+    """Multiple Dirichlet q-L value at s = -n:
 
-    With F omitted this is (-1)^r/(n+1)_r beta^(r)_{n+r,q,chi}(z).  With an
-    F that is a multiple of the modulus, the same value is assembled from
-    partial q-zeta pieces over residue vectors in [1,F]^r; both routes must
-    agree, which the test suite checks as the F-independence property.  The
-    F route is certified to ctx.prec or raises PrecisionExhausted.
+        (-1)^r/(n+1)_r [F]_q^n sum_{a_1..a_r=1..F} chi(a_1+...+a_r)
+            beta^(r)_{n+r,q^F}((z+a_1+...+a_r)/F)
+
+    over a window F that is a multiple of the modulus of chi.  F defaults
+    to the modulus, where the sum is multi_gen_q_beta_poly at order n + r.
+    The value does not depend on F, which the test suite checks.  It is
+    certified to ctx.prec or PrecisionExhausted is raised.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    c, poch = _neg_pochhammer(n, r)
-    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p) + 2)
     if F is None:
-        return _clamp(multi_gen_q_beta_poly(inner, n + r, r, chi, z) * c, ctx.prec)
+        F = chi.modulus
     if F % chi.modulus != 0:
         raise DomainError("F = %d is not a multiple of the modulus %d"
                           % (F, chi.modulus))
-    if F ** r > TERM_BUDGET:
-        raise BudgetExceeded("outer sum has %d terms, budget is %d"
-                             % (F ** r, TERM_BUDGET))
-    work = inner.prec + _beta_headroom(ctx, n + r, r, F) + 2
-    wctx = ctx.with_precision(work)
-    counts = sum_counts(F, r)
-    zf = ExponentForm.wrap(z)
-    acc = PadicNumber.exact_zero(ctx.p, work)
-    for total in range(r, r * F + 1):
-        if chi.exponent(total) is None:
-            continue
-        x = zf.add_int(total).over(F)
-        beta = multi_q_beta_poly(wctx, n + r, r, x, base_power=F)
-        acc = acc + counts[total] * chi.eval(total, work) * beta
-    value = wctx.q_bracket(1, F) ** n * acc * c
-    if not value.is_exact_zero and value.prec < ctx.prec:
-        raise PrecisionExhausted(
-            "special value retains %d digits, %d requested"
-            % (value.prec, ctx.prec)
-        )
-    return _clamp(value, ctx.prec)
+    c, poch = _neg_pochhammer(n, r)
+    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
+    return _clamp(_window_sum(inner, n + r, r, chi, z, F) * c, ctx.prec)
 
 
 def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
@@ -256,11 +207,7 @@ def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
         raise ValueError("need n >= 0 and r >= 1")
     chim = char_twist_omega(chi, n + r)
     M = math.lcm(chim.conductor, ctx.p_star)
-    if isinstance(z, PadicNumber):
-        z1 = z * ctx.p_star
-    else:
-        z1 = ctx.p_star * z
-    return Lq_special(ctx, n, r, induce(chim, M), z1, F=M)
+    return Lq_special(ctx, n, r, induce(chim, M), ctx.p_star * z, F=M)
 
 
 # -- the two-variable series -------------------------------------------------
@@ -327,30 +274,95 @@ def _pole_guard(r: int, s, chi: DirichletCharacter) -> None:
     )
 
 
-def _outer_rows(wctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
-                work: int):
-    """Grouped outer-sum data: for each admissible residue sum A, the row
-    weight (multiplicity) chi(A) q^((1-r)(A + p* z)), the principal-unit
-    angle, and the geometric factor q^(A + p* z) [F]_q / [A + p* z]_q.
-    The q-power in the weight is the prefactor the order-r expansion
-    carries; it is 1 at r = 1."""
-    counts = sum_counts(F, r)
+def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
+                v_div: int, m: int):
+    """Working context, stop target, [F]_q and grouped outer-sum rows of a
+    k-series whose sum is divided by [F]_q^r and by a prefactor of
+    valuation v_div, with beta headroom certified up to k = m.
+
+    Each row belongs to one residue sum A prime to p and holds the weight
+    (multiplicity) chi(A) q^((1-r)(A + p* z)), the principal-unit angle, and
+    the geometric factor q^(A + p* z) [F]_q / [A + p* z]_q.  The q-power in
+    the weight is the prefactor the order-r expansion carries; it is 1 at
+    r = 1."""
+    vF = int_valuation(F, ctx.p)
+    work = ctx.prec + r * vF + v_div + 4 + _beta_headroom(ctx, m, r, F)
+    wctx = ctx.with_precision(work)
+    sums = residue_sums(F, r, chi, ctx.p)
     br_F = wctx.q_bracket(1, F, work)
     rows = []
-    for total in range(r, r * F + 1):
-        if counts[total] == 0 or math.gcd(total, wctx.p) != 1:
-            continue
-        if chi.exponent(total) is None:
-            continue
+    for total, count in sums:
         exponent = ExponentForm.wrap(z).scale_int(wctx.p_star).add_int(total)
-        weight = (counts[total] * chi.eval(total, work)
+        weight = (count * chi.eval(total, work)
                   * wctx.q_power(1, exponent.scale_int(1 - r), work))
         angle = angle_q(wctx, total, z, work)
         geom = wctx.q_power(1, exponent, work) * (
             br_F / wctx.q_bracket(1, exponent, work)
         )
-        rows.append((total, weight, exponent, angle, geom))
-    return rows, br_F
+        rows.append((weight, angle, geom))
+    return wctx, ctx.prec + r * vF + v_div, br_F, rows
+
+
+def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
+              rows, heads, k: int, coeffs, last, acc: PadicNumber,
+              divisor, diverges: str) -> SeriesValue:
+    """(acc + sum_k c_k beta^(r)_{k,q^F} sum_rows head geom^k) / divisor.
+
+    k starts at the given k, and coeffs yields c_k from there.  With last
+    given the sum ends at k = last and is exact to the reported precision;
+    otherwise the stop rule certifies its truncation at target, and
+    DivergenceDetected, worded with diverges, is raised when the term
+    valuations sink or SERIES_CAP terms pass uncertified.
+    """
+    if not rows:
+        return SeriesValue(PadicNumber.exact_zero(ctx.p, ctx.prec), 0,
+                           ctx.prec, True)
+    work = wctx.prec
+    # geom ** 0 would carry only the digits of geom, not the working precision
+    if k == 0:
+        gpow = [wctx.one(work) for _ in rows]
+    else:
+        gpow = [geom ** k for _, _, geom in rows]
+    rule = _StopRule(r + 5, target)
+    terms = 0
+    converged = last is not None
+    ks = itertools.count(k) if last is None else range(k, last + 1)
+    for k, coeff in zip(ks, coeffs):
+        beta = series_beta(wctx, k, r, base_power=F)
+        if not beta.is_zero:
+            row_sum = PadicNumber.exact_zero(ctx.p, work)
+            for head, g in zip(heads, gpow):
+                row_sum = row_sum + head * g
+            term = coeff * beta * row_sum
+        else:
+            term = PadicNumber.exact_zero(ctx.p, work)
+        acc = acc + term
+        terms += 1
+        if last is None:
+            if rule.accept(k, term.valuation_bound()[0]):
+                converged = True
+                break
+            if rule.diverging():
+                raise DivergenceDetected(
+                    "term valuations sink below target near k = %d; %s"
+                    % (k, diverges)
+                )
+            if terms >= SERIES_CAP:
+                raise DivergenceDetected(
+                    "no certified truncation within %d terms" % SERIES_CAP
+                )
+        gpow = [g * geom for g, (_, _, geom) in zip(gpow, rows)]
+    value = _certified(acc / divisor, ctx.prec, "series evaluation")
+    return SeriesValue(value, terms, ctx.prec, converged)
+
+
+def _binomials(a, one):
+    """C(a, k) for k = 0, 1, 2, ..., starting from one, the unit of the
+    coefficient ring (Fraction or PadicNumber)."""
+    coeff = one
+    for k in itertools.count(1):
+        yield coeff
+        coeff = coeff * (a - (k - 1)) / k
 
 
 def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
@@ -370,90 +382,31 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     params.validate(ctx)
     r, chi, F, z, s = params.r, params.chi, params.F, params.z, params.s
     _pole_guard(r, s, chi)
-    p = ctx.p
-    vF = int_valuation(F, p)
-
     if isinstance(s, int):
-        prod_exact = 1
+        prod = 1
         for j in range(1, r + 1):
-            prod_exact *= s - j
-        v_prod = int_valuation(prod_exact, p)
+            prod *= s - j
+        v_prod = int_valuation(prod, ctx.p)
     else:
-        prod_exact = None
         v_prod = sum((s - j).valuation_bound()[0] for j in range(1, r + 1))
+    last = r - s if isinstance(s, int) and r - s > 0 else None
 
-    finite_k = None
-    if isinstance(s, int) and r - s > 0:
-        finite_k = r - s
-
-    # pad: r*vF for the 1/[F]^r division, v_prod for the polar prefactor,
     # headroom for negative beta valuations up to the deepest k reached
     # (the finite degree, or the series start when truncation is monitored)
-    pad = (r * vF + v_prod + 4
-           + _beta_headroom(ctx, finite_k if finite_k is not None else r, r, F))
-    work = ctx.prec + pad
-    wctx = ctx.with_precision(work)
-    target = ctx.prec + r * vF + v_prod
-
-    rows, br_F = _outer_rows(wctx, chi, r, F, z, work)
-    if not rows:
-        return SeriesValue(PadicNumber.exact_zero(p, ctx.prec), 0, ctx.prec, True)
-    heads = []
-    for total, wt, exponent, angle, geom in rows:
-        head = angle ** (r - s) if finite_k is not None else padic_power(angle, r - s)
-        heads.append(wt * head)
-    gpow = [wctx.one(work) for _ in rows]
-
-    acc = PadicNumber.exact_zero(p, work)
-    coeff = Fraction(1) if isinstance(s, int) else wctx.one(work)
-    rule = _StopRule(r + 5, target)
-    k = 0
-    terms = 0
-    converged = finite_k is not None
-    while True:
-        if finite_k is not None and k > finite_k:
-            break
-        beta = series_beta(wctx, k, r, base_power=F)
-        if not beta.is_zero:
-            row_sum = PadicNumber.exact_zero(p, work)
-            for head, g in zip(heads, gpow):
-                row_sum = row_sum + head * g
-            term = coeff * beta * row_sum
-        else:
-            term = PadicNumber.exact_zero(p, work)
-        acc = acc + term
-        terms += 1
-        if finite_k is None:
-            if rule.accept(k, term.valuation_bound()[0]):
-                converged = True
-                break
-            if rule.diverging():
-                raise DivergenceDetected(
-                    "term valuations sink below target near k = %d; the "
-                    "k-series does not converge at this point" % k
-                )
-            if terms >= SERIES_CAP:
-                raise DivergenceDetected(
-                    "no certified truncation within %d terms" % SERIES_CAP
-                )
-        k += 1
-        coeff = coeff * ((r - s) - (k - 1)) / k
-        gpow = [gp * row[4] for gp, row in zip(gpow, rows)]
-
-    value = acc / br_F ** r
-    if prod_exact is not None:
-        value = value * Fraction(1, prod_exact)
+    wctx, target, br_F, rows = _outer_rows(
+        ctx, chi, r, F, z, v_prod, r if last is None else last)
+    if isinstance(s, int):
+        one = Fraction(1)
     else:
-        prod_p = wctx.one(work)
+        one = wctx.one(wctx.prec)
+        prod = one
         for j in range(1, r + 1):
-            prod_p = prod_p * (s - j)
-        value = value / prod_p
-    if not value.is_exact_zero and value.prec < ctx.prec:
-        raise PrecisionExhausted(
-            "series evaluation retains %d digits, %d requested"
-            % (value.prec, ctx.prec)
-        )
-    return SeriesValue(_clamp(value, ctx.prec), terms, ctx.prec, converged)
+            prod = prod * (s - j)
+    heads = [wt * padic_power(angle, r - s) for wt, angle, _ in rows]
+    return _k_series(
+        ctx, wctx, target, r, F, rows, heads, 0, _binomials(r - s, one), last,
+        PadicNumber.exact_zero(ctx.p, wctx.prec), br_F ** r * prod,
+        "the k-series does not converge at this point")
 
 
 def Lpq_at_r(ctx: QContext, r: int, chi: DirichletCharacter, z=0,
@@ -472,65 +425,24 @@ def Lpq_at_r(ctx: QContext, r: int, chi: DirichletCharacter, z=0,
         raise ValueError("order r must be >= 1")
     if chi.is_principal:
         raise PoleError("the principal character has a genuine pole at s = r")
-    p = ctx.p
     if F is None:
-        F = choose_F(chi.conductor, p, r, "interpolation")
-    params = LParams(r=r, chi=chi, F=F, z=z, s=r)
-    params.validate(ctx)
-    vF = int_valuation(F, p)
-    v_fact = int_valuation(math.factorial(r - 1), p)
-    pad = r * vF + v_fact + _beta_headroom(ctx, r, r, F) + 4
-    work = ctx.prec + pad
-    wctx = ctx.with_precision(work)
-    target = ctx.prec + r * vF + v_fact
-
-    rows, br_F = _outer_rows(wctx, chi, r, F, z, work)
-    if not rows:
-        return SeriesValue(PadicNumber.exact_zero(p, ctx.prec), 0, ctx.prec, True)
-
+        F = choose_F(chi.conductor, ctx.p, r, "interpolation")
+    LParams(r=r, chi=chi, F=F, z=z, s=r).validate(ctx)
+    fact = math.factorial(r - 1)
+    wctx, target, br_F, rows = _outer_rows(
+        ctx, chi, r, F, z, int_valuation(fact, ctx.p), r)
+    acc = PadicNumber.exact_zero(ctx.p, wctx.prec)
     beta0 = series_beta(wctx, 0, r, base_power=F)
-    acc = PadicNumber.exact_zero(p, work)
     if not beta0.is_zero:
-        log_sum = PadicNumber.exact_zero(p, work)
-        for total, wt, exponent, angle, geom in rows:
+        log_sum = PadicNumber.exact_zero(ctx.p, wctx.prec)
+        for wt, angle, _ in rows:
             log_sum = log_sum + wt * iwasawa_log(angle)
         acc = -(beta0 * log_sum)
-
-    gpow = [row[4] ** r for row in rows]
-    rule = _StopRule(r + 5, target)
-    k = r
-    terms = 0
-    converged = False
-    while True:
-        beta = series_beta(wctx, k, r, base_power=F)
-        row_sum = PadicNumber.exact_zero(p, work)
-        for (total, wt, exponent, angle, geom), gp in zip(rows, gpow):
-            row_sum = row_sum + wt * gp
-        term = Fraction((-1) ** k, k) * beta * row_sum
-        acc = acc + term
-        terms += 1
-        if rule.accept(k, term.valuation_bound()[0]):
-            converged = True
-            break
-        if rule.diverging():
-            raise DivergenceDetected(
-                "term valuations sink below target near k = %d; the value "
-                "series does not converge under this convention" % k
-            )
-        if terms >= SERIES_CAP:
-            raise DivergenceDetected(
-                "no certified truncation within %d terms" % SERIES_CAP
-            )
-        k += 1
-        gpow = [gp * row[4] for gp, row in zip(gpow, rows)]
-
-    value = acc / br_F ** r * Fraction(1, math.factorial(r - 1))
-    if not value.is_exact_zero and value.prec < ctx.prec:
-        raise PrecisionExhausted(
-            "series evaluation retains %d digits, %d requested"
-            % (value.prec, ctx.prec)
-        )
-    return SeriesValue(_clamp(value, ctx.prec), terms, ctx.prec, converged)
+    coeffs = (Fraction((-1) ** k, k) for k in itertools.count(r))
+    return _k_series(
+        ctx, wctx, target, r, F, rows, [wt for wt, _, _ in rows], r, coeffs,
+        None, acc, br_F ** r * fact,
+        "the value series does not converge under this convention")
 
 
 def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
@@ -540,34 +452,25 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
         - sum'_{A in [r, r p* F]} chi_r(A) q^(A + p* z) <A + p* z>_q^(-s)
 
     over residue sums prime to p, with chi_r the omega^(-r) twist of chi.
-    F must be a multiple of p (p*)^(-1) r lcm(f, p*).
+    F must be a multiple of choose_F(f, p, r, "difference"),
+    p (p*)^(-1) r lcm(f, p*).
     """
     if r < 1:
         raise ValueError("order r must be >= 1")
     p, pstar = ctx.p, ctx.p_star
-    step = p * r * math.lcm(chi.conductor, pstar) // pstar
+    step = choose_F(chi.conductor, p, r, "difference")
     if F % step != 0:
         raise DomainError(
             "F = %d is not a multiple of p (p*)^(-1) r lcm(f, p*) = %d"
             % (F, step)
         )
-    span = pstar * F
-    if span ** r > TERM_BUDGET:
-        raise BudgetExceeded("outer sum has %d terms, budget is %d"
-                             % (span ** r, TERM_BUDGET))
     chir = char_twist_omega(chi, r)
     work = ctx.prec + 4
     wctx = ctx.with_precision(work)
-    counts = sum_counts(span, r)
     acc = PadicNumber.exact_zero(p, work)
-    for total in range(r, r * span + 1):
-        if counts[total] == 0 or math.gcd(total, p) != 1:
-            continue
-        if chir.exponent(total) is None:
-            continue
+    for total, count in residue_sums(pstar * F, r, chir, p):
         exponent = ExponentForm.wrap(z).scale_int(pstar).add_int(total)
         angle = angle_q(wctx, total, z, work)
-        head = angle ** (-s) if isinstance(s, int) else padic_power(angle, -s)
-        acc = acc + (counts[total] * chir.eval(total, work)
-                     * wctx.q_power(1, exponent, work) * head)
+        acc = acc + (count * chir.eval(total, work)
+                     * wctx.q_power(1, exponent, work) * padic_power(angle, -s))
     return _clamp(-acc, ctx.prec)

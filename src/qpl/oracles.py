@@ -25,7 +25,6 @@ __all__ = [
     "oracle_q_zeta",
     "oracle_resolve_conventions",
     "kim_rhs",
-    "kim_rhs_char",
     "complex_char",
     "q_bracket_real",
 ]
@@ -198,15 +197,12 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def kim_rhs(q: float, n: int, r: int, z_list, convention: str,
-            base_power: int = 1) -> float:
+def kim_rhs(q: float, n: int, r: int, z_list, convention: str) -> float:
     """The nested sum over compositions i_1+...+i_r = n+r with binomial
     weights and (q-1)-powers, built from single q-Bernoulli polynomials of
-    the given convention.  base_power evaluates the singles at q^base_power
-    (used by the character version)."""
+    the given convention."""
     if len(z_list) != r:
         raise ValueError("need exactly r shift arguments")
-    Q = q ** base_power
     N = n + r
     fact = [math.factorial(i) for i in range(N + 1)]
     total = 0.0
@@ -224,11 +220,11 @@ def kim_rhs(q: float, n: int, r: int, z_list, convention: str,
         factor = 1.0
         for j in range(r - 1):
             factor *= sum(
-                math.comb(uppers[j], k) * (Q - 1.0) ** k
-                * _single_beta_poly(Q, k + comp[j], z_list[j], convention)
+                math.comb(uppers[j], k) * (q - 1.0) ** k
+                * _single_beta_poly(q, k + comp[j], z_list[j], convention)
                 for k in range(uppers[j] + 1)
             )
-        tail = _single_beta_poly(Q, comp[r - 1], z_list[r - 1], convention)
+        tail = _single_beta_poly(q, comp[r - 1], z_list[r - 1], convention)
         total += multinom * factor * tail
     return total
 
@@ -274,32 +270,6 @@ def _sum_count_row(f: int, r: int) -> tuple:
 def _sum_count(f: int, r: int, t: int) -> int:
     row = _sum_count_row(f, r)
     return row[t] if 0 <= t < len(row) else 0
-
-
-def kim_rhs_char(q: float, n: int, r: int, chi: DirichletCharacter,
-                 z_list, convention: str) -> complex:
-    """Character version of the nested sum: [f]^n weighted by chi over the
-    r-fold residue tuples, singles at base q^f and arguments (a_j+z_j)/f."""
-    f = chi.modulus
-    ch = complex_char(chi)
-    total = 0j
-    idx = [1] * r
-    while True:
-        value = ch(sum(idx))
-        if value != 0:
-            shifted = [(idx[j] + z_list[j]) / f for j in range(r)]
-            total += value * kim_rhs(q, n, r, shifted, convention,
-                                     base_power=f)
-        pos = r - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] <= f:
-                break
-            idx[pos] = 1
-            pos -= 1
-        if pos < 0:
-            break
-    return q_bracket_real(q, f) ** n * total
 
 
 def oracle_resolve_conventions(r_max: int = 3, n_max: int = 4,

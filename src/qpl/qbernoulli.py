@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .characters import DirichletCharacter
-from .errors import BudgetExceeded, NormalizationUnresolved, PrecisionExhausted
+from .classical import residue_sums
+from .errors import NormalizationUnresolved, PrecisionExhausted
 from .padic import (
     ExponentForm,
     PadicNumber,
     QContext,
-    fraction_valuation,
+    _ceil_log,
     int_valuation,
 )
 
@@ -45,19 +46,6 @@ __all__ = [
     "load_convention_certificate",
     "convention_certificate",
 ]
-
-#: direct nested summation guard for the f^r character sums
-TERM_BUDGET = 10 ** 7
-
-
-def _ceil_log(p: int, n: int) -> int:
-    e = 0
-    t = 1
-    while t < n:
-        t *= p
-        e += 1
-    return e
-
 
 def _base_valuation(ctx: QContext, base_power: int) -> int:
     """v_p(q^base_power - 1); exact since v_p(q-1) clears the LTE threshold."""
@@ -214,41 +202,66 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
     return PadicNumber.from_fraction(pref, p, rel) * acc
 
 
+def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:
+    """Certified bound on -v(beta^(r)_{k,q^F}) over k <= m; factors that
+    multiply such a beta need this many extra digits to keep target
+    absolute precision."""
+    if m < r:
+        return 0
+    vd = _base_valuation(ctx, F)
+    return (m - r) * vd + r * (vd + _ceil_log(ctx.p, m - r + 1))
+
+
+def _clamp(x: PadicNumber, prec: int) -> PadicNumber:
+    """Truncate x to absolute precision prec (never extends)."""
+    if x.is_exact_zero:
+        return x if x.prec <= prec else PadicNumber.exact_zero(x.p, prec)
+    if x.prec <= prec:
+        return x
+    return x + PadicNumber.zero_at(x.p, prec)
+
+
+def _certified(x: PadicNumber, prec: int, what: str) -> PadicNumber:
+    """x truncated to absolute precision prec; PrecisionExhausted if x
+    retains fewer digits than that."""
+    if not x.is_exact_zero and x.prec < prec:
+        raise PrecisionExhausted("%s retains %d digits, %d requested"
+                                 % (what, x.prec, prec))
+    return _clamp(x, prec)
+
+
+def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
+                F: int) -> PadicNumber:
+    """[F]_q^(n-r) sum_{a_1..a_r=1..F} chi(a_1+...+a_r)
+                     beta^(r)_{n,q^F}((z+a_1+...+a_r)/F)
+
+    over a window F that is a multiple of the modulus of chi, grouped by
+    residue sum.  Padded by the beta headroom, so the value is certified to
+    ctx.prec or PrecisionExhausted is raised."""
+    work = ctx.prec + _beta_headroom(ctx, n, r, F) + 4
+    wctx = ctx.with_precision(work)
+    zf = ExponentForm.wrap(z)
+    acc = PadicNumber.exact_zero(ctx.p, work)
+    for t, count in residue_sums(F, r, chi):
+        beta = multi_q_beta_poly(wctx, n, r, zf.add_int(t).over(F), base_power=F)
+        acc = acc + count * chi.eval(t, work) * beta
+    return _certified(wctx.q_bracket(1, F) ** (n - r) * acc, ctx.prec,
+                      "special value")
+
+
 def multi_gen_q_beta_poly(ctx: QContext, n: int, r: int,
-                          chi: DirichletCharacter, z=0,
-                          base_power: int = 1) -> PadicNumber:
+                          chi: DirichletCharacter, z=0) -> PadicNumber:
     """Character-attached multiple q-Bernoulli polynomial at the modulus f
     of chi (induce chi first to evaluate at a larger modulus):
 
-        [f]_Q^(n-r) sum_{a_1..a_r=1..f} chi(a_1+...+a_r)
-                     beta^(r)_{n,Q^f}((z+a_1+...+a_r)/f)
+        [f]_q^(n-r) sum_{a_1..a_r=1..f} chi(a_1+...+a_r)
+                     beta^(r)_{n,q^f}((z+a_1+...+a_r)/f)
 
-    with Q = q^base_power.  The sum is grouped over t = a_1+...+a_r with
-    multiplicities, which leaves the value unchanged; the f^r budget guard
-    is enforced regardless.
+    certified to ctx.prec or PrecisionExhausted is raised.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    f = chi.modulus
-    if f ** r > TERM_BUDGET:
-        raise BudgetExceeded(
-            "f^r = %d exceeds the %d-term budget" % (f ** r, TERM_BUDGET)
-        )
-    from .classical import sum_counts
-    zf = ExponentForm.wrap(z)
-    vfb = int_valuation(f, ctx.p) * abs(n - r)
-    work = ctx.prec + vfb + 2
-    inner = ctx.with_precision(work)
-    acc = PadicNumber.exact_zero(ctx.p, work)
-    counts = sum_counts(f, r)
-    for t in range(r, r * f + 1):
-        e = chi.exponent(t)
-        if e is None:
-            continue
-        x = zf.add_int(t).over(f)
-        beta = multi_q_beta_poly(inner, n, r, x, base_power=base_power * f)
-        acc = acc + counts[t] * chi.eval(t, work) * beta
-    return ctx.q_bracket(base_power, f, work) ** (n - r) * acc
+    return _window_sum(ctx, n, r, chi, z, chi.modulus)
 
 
 # -- convention certificate ---------------------------------------------------

@@ -1,12 +1,17 @@
 """Command-line interface: document schemas, exit codes, grids, and
 byte-level determinism."""
 
+import csv
 import io
 import json
+import shlex
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qpl import Lpq_special, QContext, omega_pow
 from qpl.cli import RunSpec, main
 
 
@@ -58,16 +63,23 @@ def test_lp_pole_is_an_error_document():
     assert doc["error"]["type"] == "PoleError"
 
 
-def test_lp_s_r_routes_to_near_pole():
-    code, doc = run_json(["lp", "--p", "5", "--chi", "omega^2", "--s", "r",
+def test_lp_padic_s_is_an_error_document():
+    # A non-integer rational s is evaluated as a p-adic point; at p = 5 the
+    # k-series of omega diverges there.
+    for prec in ("12", "20"):
+        code, doc = run_json(["lp", "--p", "5", "--chi", "omega", "--s", "1/2",
+                              "--prec", prec])
+        assert code == 1
+        assert doc["error"]["type"] == "DivergenceDetected"
+
+
+def test_lp_at_r_conventions():
+    code, doc = run_json(["lp-at-r", "--p", "5", "--chi", "omega^2",
                           "--convention", "carlitz"])
-    code2, doc2 = run_json(["lp-at-r", "--p", "5", "--chi", "omega^2",
-                            "--convention", "carlitz"])
-    assert code == code2 == 0
+    assert code == 0
     assert doc["converged"] is True
-    assert doc["value"] == doc2["value"]
     # The default convention's series does not converge at s = r.
-    code, doc = run_json(["lp", "--p", "5", "--chi", "omega^2", "--s", "r"])
+    code, doc = run_json(["lp-at-r", "--p", "5", "--chi", "omega^2"])
     assert code == 1
     assert doc["error"]["type"] == "DivergenceDetected"
 
@@ -160,6 +172,16 @@ def test_precision_env(monkeypatch):
     code, doc = run_json(["qbernoulli", "--p", "5", "--n", "1"])
     assert code == 0
     assert doc["params"]["prec"] == 9
+
+
+def test_readme_examples_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("qpl ")]
+    assert len(lines) == 12
+    for line in lines:
+        code, _ = run_cli(shlex.split(line, comments=True)[1:])
+        assert code in (0, 3), line
 
 
 def test_runspec_round_trip():

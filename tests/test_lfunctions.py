@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpl import (
+    BudgetExceeded,
     DivergenceDetected,
     Lpq_at_r,
     Lpq_difference_rhs,
@@ -18,6 +19,7 @@ from qpl import (
     QContext,
     choose_F,
     gen_q_beta_poly,
+    induce,
     multi_q_beta_poly,
     omega_pow,
     partial_q_zeta_special,
@@ -25,6 +27,9 @@ from qpl import (
     principal_char,
     q_zeta_special,
 )
+
+from qpl import classical
+from qpl.classical import TERM_BUDGET
 
 from helpers import assert_agree, bound_of
 
@@ -101,6 +106,28 @@ def test_Lq_window_independent(ctx):
     base = Lq_special(ctx, 2, 2, chi, 5)
     widened = Lq_special(ctx, 2, 2, chi, 5, F=choose_F(5, 5, 2) * 3)
     assert bound_of(base - widened) >= ctx.prec
+    # The default window, the modulus, is certified to the full precision.
+    for h in range(3):
+        chi = induce(omega_pow(5, h), 5)
+        for r in (1, 2, 3):
+            for n in range(6):
+                for z in (0, 1):
+                    assert Lq_special(ctx, n, r, chi, z).prec == ctx.prec
+
+
+def test_budget_counts_rows(ctx, monkeypatch):
+    # 250^3 residue vectors, but only 3 * 250 grouped rows.
+    LParams(r=3, chi=omega_pow(5, 1), F=250).validate(ctx)
+
+    def no_table(f, r):
+        raise AssertionError("count table built for F = %d" % f)
+
+    monkeypatch.setattr(classical, "sum_counts", no_table)
+    F = 5 * (TERM_BUDGET // 5 + 1)
+    with pytest.raises(BudgetExceeded):
+        Lpq_eval(ctx, LParams(r=1, chi=omega_pow(5, 1), F=F, s=-1))
+    with pytest.raises(BudgetExceeded):
+        Lq_special(ctx, 1, 1, omega_pow(5, 1), F=F)
 
 
 def test_Lpq_special_precision_and_values(ctx):
