@@ -210,7 +210,7 @@ def _cmd_lp_table(spec: RunSpec, stream) -> int:
         d = value.to_dict()
         writer.writerow([
             spec.p, str(ctx.q), spec.prec, spec.r, spec.chi, str(z), n,
-            d["val"], "".join(str(t) for t in d["digits"]), repr(value),
+            d["val"], " ".join(str(t) for t in d["digits"]), repr(value),
         ])
     return 0
 

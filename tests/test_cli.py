@@ -97,6 +97,20 @@ def test_lp_table_csv():
     assert again == out
 
 
+def test_lp_table_digits_read_back():
+    # At p = 13 a digit can be 10, 11 or 12; the column stays readable.
+    ctx = QContext(13, Fraction(14), 12)
+    chi = omega_pow(13, 1)
+    code, out = run_cli(["lp-table", "--p", "13", "--chi", "omega",
+                         "--n-max", "4"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 5
+    for n, row in enumerate(rows):
+        digits = Lpq_special(ctx, n, 1, chi, 0).to_dict()["digits"]
+        assert [int(t) for t in row["digits"].split()] == digits
+
+
 def test_kummer_classical():
     code, doc = run_json(["kummer-verify", "--theorem", "classical",
                           "--p", "5", "--n", "2", "--c", "4", "--k", "1"])
