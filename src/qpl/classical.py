@@ -9,6 +9,7 @@ values and require an explicit precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -117,12 +118,12 @@ def sum_counts(f: int, r: int) -> tuple:
     """counts[t] = #{(a_1..a_r) in [1,f]^r : sum a_i = t}, t = 0..r*f."""
     counts = [1]
     for _ in range(r):
-        nxt = [0] * (len(counts) + f)
-        for i, c in enumerate(counts):
-            if c:
-                for j in range(1, f + 1):
-                    nxt[i + j] += c
-        counts = nxt
+        # next[t] = counts[t-f] + ... + counts[t-1], read off prefix sums so
+        # that the table costs O(r^2 f), not O(r^2 f^2)
+        prefix = list(itertools.accumulate(counts, initial=0))
+        n = len(counts)
+        counts = [prefix[min(t, n)] - prefix[max(t - f, 0)]
+                  for t in range(n + f)]
     return tuple(counts)
 
 
