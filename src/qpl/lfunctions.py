@@ -286,6 +286,8 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     the weight is the prefactor the order-r expansion carries; it is 1 at
     r = 1."""
     vF = int_valuation(F, ctx.p)
+    # pad: r*vF for the 1/[F]^r division, v_div for the prefactor, headroom
+    # for the negative beta valuations
     work = ctx.prec + r * vF + v_div + 4 + _beta_headroom(ctx, m, r, F)
     wctx = ctx.with_precision(work)
     sums = residue_sums(F, r, chi, ctx.p)
@@ -382,26 +384,18 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     params.validate(ctx)
     r, chi, F, z, s = params.r, params.chi, params.F, params.z, params.s
     _pole_guard(r, s, chi)
+    prod = math.prod(s - j for j in range(1, r + 1))
     if isinstance(s, int):
-        prod = 1
-        for j in range(1, r + 1):
-            prod *= s - j
         v_prod = int_valuation(prod, ctx.p)
     else:
-        v_prod = sum((s - j).valuation_bound()[0] for j in range(1, r + 1))
+        v_prod = prod.valuation_bound()[0]
     last = r - s if isinstance(s, int) and r - s > 0 else None
 
     # headroom for negative beta valuations up to the deepest k reached
     # (the finite degree, or the series start when truncation is monitored)
     wctx, target, br_F, rows = _outer_rows(
         ctx, chi, r, F, z, v_prod, r if last is None else last)
-    if isinstance(s, int):
-        one = Fraction(1)
-    else:
-        one = wctx.one(wctx.prec)
-        prod = one
-        for j in range(1, r + 1):
-            prod = prod * (s - j)
+    one = Fraction(1) if isinstance(s, int) else wctx.one(wctx.prec)
     heads = [wt * padic_power(angle, r - s) for wt, angle, _ in rows]
     return _k_series(
         ctx, wctx, target, r, F, rows, heads, 0, _binomials(r - s, one), last,
