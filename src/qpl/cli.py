@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import QplError
+from .errors import InconclusivePrecision, PreconditionViolated, QplError
 from .padic import PadicNumber, QContext
 from .characters import DirichletCharacter, parse_char_spec
 from .classical import bernoulli_number, gen_bernoulli_poly
@@ -33,6 +33,7 @@ from .lfunctions import (
     choose_F,
 )
 from .congruences import (
+    uncertified_report,
     verify_binom_op_thm,
     verify_classical_kummer,
     verify_thm53,
@@ -216,21 +217,33 @@ def _cmd_lp_table(spec: RunSpec, stream) -> int:
 
 
 def _grid_worker(task: dict) -> list:
+    """The reports of one verifier call; a cell the verifier cannot certify
+    becomes one inconclusive report instead of aborting the run."""
     spec = RunSpec.from_dict(task["spec"])
     ctx = _context(spec)
     chi = parse_char_spec(task["chi"], spec.p)
     z = _parse_scalar(task["z"])
     if z.denominator == 1:
         z = int(z)
-    if task["theorem"] == "53":
-        reports = verify_thm53(ctx, chi, task["r"], task["n_list"],
-                               task["c"], task["k"], z)
-    elif task["theorem"] == "54":
-        reports = [verify_thm54(ctx, chi, task["r"], task["n"],
-                                task["c"], task["k"], task["k2"], z)]
-    else:
-        reports = verify_binom_op_thm(ctx, chi, task["r"], task["n_list"],
-                                      task["c"], task["k"], z)
+    theorem = task["theorem"]
+    try:
+        if theorem == "53":
+            reports = verify_thm53(ctx, chi, task["r"], task["n_list"],
+                                   task["c"], task["k"], z)
+        elif theorem == "54":
+            reports = [verify_thm54(ctx, chi, task["r"], task["n"],
+                                    task["c"], task["k"], task["k2"], z)]
+        else:
+            reports = verify_binom_op_thm(ctx, chi, task["r"],
+                                          task["n_list"], task["c"],
+                                          task["k"], z)
+    except (InconclusivePrecision, PreconditionViolated) as exc:
+        if theorem == "54":
+            cell = {"n": task["n"], "k": (task["k"], task["k2"])}
+        else:
+            cell = {"n": task["n_list"], "k": task["k"]}
+        reports = [uncertified_report(ctx, chi, theorem, exc, z,
+                                      r=task["r"], c=task["c"], **cell)]
     return [r.to_dict() for r in reports]
 
 
@@ -261,8 +274,9 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
         reports = [report.to_dict()]
     elif spec.grid == "default":
         tasks = _default_grid(spec)
-        if spec.jobs > 1:
-            with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        jobs = min(spec.jobs, len(tasks), os.cpu_count() or 1)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 chunks = list(pool.map(_grid_worker, tasks))
         else:
             chunks = [_grid_worker(t) for t in tasks]

@@ -240,6 +240,17 @@ def _require_depth(ctx: QContext, needed: int):
         )
 
 
+def uncertified_report(ctx: QContext, chi: DirichletCharacter, theorem: str,
+                       exc: Exception, z, **point) -> CongruenceReport:
+    """The report of a cell a verifier raised on (InconclusivePrecision or
+    PreconditionViolated): inconclusive, with no witness, no observed
+    valuation, and the error message as its note."""
+    return CongruenceReport(
+        theorem, "uncertified", _point(ctx, chi, z=_zdesc(z), **point),
+        None, inf, False, True, {}, (str(exc),),
+    )
+
+
 # -- verifiers ---------------------------------------------------------------
 
 

@@ -584,6 +584,7 @@ class QContext:
             )
         self._cache = {}
         self._tables = {}
+        self._coeff_tables = {}
 
     def with_precision(self, prec: int) -> "QContext":
         """A view of this context at a different working precision.
@@ -599,6 +600,7 @@ class QContext:
         clone.v_q1 = self.v_q1
         clone._cache = self._cache
         clone._tables = self._tables
+        clone._coeff_tables = self._coeff_tables
         return clone
 
     def with_convention(self, convention: str) -> "QContext":
@@ -671,21 +673,33 @@ class QContext:
             return padic_exp(e * self.log_q(prec + self.v_q1))
         raise TypeError("unsupported exponent %r" % e)
 
+    def one_minus_q_pow(self, e: int, rel: int) -> PadicNumber:
+        """1 - q^e for an integer e, with rel significant digits.
+
+        Its valuation is v_p(q - 1) + v_p(e) by the lifting-the-exponent
+        lemma (q = 1 mod R* clears the lemma's threshold, also at p = 2), so
+        q^e is formed modulo p^(valuation + rel) and nothing cancels.
+        """
+        if e == 0:
+            return PadicNumber.exact_zero(self.p, rel)
+        v = self.v_q1 + int_valuation(e, self.p)
+        mod = _ppow(self.p, v + rel)
+        m = (1 - pow(self.q_int(v + rel), e, mod)) % mod
+        return PadicNumber(self.p, v, m // _ppow(self.p, v), v + rel)
+
     def q_bracket(self, d: int, x, prec: int = None) -> PadicNumber:
         """[x]_{q^d} = (1 - q^(d*x)) / (1 - q^d); x is never divided by d.
 
-        Integer exponents are evaluated exactly in Q first, so the val-1
-        cancellation in numerator and denominator costs no digits.
+        Integer exponents take both factors from one_minus_q_pow, so the
+        cancellation of their valuations costs no digits.
         """
         prec = self.prec if prec is None else prec
         e = ExponentForm.wrap(x).scaled(d)
-        den = 1 - self.q ** d
         if isinstance(e, int):
-            return PadicNumber.from_fraction((1 - self.q ** e) / den, self.p, prec)
-        vden = fraction_valuation(den, self.p)
+            return self.one_minus_q_pow(e, prec) / self.one_minus_q_pow(d, prec)
+        vden = self.v_q1 + int_valuation(d, self.p)
         num = 1 - self.q_power(1, e, prec + vden + 1)
-        den_p = PadicNumber.from_fraction(den, self.p, max(num.rel, 1))
-        return num / den_p
+        return num / self.one_minus_q_pow(d, max(num.rel, 1))
 
     def one(self, prec: int = None) -> PadicNumber:
         prec = self.prec if prec is None else prec

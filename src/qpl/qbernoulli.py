@@ -28,6 +28,8 @@ from .padic import (
     PadicNumber,
     QContext,
     _ceil_log,
+    _normalize,
+    _ppow,
     int_valuation,
 )
 
@@ -168,6 +170,72 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
     return ctx.q_bracket(1, f, work) ** (n - 1) * acc
 
 
+# multi_q_beta_poly's coefficient tables kept per context.  A k-series
+# builds one table per k and never returns to it, so the cap bounds memory;
+# a congruence grid revisits at most k' + 1 tables, far fewer.
+COEFF_TABLE_CAP = 32
+
+
+def _unit_inverses(units: list, mod: int) -> list:
+    """Inverses of units modulo mod with a single pow(-1), by prefix products."""
+    prefix = [1]
+    for w in units:
+        prefix.append(prefix[-1] * w % mod)
+    inv = pow(prefix[-1], -1, mod)
+    out = [0] * len(units)
+    for i in range(len(units) - 1, -1, -1):
+        out[i] = prefix[i] * inv % mod
+        inv = inv * units[i] % mod
+    return out
+
+
+def _coeff_table(ctx: QContext, n: int, r: int, d: int, rel: int):
+    """The x-independent part of multi_q_beta_poly at base Q = q^d, to rel
+    significant digits: (base, coeffs, pref) with
+
+        coeffs[j] * p^base = C(n-r,j) (-1)^j (1-Q^(j+1))^(-r)   mod p^(base+rel)
+
+    and pref = (-1)^r n!/(n-r)! (1-Q)^(r-n) as a PadicNumber.  The
+    valuation of 1 - Q^(j+1) is v(Q-1) + v_p(j+1) (lifting the exponent),
+    so Q^(j+1) is formed modulo p^(rel + v(Q-1) + ceil(log_p(n-r+1))).
+    """
+    key = (n, r, d, rel)
+    tables = ctx._coeff_tables
+    table = tables.get(key)
+    if table is not None:
+        return table
+    p, N = ctx.p, n - r
+    vd = _base_valuation(ctx, d)
+    mod = _ppow(p, rel)
+    k = rel + vd + _ceil_log(p, N + 1)
+    wide = _ppow(p, k)
+    Q = pow(ctx.q_int(k), d, wide)
+    Qj = 1
+    units, signed, vals = [], [], []
+    for j in range(N + 1):
+        Qj = Qj * Q % wide
+        v = vd + int_valuation(j + 1, p)
+        units.append((1 - Qj) % wide // _ppow(p, v) % mod)
+        c = math.comb(N, j)
+        vc = int_valuation(c, p)
+        signed.append((-1) ** j * (c // _ppow(p, vc)))
+        vals.append(vc - r * v)
+    inv = _unit_inverses([pow(w, r, mod) for w in units], mod)
+    base = min(vals)
+    coeffs = [c * i * _ppow(p, v - base) % mod
+              for c, i, v in zip(signed, inv, vals)]
+    perm = math.perm(n, r)
+    vperm = int_valuation(perm, p)
+    inv_w0 = pow(units[0], r - 1, mod) * inv[0] % mod     # (1-Q)'s unit, inverted
+    pval = vperm - N * vd
+    punit = (-1) ** r * (perm // _ppow(p, vperm)) * pow(inv_w0, N, mod) % mod
+    table = (base, coeffs, PadicNumber(p, pval, punit, pval + rel))
+    if len(tables) >= COEFF_TABLE_CAP:
+        del tables[next(iter(tables))]
+    tables[key] = table
+    return table
+
+
 def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
                       base_power: int = 1) -> PadicNumber:
     """Multiple q-Bernoulli polynomial of order r at base Q = q^base_power:
@@ -176,6 +244,11 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
             sum_{j=0..n-r} C(n-r,j) (-1)^j Q^((j+1)x) (1-Q^(j+1))^(-r)
 
     and 0 for n < r (the order-r generating function starts at t^r).
+
+    Evaluated modulo p^k: the coefficients and the prefactor come from a
+    table of integers mod p^k (cached on the context), whose valuations are
+    taken from the lifting-the-exponent lemma, and the sum is a Horner
+    evaluation in u = Q^x.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
@@ -184,22 +257,18 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
         return PadicNumber.exact_zero(p, ctx.prec)
     d = base_power
     vd = _base_valuation(ctx, d)
-    q_exact = ctx.q ** d
     # worst term valuation: prefactor (r-n) vd, coefficients -r(vd + v_p(j+1))
     vmin = (r - n) * vd - r * (vd + _ceil_log(p, n - r + 1))
     rel = ctx.prec - vmin + 2
-    x = ExponentForm.wrap(x)
+    base, coeffs, pref = _coeff_table(ctx, n, r, d, rel)
     u = ctx.q_power(d, x, rel)
-    acc = PadicNumber.exact_zero(p, ctx.prec + 2)
-    upow = u
-    for j in range(n - r + 1):
-        coeff = Fraction(math.comb(n - r, j) * (-1) ** j) \
-            / (1 - q_exact ** (j + 1)) ** r
-        acc = acc + PadicNumber.from_fraction(coeff, p, rel) * upow
-        if j < n - r:
-            upow = upow * u
-    pref = Fraction((-1) ** r * math.perm(n, r)) * (1 - q_exact) ** (r - n)
-    return PadicNumber.from_fraction(pref, p, rel) * acc
+    # u = Q^x is a unit, since v(Q - 1) > 0
+    digits = min(rel, u.rel)
+    mod = _ppow(p, digits)
+    m = 0
+    for a in reversed(coeffs):
+        m = (m + a) * u.unit % mod
+    return pref * _normalize(p, m, base, base + digits)
 
 
 def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:

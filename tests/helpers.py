@@ -1,6 +1,7 @@
 """Shared assertion helpers for the test suite."""
 
 import math
+from fractions import Fraction
 
 
 def bound_of(x):
@@ -28,3 +29,16 @@ def assert_agree(x, y, digits):
 def assert_exact_zero(x):
     bound, exact = x.valuation_bound()
     assert exact and bound == math.inf, "expected exact zero, got %r" % (x,)
+
+
+def digits_of(x):
+    """(val, unit, prec): equal triples are bit-for-bit equal PadicNumbers."""
+    return (x.val, x.unit, x.prec)
+
+
+def sample_qs(p):
+    """Values of q = 1 (mod R*): an integer, one with a denominator prime
+    to p, and a negative one with v_p(q - 1) one above the minimum."""
+    ps = 4 if p == 2 else p
+    return (Fraction(1 + ps), 1 + Fraction(ps, 3 if p == 2 else 2),
+            Fraction(1 - ps * p))

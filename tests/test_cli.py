@@ -4,7 +4,9 @@ byte-level determinism."""
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from qpl import Lpq_special, QContext, omega_pow
+from qpl import cli
 from qpl.cli import RunSpec, main
 
 
@@ -148,6 +151,65 @@ def test_kummer_grid_parallel_identical():
     parallel = run_cli(["kummer-verify", "--theorem", "54", "--grid",
                         "default", "--p", "5", "--jobs", "2"])
     assert base == parallel
+
+
+def test_kummer_grid_uncertified_cells_are_reports():
+    # At the default prec 12 the k' = 8 cells of theorem 54 at p = 7 need
+    # depth 13; they become inconclusive reports, not an error document.
+    code, doc = run_json(["kummer-verify", "--theorem", "54", "--grid",
+                          "default", "--p", "7"])
+    assert doc["total"] == 16 and doc["inconclusive"] >= 1
+    assert code == (3 if doc["failed"] else 0)
+    for rep in doc["reports"]:
+        if rep["inconclusive"]:
+            assert rep["pass"] is False
+            assert rep["observed_valuation"] is None
+            assert rep["notes"] == [
+                "working precision 12 cannot certify this bound; need >= 13"]
+
+
+def test_kummer_jobs_clamped(monkeypatch):
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [[] for _ in tasks]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    argv = ["kummer-verify", "--theorem", "54", "--grid", "default",
+            "--p", "5", "--jobs", "1000"]
+    # the default grid has 16 tasks
+    for cpus, want in ((4, 4), (64, 16)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        seen.clear()
+        assert run_json(argv) == (0, {"failed": 0, "inconclusive": 0,
+                                      "passed": 0, "reports": [],
+                                      "schema": "qpl/1", "total": 0})
+        assert seen == [want]
+    # an unknown CPU count runs the grid in-process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    seen.clear()
+    code, doc = run_json(argv)
+    assert (code, doc["total"], seen) == (3, 16, [])
+
+
+def test_python_m_qpl():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpl", "bernoulli", "--n", "12"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "-691/2730"
 
 
 def test_kummer_usage_errors():

@@ -32,7 +32,14 @@ from qpl import (
     teichmuller_int,
 )
 
-from helpers import assert_agree, assert_exact_zero, bound_of, residue
+from helpers import (
+    assert_agree,
+    assert_exact_zero,
+    bound_of,
+    digits_of,
+    residue,
+    sample_qs,
+)
 
 CTX = QContext(5, Fraction(6), 8)
 
@@ -186,6 +193,21 @@ def test_q_bracket_of_three():
     b = q_bracket(CTX, 1, 3)
     assert bound_of(b - 43) >= 8       # 1 + q + q^2 at q = 6
     assert bound_of(q_bracket(CTX, 1, 0)) >= 8
+
+
+def test_q_bracket_integer_matches_exact_quotient():
+    # Bit for bit against (1 - q^e)/(1 - q^d) reduced from exact rationals,
+    # including e = 0 (an exact zero) and e < 0.
+    for p in (2, 3, 5, 7, 13):
+        for q in sample_qs(p):
+            ctx = QContext(p, q, 8)
+            for d in (1, 2, p, 3 * p, 14):
+                for e in (0, 1, -1, 2, p, -p, p * p + 1, -3 * p * d, 41):
+                    for prec in (1, 9, 40):
+                        want = PadicNumber.from_fraction(
+                            (1 - q ** e) / (1 - q ** d), p, prec)
+                        got = ctx.q_bracket(d, Fraction(e, d), prec)
+                        assert digits_of(got) == digits_of(want), (p, q, d, e)
 
 
 def test_q_bracket_cocycle():

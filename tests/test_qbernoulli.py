@@ -3,11 +3,13 @@ identities, convention plumbing."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from qpl import (
+    DomainError,
     NormalizationUnresolved,
     PadicNumber,
     QContext,
@@ -24,9 +26,16 @@ from qpl import (
     principal_char,
     set_convention_certificate,
 )
+from qpl.padic import _ceil_log, int_valuation
 from qpl.qbernoulli import beta_table, series_beta
 
-from helpers import assert_agree, assert_exact_zero, bound_of
+from helpers import (
+    assert_agree,
+    assert_exact_zero,
+    bound_of,
+    digits_of,
+    sample_qs,
+)
 
 CTX = QContext(5, Fraction(6), 14)
 
@@ -111,6 +120,53 @@ def test_pure_multiple_expansion():
                                  * CTX.q_bracket(1, z, 24) ** (n - k))
                 rhs = rhs * CTX.q_power(1, (1 - r) * z, 24)
                 assert_agree(lhs, rhs, 12)
+
+
+def exact_multi_q_beta_poly(ctx, n, r, x, d):
+    """The docstring formula of multi_q_beta_poly with exact-rational
+    coefficients, each reduced by PadicNumber.from_fraction, at the
+    working precision multi_q_beta_poly documents; also returns u = Q^x."""
+    p = ctx.p
+    vd = ctx.v_q1 + int_valuation(d, p)
+    vmin = (r - n) * vd - r * (vd + _ceil_log(p, n - r + 1))
+    rel = ctx.prec - vmin + 2
+    u = ctx.q_power(d, x, rel)
+    Q = ctx.q ** d
+    acc = PadicNumber.exact_zero(p, ctx.prec)
+    for j in range(n - r + 1):
+        coeff = Fraction(math.comb(n - r, j) * (-1) ** j) / (1 - Q ** (j + 1)) ** r
+        acc = acc + PadicNumber.from_fraction(coeff, p, rel) * u ** (j + 1)
+    pref = (-1) ** r * math.perm(n, r) * (1 - Q) ** (r - n)
+    return PadicNumber.from_fraction(pref, p, rel) * acc, u.rel > rel
+
+
+def test_multi_q_beta_poly_matches_exact_rationals():
+    # Bit for bit against the exact-rational formula: p in {2,3,5,7,13},
+    # q integer, with a denominator prime to p and negative, x in
+    # {0, integer, a/d, 1/2}, n <= 40, r <= 4, d <= 14, prec 1..40.
+    rng = random.Random(20061)
+    wide_u = 0
+    for case in range(240):
+        p = (2, 3, 5, 7, 13)[case % 5]
+        q = sample_qs(p)[case // 5 % 3]
+        ctx = QContext(p, q, rng.randint(1, 40))
+        r = rng.randint(1, 4)
+        n = rng.randint(r, 40)
+        d = rng.randint(1, 14)
+        x = (0, rng.randint(1, 9), Fraction(rng.randint(1, 3 * d), d),
+             Fraction(1, 2))[case // 15 % 4]
+        try:
+            want, wide = exact_multi_q_beta_poly(ctx, n, r, x, d)
+        except DomainError:
+            # q^(d/2) at p = 2 and odd d has no 2-adically integral exponent
+            with pytest.raises(DomainError):
+                multi_q_beta_poly(ctx, n, r, x, base_power=d)
+            continue
+        got = multi_q_beta_poly(ctx, n, r, x, base_power=d)
+        assert digits_of(got) == digits_of(want), (p, q, ctx.prec, n, r, d, x)
+        wide_u += wide
+    # padic_exp hands back one digit more than asked at x = 1/2
+    assert wide_u > 0
 
 
 def test_gen_q_beta_modulus_one():
