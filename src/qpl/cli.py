@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .errors import InconclusivePrecision, PreconditionViolated, QplError
@@ -33,6 +33,7 @@ from .lfunctions import (
     choose_F,
 )
 from .congruences import (
+    _value_doc,
     uncertified_report,
     verify_binom_op_thm,
     verify_classical_kummer,
@@ -69,7 +70,6 @@ class RunSpec:
     theorem: str = None
     convention: str = None
     grid: str = None
-    base_power: int = None
     suites: tuple = None
     cases: int = None
     seed: int = None
@@ -122,12 +122,6 @@ def _context(spec: RunSpec) -> QContext:
     return QContext(spec.p, q, spec.prec, convention)
 
 
-def _padic_doc(x: PadicNumber) -> dict:
-    d = x.to_dict()
-    d["repr"] = repr(x)
-    return d
-
-
 def _emit(doc: dict, stream) -> None:
     doc = dict(doc)
     doc["schema"] = SCHEMA
@@ -161,14 +155,14 @@ def _cmd_qbernoulli(spec: RunSpec, stream) -> int:
         kind = "carlitz"
     params = spec.to_dict()
     params["q_exact"] = str(ctx.q)
-    _emit({"params": params, "kind": kind, "value": _padic_doc(value)}, stream)
+    _emit({"params": params, "kind": kind, "value": _value_doc(value)}, stream)
     return 0
 
 
 def _emit_series(params: dict, ctx: QContext, result, stream) -> int:
     _emit({
         "params": dict(params, q_exact=str(ctx.q)),
-        "value": _padic_doc(result.value),
+        "value": _value_doc(result.value),
         "terms_used": result.terms_used,
         "tail_valuation_bound": result.tail_valuation_bound,
         "converged": result.converged,
@@ -216,55 +210,57 @@ def _cmd_lp_table(spec: RunSpec, stream) -> int:
     return 0
 
 
-def _grid_worker(task: dict) -> list:
-    """The reports of one verifier call; a cell the verifier cannot certify
-    becomes one inconclusive report instead of aborting the run."""
-    spec = RunSpec.from_dict(task["spec"])
-    ctx = _context(spec)
-    chi = parse_char_spec(task["chi"], spec.p)
-    z = _parse_scalar(task["z"])
-    if z.denominator == 1:
-        z = int(z)
-    theorem = task["theorem"]
-    try:
-        if theorem == "53":
-            reports = verify_thm53(ctx, chi, task["r"], task["n_list"],
-                                   task["c"], task["k"], z)
-        elif theorem == "54":
-            reports = [verify_thm54(ctx, chi, task["r"], task["n"],
-                                    task["c"], task["k"], task["k2"], z)]
-        else:
-            reports = verify_binom_op_thm(ctx, chi, task["r"],
-                                          task["n_list"], task["c"],
-                                          task["k"], z)
-    except (InconclusivePrecision, PreconditionViolated) as exc:
-        if theorem == "54":
-            cell = {"n": task["n"], "k": (task["k"], task["k2"])}
-        else:
-            cell = {"n": task["n_list"], "k": task["k"]}
-        reports = [uncertified_report(ctx, chi, theorem, exc, z,
-                                      r=task["r"], c=task["c"], **cell)]
-    return [r.to_dict() for r in reports]
+def _grid_worker(cells: list) -> list:
+    """The report documents of a run of kummer-verify cells, in order.
+
+    The cells are RunSpecs that differ only in chi, r, n_list, n, c, k, k2
+    and z, so they share one QContext and its Bnr_structure values.  A
+    cell the verifier cannot certify becomes one inconclusive report
+    instead of aborting the run.
+    """
+    ctx = _context(cells[0])
+    docs = []
+    for cell in cells:
+        chi = parse_char_spec(cell.chi, cell.p)
+        z = _parse_scalar(cell.z)
+        if z.denominator == 1:
+            z = int(z)
+        try:
+            if cell.theorem == "53":
+                reports = verify_thm53(ctx, chi, cell.r, cell.n_list, cell.c,
+                                       cell.k, z)
+            elif cell.theorem == "54":
+                reports = [verify_thm54(ctx, chi, cell.r, cell.n, cell.c,
+                                        cell.k, cell.k2, z)]
+            else:
+                reports = verify_binom_op_thm(ctx, chi, cell.r, cell.n_list,
+                                              cell.c, cell.k, z)
+        except (InconclusivePrecision, PreconditionViolated) as exc:
+            if cell.theorem == "54":
+                n, k = cell.n, (cell.k, cell.k2)
+            else:
+                n, k = cell.n_list, cell.k
+            reports = [uncertified_report(ctx, chi, cell.theorem, exc, z,
+                                          r=cell.r, c=cell.c, n=n, k=k)]
+        docs.extend(r.to_dict() for r in reports)
+    return docs
 
 
 def _default_grid(spec: RunSpec) -> list:
     """The stock verification grid at one prime: both characters used by the
     worked examples, r in {1,2}, k in {1,2}, two z samples per point."""
-    tasks = []
-    base = spec.to_dict()
+    cells = []
     for chi_spec in ("principal", "omega^2"):
         for r in (1, 2):
             chi = parse_char_spec(chi_spec, spec.p)
             step = choose_F(chi.conductor, spec.p, r, "difference")
             for k in (1, 2):
                 for z in (step, 2 * step):
-                    tasks.append({
-                        "spec": base, "theorem": spec.theorem,
-                        "chi": chi_spec, "r": r, "n_list": [1, 2, 3, 4, 5],
-                        "n": 2, "c": spec.p - 1, "k": k,
-                        "k2": k + (spec.p - 1), "z": str(z),
-                    })
-    return tasks
+                    cells.append(replace(
+                        spec, chi=chi_spec, r=r, n_list=(1, 2, 3, 4, 5), n=2,
+                        c=spec.p - 1, k=k, k2=k + (spec.p - 1), z=str(z),
+                    ))
+    return cells
 
 
 def _cmd_kummer(spec: RunSpec, stream) -> int:
@@ -272,24 +268,17 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
         chi = parse_char_spec(spec.chi, spec.p) if spec.chi else None
         report = verify_classical_kummer(spec.p, spec.n, spec.c, spec.k, chi)
         reports = [report.to_dict()]
-    elif spec.grid == "default":
-        tasks = _default_grid(spec)
-        jobs = min(spec.jobs, len(tasks), os.cpu_count() or 1)
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(_grid_worker, tasks))
-        else:
-            chunks = [_grid_worker(t) for t in tasks]
-        reports = [r for chunk in chunks for r in chunk]
     else:
-        task = {
-            "spec": spec.to_dict(), "theorem": spec.theorem,
-            "chi": spec.chi, "r": spec.r,
-            "n_list": list(spec.n_list or ()), "n": spec.n,
-            "c": spec.c, "k": spec.k, "k2": spec.k2,
-            "z": spec.z,
-        }
-        reports = _grid_worker(task)
+        cells = _default_grid(spec) if spec.grid == "default" else [spec]
+        jobs = min(spec.jobs, len(cells), os.cpu_count() or 1)
+        size = -(-len(cells) // jobs)
+        chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
+        if len(chunks) > 1:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                reports = [r for docs in pool.map(_grid_worker, chunks)
+                           for r in docs]
+        else:
+            reports = _grid_worker(cells)
     doc = {
         "reports": reports,
         "total": len(reports),

@@ -183,7 +183,9 @@ def _verdict(witness: PadicNumber, required: int):
     return bound, False, True
 
 
-def _witness_dict(x) -> dict:
+def _value_doc(x) -> dict:
+    """The JSON document of a PadicNumber (its digits and repr) or of an
+    exact fraction."""
     if isinstance(x, PadicNumber):
         d = x.to_dict()
         d["repr"] = repr(x)
@@ -232,14 +234,6 @@ def _check_z(ctx: QContext, z, step: int):
     return tuple(notes)
 
 
-def _require_depth(ctx: QContext, needed: int):
-    if ctx.prec < needed:
-        raise InconclusivePrecision(
-            "working precision %d cannot certify this bound; need >= %d"
-            % (ctx.prec, needed)
-        )
-
-
 def uncertified_report(ctx: QContext, chi: DirichletCharacter, theorem: str,
                        exc: Exception, z, **point) -> CongruenceReport:
     """The report of a cell a verifier raised on (InconclusivePrecision or
@@ -249,6 +243,71 @@ def uncertified_report(ctx: QContext, chi: DirichletCharacter, theorem: str,
         theorem, "uncertified", _point(ctx, chi, z=_zdesc(z), **point),
         None, inf, False, True, {}, (str(exc),),
     )
+
+
+# -- the verifier core -------------------------------------------------------
+
+
+def _sorted_n_list(n_list) -> list:
+    n_list = sorted(set(n_list))
+    if not n_list or n_list[0] < 1:
+        raise PreconditionViolated("n_list must contain positive integers")
+    return n_list
+
+
+class _Cell:
+    """The steps the q-verifiers share at one parameter point.
+
+    Construction checks that z lies on the lattice of step
+    choose_F(f_chi, p, lattice_r) (PreconditionViolated otherwise) and
+    that ctx.prec reaches depth + CERT_MARGIN (InconclusivePrecision
+    otherwise).  An operator is a callable op(seq, n) on sequences
+    seq(m) = B_m^r(z0); its witness is the operator at z minus the
+    operator at 0.  c, k and extra go into every report's point.
+    """
+
+    def __init__(self, ctx: QContext, chi: DirichletCharacter, theorem: str,
+                 r: int, z, lattice_r: int, depth: int, c: int, k, **extra):
+        step = choose_F(chi.conductor, ctx.p, lattice_r, "difference")
+        self.notes = _check_z(ctx, z, step)
+        if ctx.prec < depth + CERT_MARGIN:
+            raise InconclusivePrecision(
+                "working precision %d cannot certify this bound; need >= %d"
+                % (ctx.prec, depth + CERT_MARGIN)
+            )
+        self.ctx, self.chi, self.r, self.z = ctx, chi, r, z
+        self.theorem = theorem
+        self.point = dict(c=c, k=k, z=_zdesc(z), **extra)
+
+    def witness(self, op, n: int) -> PadicNumber:
+        def seq(z0):
+            return lambda m: Bnr_structure(self.ctx, m, self.r, self.chi, z0)
+
+        return op(seq(self.z), n) - op(seq(0), n)
+
+    def report(self, check: str, n, w: PadicNumber,
+               required: int) -> CongruenceReport:
+        obs, ok, inc = _verdict(w, required)
+        return CongruenceReport(
+            self.theorem, check,
+            _point(self.ctx, self.chi, r=self.r, n=n, **self.point),
+            required, obs, ok, inc, _value_doc(w), self.notes,
+        )
+
+    def families(self, op, n_list, req_member: int, req_indep: int,
+                 scale=None) -> list:
+        """A membership report per n, then an n-independence report per
+        pair of n, on the witnesses times scale (unscaled when None)."""
+        reports = []
+        values = {}
+        for n in n_list:
+            w = self.witness(op, n)
+            reports.append(self.report("membership", n, w, req_member))
+            values[n] = w if scale is None else w * scale
+        for na, nb in combinations(n_list, 2):
+            reports.append(self.report("n-independence", (na, nb),
+                                       values[na] - values[nb], req_indep))
+        return reports
 
 
 # -- verifiers ---------------------------------------------------------------
@@ -266,40 +325,15 @@ def verify_thm53(ctx: QContext, chi: DirichletCharacter, r: int,
     """
     if r < 1 or c < 1 or k < 0:
         raise PreconditionViolated("need r >= 1, c >= 1, k >= 0")
-    n_list = sorted(set(n_list))
-    if not n_list or n_list[0] < 1:
-        raise PreconditionViolated("n_list must contain positive integers")
-    step = choose_F(chi.conductor, ctx.p, r, "difference")
-    notes = _check_z(ctx, z, step)
+    n_list = _sorted_n_list(n_list)
     ps_val = int_valuation(ctx.p_star, ctx.p)
     thr = rstar_threshold(ctx.p)
     req_member = k * ps_val + thr
     req_indep = ps_val + thr
-    _require_depth(ctx, max(req_member, req_indep + k * ps_val) + CERT_MARGIN)
-
-    def seq(z0):
-        return lambda m: Bnr_structure(ctx, m, r, chi, z0)
-
-    reports = []
-    scaled = {}
-    for n in n_list:
-        w = forward_diff(seq(z), n, c, k) - forward_diff(seq(0), n, c, k)
-        obs, ok, inc = _verdict(w, req_member)
-        reports.append(CongruenceReport(
-            "53", "membership",
-            _point(ctx, chi, r=r, n=n, c=c, k=k, z=_zdesc(z)),
-            req_member, obs, ok, inc, _witness_dict(w), notes,
-        ))
-        scaled[n] = w * Fraction(1, ctx.p_star**k)
-    for na, nb in combinations(n_list, 2):
-        w = scaled[na] - scaled[nb]
-        obs, ok, inc = _verdict(w, req_indep)
-        reports.append(CongruenceReport(
-            "53", "n-independence",
-            _point(ctx, chi, r=r, n=(na, nb), c=c, k=k, z=_zdesc(z)),
-            req_indep, obs, ok, inc, _witness_dict(w), notes,
-        ))
-    return reports
+    cell = _Cell(ctx, chi, "53", r, z, lattice_r=r,
+                 depth=max(req_member, req_indep + k * ps_val), c=c, k=k)
+    return cell.families(lambda seq, n: forward_diff(seq, n, c, k), n_list,
+                         req_member, req_indep, Fraction(1, ctx.p_star**k))
 
 
 def verify_thm54(ctx: QContext, chi: DirichletCharacter, r: int, n: int,
@@ -315,26 +349,18 @@ def verify_thm54(ctx: QContext, chi: DirichletCharacter, r: int, n: int,
         raise PreconditionViolated(
             "k = %d and k' = %d differ mod p - 1 = %d" % (k, k_prime, ctx.p - 1)
         )
-    step = choose_F(chi.conductor, ctx.p, r, "difference")
-    notes = _check_z(ctx, z, step)
     ps_val = int_valuation(ctx.p_star, ctx.p)
     required = 1 + rstar_threshold(ctx.p)
-    _require_depth(ctx, required + max(k, k_prime) * ps_val + CERT_MARGIN)
-
-    def seq(z0):
-        return lambda m: Bnr_structure(ctx, m, r, chi, z0)
+    cell = _Cell(ctx, chi, "54", r, z, lattice_r=r,
+                 depth=required + max(k, k_prime) * ps_val,
+                 c=c, k=(k, k_prime))
 
     def scaled_quantity(j):
-        w = forward_diff(seq(z), n, c, j) - forward_diff(seq(0), n, c, j)
+        w = cell.witness(lambda seq, m: forward_diff(seq, m, c, j), n)
         return w * Fraction(1, ctx.p_star**j)
 
     w = scaled_quantity(k) - scaled_quantity(k_prime)
-    obs, ok, inc = _verdict(w, required)
-    return CongruenceReport(
-        "54", "k-pair",
-        _point(ctx, chi, r=r, n=n, c=c, k=(k, k_prime), z=_zdesc(z)),
-        required, obs, ok, inc, _witness_dict(w), notes,
-    )
+    return cell.report("k-pair", n, w, required)
 
 
 def verify_binom_op_thm(ctx: QContext, chi: DirichletCharacter, r: int,
@@ -351,48 +377,19 @@ def verify_binom_op_thm(ctx: QContext, chi: DirichletCharacter, r: int,
     """
     if r < 1 or c < 1 or k < 0:
         raise PreconditionViolated("need r >= 1, c >= 1, k >= 0")
-    n_list = sorted(set(n_list))
-    if not n_list or n_list[0] < 1:
-        raise PreconditionViolated("n_list must contain positive integers")
-    step = choose_F(chi.conductor, ctx.p, 1, "difference")
-    notes = _check_z(ctx, z, step)
+    n_list = _sorted_n_list(n_list)
     ps_val = int_valuation(ctx.p_star, ctx.p)
     thr = rstar_threshold(ctx.p)
     req_member = thr
     req_indep = ps_val + thr
-    _require_depth(
-        ctx,
-        max(req_member, req_indep) + k * ps_val
-        + int_valuation(factorial(k), ctx.p) + CERT_MARGIN,
+    depth = (max(req_member, req_indep) + k * ps_val
+             + int_valuation(factorial(k), ctx.p))
+    cell = _Cell(ctx, chi, "binop", r, z, lattice_r=1, depth=depth, c=c, k=k,
+                 stirling_terms=[[m, s] for m, s in stirling_expansion(k)])
+    return cell.families(
+        lambda seq, n: binom_operator(seq, n, c, k, ctx.p_star), n_list,
+        req_member, req_indep,
     )
-    terms = [[m, s] for m, s in stirling_expansion(k)]
-
-    def seq(z0):
-        return lambda m: Bnr_structure(ctx, m, r, chi, z0)
-
-    reports = []
-    values = {}
-    for n in n_list:
-        w = (binom_operator(seq(z), n, c, k, ctx.p_star)
-             - binom_operator(seq(0), n, c, k, ctx.p_star))
-        obs, ok, inc = _verdict(w, req_member)
-        reports.append(CongruenceReport(
-            "binop", "membership",
-            _point(ctx, chi, r=r, n=n, c=c, k=k, z=_zdesc(z),
-                   stirling_terms=terms),
-            req_member, obs, ok, inc, _witness_dict(w), notes,
-        ))
-        values[n] = w
-    for na, nb in combinations(n_list, 2):
-        w = values[na] - values[nb]
-        obs, ok, inc = _verdict(w, req_indep)
-        reports.append(CongruenceReport(
-            "binop", "n-independence",
-            _point(ctx, chi, r=r, n=(na, nb), c=c, k=k, z=_zdesc(z),
-                   stirling_terms=terms),
-            req_indep, obs, ok, inc, _witness_dict(w), notes,
-        ))
-    return reports
 
 
 def _is_prime_power_of(f: int, p: int) -> bool:
@@ -446,5 +443,5 @@ def verify_classical_kummer(p: int, n: int, c: int, k: int,
         point["chi"] = chi.to_dict()
     return CongruenceReport(
         "classical", "integrality", point, 0, obs, obs >= 0, False,
-        _witness_dict(w), ("exact rational arithmetic; no precision bound",),
+        _value_doc(w), ("exact rational arithmetic; no precision bound",),
     )

@@ -256,10 +256,7 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
     if n < r:
         return PadicNumber.exact_zero(p, ctx.prec)
     d = base_power
-    vd = _base_valuation(ctx, d)
-    # worst term valuation: prefactor (r-n) vd, coefficients -r(vd + v_p(j+1))
-    vmin = (r - n) * vd - r * (vd + _ceil_log(p, n - r + 1))
-    rel = ctx.prec - vmin + 2
+    rel = ctx.prec + _beta_headroom(ctx, n, r, d) + 2
     base, coeffs, pref = _coeff_table(ctx, n, r, d, rel)
     u = ctx.q_power(d, x, rel)
     # u = Q^x is a unit, since v(Q - 1) > 0

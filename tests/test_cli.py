@@ -202,6 +202,50 @@ def test_kummer_jobs_clamped(monkeypatch):
     assert (code, doc["total"], seen) == (3, 16, [])
 
 
+def test_kummer_grid_shares_one_context(monkeypatch):
+    built = []
+    real = cli.QContext
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "QContext", counting)
+    code, doc = run_json(["kummer-verify", "--theorem", "53", "--grid",
+                          "default", "--p", "5", "--jobs", "1"])
+    assert (code, doc["total"]) == (3, 16 * 15)
+    assert len(built) == 1
+
+
+def test_kummer_grid_uneven_chunks_keep_order(monkeypatch):
+    chunk_sizes = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            chunk_sizes.extend(len(c) for c in chunks)
+            assert len(chunks) <= self.max_workers
+            return [fn(c) for c in chunks]
+
+    argv = ["kummer-verify", "--theorem", "53", "--grid", "default",
+            "--p", "5"]
+    serial = run_cli(argv + ["--jobs", "1"])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    chunked = run_cli(argv + ["--jobs", "3"])
+    assert chunk_sizes == [6, 6, 4]
+    assert chunked == serial
+
+
 def test_python_m_qpl():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
