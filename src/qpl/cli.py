@@ -50,7 +50,8 @@ DEFAULT_PRECISION = 12
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully parsed run description; round-trips through to_dict/from_dict."""
+    """Fully parsed run description; to_dict gives the parameters echoed
+    in the JSON output."""
 
     subcommand: str
     p: int = None
@@ -80,14 +81,6 @@ class RunSpec:
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSpec":
-        d = dict(d)
-        for key in ("n_list", "suites"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 def parse_q(text: str) -> Fraction:

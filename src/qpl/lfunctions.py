@@ -5,9 +5,11 @@ partial_q_zeta_special, Lq_special, Lpq_special) returns negative-integer
 special values as finite combinations of multiple q-Bernoulli polynomials.
 The series layer (Lpq_eval, Lpq_at_r) evaluates the two-variable p-adic
 q-L-function as a double sum: a finite outer sum over residue vectors,
-grouped by their sum, and an inner k-series whose truncation is certified
-term by term.  Lpq_difference_rhs is the finite sum that a shift of z by
-r*F adds to the function, used by the congruence machinery.
+grouped by their sum, and an inner k-series that ends at an index proven
+before the sum starts, from lower bounds on the valuations of its factors
+that hold for every k (see _last_index).  Lpq_difference_rhs is the finite
+sum that a shift of z by r*F adds to the function, used by the congruence
+machinery.
 
 Both layers drop the same terms: the residue vectors whose sum is divisible
 by p.  Lpq_special is the residue-sum closed form of Lpq_eval at s = -n; it
@@ -31,6 +33,7 @@ from .padic import (
     ExponentForm,
     PadicNumber,
     QContext,
+    _ceil_log,
     angle_q,
     fraction_valuation,
     in_D,
@@ -47,20 +50,18 @@ from .qbernoulli import (
     _window_sum,
     multi_q_beta_poly,
     series_beta,
+    series_beta_floor,
 )
-
-# hard ceiling on monitored k-series length; the stop rule should fire or
-# fail long before this
-SERIES_CAP = 400
 
 
 @dataclass(frozen=True)
 class SeriesValue:
     """A series evaluation together with its truncation certificate.
 
-    converged means the stop rule was satisfied (or the series was finite),
-    in which case tail_valuation_bound is at least the requested precision
-    and the value is reported at exactly that precision.
+    The series was summed up to an index proven before the sum started (or
+    it was finite), so converged is true and the omitted tail, divided like
+    the sum, has valuation at least tail_valuation_bound, the requested
+    precision at which the value is reported.
     """
 
     value: PadicNumber
@@ -213,46 +214,6 @@ def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
 # -- the two-variable series -------------------------------------------------
 
 
-class _StopRule:
-    """Truncation monitor for the k-series.
-
-    Accepts at the first k >= floor where the last 5 term-valuation lower
-    bounds all clear the target and the window trend is nondecreasing
-    (last >= first; coefficient families oscillate within a climbing
-    envelope, so the trend is measured across the window, not pairwise).
-    Five bounds >= target already certify those terms ultrametrically; the
-    trend clause guards against a tail that is about to sink.  Divergence
-    is reported once the bounds have sunk well below target with no
-    recovery.
-    """
-
-    WINDOW = 5
-
-    def __init__(self, floor: int, target: int):
-        self.floor = floor
-        self.target = target
-        self.bounds = []
-
-    def accept(self, k: int, bound) -> bool:
-        self.bounds.append(bound)
-        w = self.bounds[-self.WINDOW:]
-        return (
-            k >= self.floor
-            and len(w) == self.WINDOW
-            and all(b >= self.target for b in w)
-            and w[-1] >= w[0]
-        )
-
-    def diverging(self) -> bool:
-        w = self.bounds[-12:]
-        return (
-            len(w) == 12
-            and w[-1] < self.target - 8
-            and w[0] > w[-1]
-            and all(w[i] >= w[i + 1] for i in range(11))
-        )
-
-
 def _pole_guard(r: int, s, chi: DirichletCharacter) -> None:
     hit = None
     if isinstance(s, int):
@@ -305,57 +266,68 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     return wctx, ctx.prec + r * vF + v_div, br_F, rows
 
 
-def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
-              rows, heads, k: int, coeffs, last, acc: PadicNumber,
-              divisor, diverges: str) -> SeriesValue:
-    """(acc + sum_k c_k beta^(r)_{k,q^F} sum_rows head geom^k) / divisor.
+def _last_index(ctx: QContext, target: int, r: int, F: int, k: int,
+                coeff_floor) -> int:
+    """The last index a k-series from k needs for its value to hold to
+    valuation target, proven before the sum starts.
 
-    k starts at the given k, and coeffs yields c_k from there.  With last
-    given the sum ends at k = last and is exact to the reported precision;
-    otherwise the stop rule certifies its truncation at target, and
-    DivergenceDetected, worded with diverges, is raised when the term
-    valuations sink or SERIES_CAP terms pass uncertified.
+    Term k is c_k beta^(r)_{k,q^F} sum_rows head geom^k.  Each factor has a
+    lower bound that holds for every k: coeff_floor(k) for c_k,
+    series_beta_floor for beta, 0 for head, and v_p(F) for geom, since
+    [A + p* z]_q is a unit for A prime to p and v([F]_q) = v_p(F) by
+    lifting the exponent.  Their sum k v_p(F) + floor + coeff_floor(k)
+    never decreases (coeff_floor falls by at most 1 <= v_p(F) per step),
+    so every term from the first k at which it reaches target on lies at
+    or above target (Washington, GTM 83, 5.3).  Raises DivergenceDetected
+    where no bound on beta is proven.
+    """
+    floor = series_beta_floor(ctx, r)
+    if floor is None:
+        raise DivergenceDetected(
+            "no lower bound on v(beta^(%d)_k) is proven under the %s "
+            "convention, so the k-series has no proven truncation"
+            % (r, ctx.convention))
+    vF = int_valuation(F, ctx.p)
+    while k * vF + floor + coeff_floor(k) < target:
+        k += 1
+    return k - 1
+
+
+def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
+              rows, heads, k: int, coeffs, coeff_floor, last, lead,
+              divisor) -> SeriesValue:
+    """(lead() + sum_{k..last} c_k beta^(r)_{k,q^F} sum_rows head geom^k)
+    / divisor, with lead None for 0.
+
+    k starts at the given k, and coeffs yields c_k from there.  A series
+    whose coefficients vanish past last gives it, and the sum is exact;
+    otherwise last is None and _last_index proves it from coeff_floor, a
+    lower bound on v(c_k), before any term or lead is computed.
     """
     if not rows:
         return SeriesValue(PadicNumber.exact_zero(ctx.p, ctx.prec), 0,
                            ctx.prec, True)
+    if last is None:
+        last = _last_index(wctx, target, r, F, k, coeff_floor)
+    # top index first, so a Carlitz table is built once for the series
+    betas = [series_beta(wctx, j, r, base_power=F)
+             for j in range(last, k - 1, -1)][::-1]
     work = wctx.prec
+    acc = lead() if lead else PadicNumber.exact_zero(ctx.p, work)
     # geom ** 0 would carry only the digits of geom, not the working precision
     if k == 0:
         gpow = [wctx.one(work) for _ in rows]
     else:
         gpow = [geom ** k for _, _, geom in rows]
-    rule = _StopRule(r + 5, target)
-    terms = 0
-    converged = last is not None
-    ks = itertools.count(k) if last is None else range(k, last + 1)
-    for k, coeff in zip(ks, coeffs):
-        beta = series_beta(wctx, k, r, base_power=F)
+    for coeff, beta in zip(coeffs, betas):
         if not beta.is_zero:
             row_sum = PadicNumber.exact_zero(ctx.p, work)
             for head, g in zip(heads, gpow):
                 row_sum = row_sum + head * g
-            term = coeff * beta * row_sum
-        else:
-            term = PadicNumber.exact_zero(ctx.p, work)
-        acc = acc + term
-        terms += 1
-        if last is None:
-            if rule.accept(k, term.valuation_bound()[0]):
-                converged = True
-                break
-            if rule.diverging():
-                raise DivergenceDetected(
-                    "term valuations sink below target near k = %d; %s"
-                    % (k, diverges)
-                )
-            if terms >= SERIES_CAP:
-                raise DivergenceDetected(
-                    "no certified truncation within %d terms" % SERIES_CAP
-                )
+            acc = acc + coeff * beta * row_sum
         gpow = [g * geom for g, (_, _, geom) in zip(gpow, rows)]
     value = _certified(acc / divisor, ctx.prec, "series evaluation")
-    return SeriesValue(value, terms, ctx.prec, converged)
+    return SeriesValue(value, len(betas), ctx.prec, True)
 
 
 def _binomials(a, one):
@@ -376,10 +348,11 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
 
     where A runs over residue sums in [r, rF] prime to p, with
     multiplicities.  For integer s <= 0 the k-series terminates at
-    k = r - s and the result is exact to the reported precision; for other
-    s in D truncation is monitored by the stop rule and DivergenceDetected
-    is raised if the term valuations fail to climb.  At s = -n the value
-    equals Lpq_special.
+    k = r - s and the result is exact to the reported precision.  For other
+    s in D, C(r-s, k) is p-integral, and the series ends at the index
+    _last_index proves from that and the beta floor; where no beta floor
+    is proven (pure-sum, and Carlitz at r >= 2) DivergenceDetected is
+    raised before the first term.  At s = -n the value equals Lpq_special.
     """
     params.validate(ctx)
     r, chi, F, z, s = params.r, params.chi, params.F, params.z, params.s
@@ -391,16 +364,15 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
         v_prod = prod.valuation_bound()[0]
     last = r - s if isinstance(s, int) and r - s > 0 else None
 
-    # headroom for negative beta valuations up to the deepest k reached
-    # (the finite degree, or the series start when truncation is monitored)
+    # headroom for negative beta valuations up to the finite degree, or for
+    # an infinite series up to its start (series_beta_floor bounds the rest)
     wctx, target, br_F, rows = _outer_rows(
         ctx, chi, r, F, z, v_prod, r if last is None else last)
     one = Fraction(1) if isinstance(s, int) else wctx.one(wctx.prec)
     heads = [wt * padic_power(angle, r - s) for wt, angle, _ in rows]
     return _k_series(
-        ctx, wctx, target, r, F, rows, heads, 0, _binomials(r - s, one), last,
-        PadicNumber.exact_zero(ctx.p, wctx.prec), br_F ** r * prod,
-        "the k-series does not converge at this point")
+        ctx, wctx, target, r, F, rows, heads, 0, _binomials(r - s, one),
+        lambda k: 0, last, None, br_F ** r * prod)
 
 
 def Lpq_at_r(ctx: QContext, r: int, chi: DirichletCharacter, z=0,
@@ -412,8 +384,10 @@ def Lpq_at_r(ctx: QContext, r: int, chi: DirichletCharacter, z=0,
               + sum_{k>=r} (-1)^k/k beta^(r)_{k,q^F} q^(k(A+p*z))
                 ([F]_q/[A+p*z]_q)^k }
 
-    Under the pure-sum convention beta^(r)_0 = 0 and the logarithmic term
-    drops; the context convention flag decides.
+    The coefficients (-1)^k/k have valuation >= -floor(log_p k), from
+    which _last_index proves where the series ends.  Only the Carlitz
+    convention at r = 1 has a proven beta floor; elsewhere
+    DivergenceDetected is raised before the first term.
     """
     if r < 1:
         raise ValueError("order r must be >= 1")
@@ -425,18 +399,19 @@ def Lpq_at_r(ctx: QContext, r: int, chi: DirichletCharacter, z=0,
     fact = math.factorial(r - 1)
     wctx, target, br_F, rows = _outer_rows(
         ctx, chi, r, F, z, int_valuation(fact, ctx.p), r)
-    acc = PadicNumber.exact_zero(ctx.p, wctx.prec)
-    beta0 = series_beta(wctx, 0, r, base_power=F)
-    if not beta0.is_zero:
+
+    def log_term():
         log_sum = PadicNumber.exact_zero(ctx.p, wctx.prec)
         for wt, angle, _ in rows:
             log_sum = log_sum + wt * iwasawa_log(angle)
-        acc = -(beta0 * log_sum)
+        return -(series_beta(wctx, 0, r, base_power=F) * log_sum)
+
     coeffs = (Fraction((-1) ** k, k) for k in itertools.count(r))
+    # v((-1)^k/k) >= -floor(log_p k) = 1 - ceil(log_p(k + 1))
     return _k_series(
         ctx, wctx, target, r, F, rows, [wt for wt, _, _ in rows], r, coeffs,
-        None, acc, br_F ** r * fact,
-        "the value series does not converge under this convention")
+        lambda k: 1 - _ceil_log(ctx.p, k + 1), None, log_term,
+        br_F ** r * fact)
 
 
 def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,

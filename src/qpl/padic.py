@@ -374,12 +374,14 @@ def in_Rstar(x: PadicNumber) -> bool:
 
 
 def in_D(s: PadicNumber) -> bool:
-    """s lies in the series convergence disk |s|_p <= |p*|_p^(-1) p^(-1/(p-1)).
+    """s lies in the open series convergence disk
+    |s|_p < |p*|_p^(-1) p^(-1/(p-1)) (Washington, Thm 5.11).
 
-    Integer valuations make the bound v(s) >= 1 - v_p(p*): v >= 0 for odd
-    p and v >= -1 for p = 2.
+    The bound is v(s) > 1/(p-1) - v_p(p*); for integer valuations that is
+    v(s) >= floor(1/(p-1)) - v_p(p*) + 1, which is v >= 0 at every p.
     """
-    return s.valuation_ge(1 - int_valuation(p_star(s.p), s.p))
+    p = s.p
+    return s.valuation_ge(1 // (p - 1) - int_valuation(p_star(p), p) + 1)
 
 
 # -- Teichmuller lifting ---------------------------------------------------

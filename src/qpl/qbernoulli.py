@@ -44,6 +44,7 @@ __all__ = [
     "multi_q_beta_poly",
     "multi_gen_q_beta_poly",
     "series_beta",
+    "series_beta_floor",
     "set_convention_certificate",
     "load_convention_certificate",
     "convention_certificate",
@@ -132,7 +133,9 @@ def carlitz_beta_poly(ctx: QContext, n: int, x,
     x = ExponentForm.wrap(x)
     d = base_power
     work = ctx.prec + loss_budget(ctx, n, d) + 2
-    betas = [carlitz_beta(ctx.with_precision(work), k, d) for k in range(n + 1)]
+    wctx = ctx.with_precision(work)
+    # top index first, so the table is built once
+    betas = [carlitz_beta(wctx, k, d) for k in range(n, -1, -1)][::-1]
     u = ctx.q_power(d, x, work)
     bracket = ctx.q_bracket(d, x, work)
     acc = PadicNumber.exact_zero(ctx.p, work)
@@ -426,6 +429,22 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def series_beta_floor(ctx: QContext, r: int):
+    """A lower bound on v(series_beta(ctx, k, r, d)) that holds for every k
+    and every base q^d, or None where none is proven.
+
+    Carlitz singles: v(beta_k) >= -1.  beta_k at base Q = q^d is the
+    q-Volkenborn integral of [x]_Q^k, which is p-integral on Z_p, and
+    |int f dmu_Q| <= p ||f||_1 (T. Kim, "q-Volkenborn integration", Russ.
+    J. Math. Phys. 9, 2002).  No bound is proven for the pure-sum multiples,
+    which lose about v(Q - 1) of valuation per k, nor for the Carlitz
+    convention at r >= 2, whose terms k >= 1 are those multiples.
+    """
+    if ctx.convention == "carlitz" and r == 1:
+        return -1
+    return None
 
 
 def series_beta(ctx: QContext, k: int, r: int,

@@ -15,7 +15,7 @@ import pytest
 
 from qpl import Lpq_special, QContext, omega_pow
 from qpl import cli
-from qpl.cli import RunSpec, main
+from qpl.cli import main
 
 
 def run_cli(argv):
@@ -302,9 +302,3 @@ def test_readme_examples_run():
     for line in lines:
         code, _ = run_cli(shlex.split(line, comments=True)[1:])
         assert code in (0, 3), line
-
-
-def test_runspec_round_trip():
-    spec = RunSpec(subcommand="kummer-verify", p=5, theorem="53",
-                   chi="omega^2", n_list=(1, 2, 3), c=4, k=1, z="5")
-    assert RunSpec.from_dict(spec.to_dict()) == spec

@@ -1,6 +1,7 @@
 """Two-variable p-adic q-L-function: special values, the interpolation and
 difference identities, and the near-pole series."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qpl import (
     BudgetExceeded,
     DivergenceDetected,
+    DomainError,
     Lpq_at_r,
     Lpq_difference_rhs,
     Lpq_eval,
@@ -28,8 +30,9 @@ from qpl import (
     q_zeta_special,
 )
 
-from qpl import classical
+from qpl import classical, lfunctions
 from qpl.classical import TERM_BUDGET
+from qpl.padic import int_valuation
 
 from helpers import assert_agree, bound_of
 
@@ -218,3 +221,63 @@ def test_near_pole_diverges_in_pure_sum(ctx):
 def test_near_pole_principal_rejected(ctx):
     with pytest.raises(PoleError):
         Lpq_at_r(ctx, 1, principal_char(5))
+
+
+def test_outer_row_valuations():
+    # The other factors of the truncation bound: v(geom) = v_p(F) exactly
+    # and the row weights are p-integral.
+    for p, h, F, z in ((5, 1, 5, 0), (5, 0, 25, 3), (7, 2, 7, Fraction(1, 2)),
+                       (2, 0, 8, 1)):
+        ctx = QContext(p, Fraction(5 if p == 2 else 1 + p), 10)
+        chi = omega_pow(p, h)
+        _, _, _, rows = lfunctions._outer_rows(ctx, chi, 1, F, z, 0, 1)
+        vF = int_valuation(F, p)
+        for weight, angle, geom in rows:
+            assert geom.valuation_bound() == (vF, True)
+            assert weight.valuation_ge(0) and angle.valuation_ge(0)
+
+
+def test_series_without_beta_floor_raises_before_first_term(monkeypatch):
+    def no_beta(*args, **kwargs):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(lfunctions, "series_beta", no_beta)
+    pure = QContext(5, Fraction(6), 12)
+    started = time.time()
+    with pytest.raises(DivergenceDetected, match="pure_sum"):
+        Lpq_eval(pure, LParams(r=3, chi=principal_char(5), F=5,
+                               z=Fraction(1, 2), s=5))
+    assert time.time() - started < 1
+    with pytest.raises(DivergenceDetected, match="pure_sum"):
+        Lpq_eval(pure, LParams(r=1, chi=omega_pow(5, 1), F=5, z=0,
+                               s=PadicNumber.from_int(5 ** 4, 5, 18)))
+    carl = QContext(5, Fraction(6), 12, convention="carlitz")
+    with pytest.raises(DivergenceDetected, match="beta\\^\\(2\\)"):
+        Lpq_at_r(carl, 2, omega_pow(5, 1))
+
+
+def test_proven_truncation_digits_stable_under_precision():
+    P = 12
+    for p in (3, 5, 7):
+        low, high = (QContext(p, Fraction(1 + p), prec, convention="carlitz")
+                     for prec in (P, P + 10))
+        for h, n, m in ((0, 1, 3), (1, 2, 4)):
+            chi = omega_pow(p, h)
+            params = LParams(r=1, chi=chi, F=choose_F(chi.conductor, p), z=p,
+                             s=PadicNumber.from_int(-n + p ** m, p, P + 20))
+            a, b = Lpq_eval(low, params).value, Lpq_eval(high, params).value
+            assert a.prec == P
+            assert_agree(a, b, P)
+        a = Lpq_at_r(low, 1, omega_pow(p, 1)).value
+        b = Lpq_at_r(high, 1, omega_pow(p, 1)).value
+        assert a.prec == P
+        assert_agree(a, b, P)
+
+
+def test_p2_boundary_of_D_rejected():
+    # v(1/2) = -1 lies on the boundary of the open disk D at p = 2.
+    ctx = QContext(2, Fraction(5), 12, convention="carlitz")
+    s = PadicNumber.from_fraction(Fraction(1, 2), 2, 12)
+    for F in (8, 4):
+        with pytest.raises(DomainError, match="outside the convergence disk"):
+            Lpq_eval(ctx, LParams(r=1, chi=principal_char(2), F=F, z=0, s=s))

@@ -305,10 +305,10 @@ def test_region_predicates():
     assert not in_Rstar(PadicNumber(5, 0, 1, 8))
     assert in_D(PadicNumber(5, 0, 1, 8))
     assert not in_D(PadicNumber(5, -1, 1, 7))
-    # p = 2: R* needs v >= 2, D reaches down to v = -1
+    # p = 2: R* needs v >= 2; D is open, so its boundary v = -1 is outside
     assert in_Rstar(PadicNumber(2, 2, 1, 8))
     assert not in_Rstar(PadicNumber(2, 1, 1, 8))
-    assert in_D(PadicNumber(2, -1, 1, 7))
+    assert not in_D(PadicNumber(2, -1, 1, 7))
     assert not in_D(PadicNumber(2, -2, 1, 6))
 
 

@@ -27,7 +27,7 @@ from qpl import (
     set_convention_certificate,
 )
 from qpl.padic import _ceil_log, int_valuation
-from qpl.qbernoulli import beta_table, series_beta
+from qpl.qbernoulli import beta_table, series_beta, series_beta_floor
 
 from helpers import (
     assert_agree,
@@ -190,6 +190,25 @@ def test_measured_valuations_carlitz():
         b, _ = carlitz_beta(CTX, n).valuation_bound()
         vals.append(b)
     assert vals == [0, 0, 0, 0, -1, 2, 0, 0, -1, 2, 1, 0]
+
+
+def test_carlitz_beta_floor():
+    # The floor the k-series truncation rests on: v(beta_k) >= -1 for every
+    # k and base q^F, attained at every p.
+    for p in (2, 3, 5, 7, 11, 13):
+        pstar = 4 if p == 2 else p
+        for q in ((5, 13) if p == 2 else (1 + p, 1 + p * p)):
+            ctx = QContext(p, Fraction(q), 6, convention="carlitz")
+            assert series_beta_floor(ctx, 1) == -1
+            for F in (1, pstar, 3 * pstar):
+                carlitz_beta(ctx, 40, F)       # top index first: one build
+                vals = [carlitz_beta(ctx, k, F).valuation_bound()
+                        for k in range(41)]
+                assert all(exact for _, exact in vals)
+                assert min(v for v, _ in vals) == -1, (p, q, F)
+    carl = QContext(5, Fraction(6), 6, convention="carlitz")
+    assert series_beta_floor(carl, 2) is None
+    assert series_beta_floor(CTX, 1) is None
 
 
 def test_measured_valuations_pure_base_power():
