@@ -169,17 +169,6 @@ class DirichletCharacter:
             return PadicNumber.exact_zero(self.p, prec)
         return eta_power(self.p, e, prec)
 
-    def value_exact(self, a: int) -> int:
-        """chi(a) as an exact integer; only characters of order <= 2 qualify."""
-        if self.order > 2:
-            raise UnsupportedOrder(
-                "character of order %d has irrational values" % self.order
-            )
-        e = self.exponent(a)
-        if e is None:
-            return 0
-        return 1 if e % self.eta_order == 0 else -1
-
     def generator_data(self) -> tuple:
         """((g, exponent), ...) over the canonical generators of the modulus."""
         return tuple(

@@ -46,7 +46,6 @@ from .padic import (
 from .qbernoulli import (
     _beta_headroom,
     _certified,
-    _clamp,
     _window_sum,
     multi_q_beta_poly,
     series_beta,
@@ -142,7 +141,8 @@ def q_zeta_special(ctx: QContext, n: int, r: int, x) -> PadicNumber:
         raise ValueError("need n >= 0 and r >= 1")
     c, poch = _neg_pochhammer(n, r)
     inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p) + 2)
-    return _clamp(multi_q_beta_poly(inner, n + r, r, x) * c, ctx.prec)
+    return _certified(multi_q_beta_poly(inner, n + r, r, x) * c, ctx.prec,
+                      "special value")
 
 
 def partial_q_zeta_special(ctx: QContext, n: int, r: int, a_list, F: int,
@@ -163,7 +163,7 @@ def partial_q_zeta_special(ctx: QContext, n: int, r: int, a_list, F: int,
     x = ExponentForm.wrap(z).add_int(sum(a_list)).over(F)
     beta = multi_q_beta_poly(inner, n + r, r, x, base_power=F)
     value = inner.q_bracket(1, F) ** n * beta * c
-    return _clamp(value, ctx.prec)
+    return _certified(value, ctx.prec, "special value")
 
 
 def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
@@ -187,7 +187,8 @@ def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
                           % (F, chi.modulus))
     c, poch = _neg_pochhammer(n, r)
     inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
-    return _clamp(_window_sum(inner, n + r, r, chi, z, F) * c, ctx.prec)
+    return _certified(_window_sum(inner, n + r, r, chi, z, F) * c, ctx.prec,
+                      "special value")
 
 
 def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
@@ -304,9 +305,6 @@ def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
     otherwise last is None and _last_index proves it from coeff_floor, a
     lower bound on v(c_k), before any term or lead is computed.
     """
-    if not rows:
-        return SeriesValue(PadicNumber.exact_zero(ctx.p, ctx.prec), 0,
-                           ctx.prec, True)
     if last is None:
         last = _last_index(wctx, target, r, F, k, coeff_floor)
     # top index first, so a Carlitz table is built once for the series
@@ -442,4 +440,4 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
         angle = angle_q(wctx, total, z, work)
         acc = acc + (count * chir.eval(total, work)
                      * wctx.q_power(1, exponent, work) * padic_power(angle, -s))
-    return _clamp(-acc, ctx.prec)
+    return _certified(-acc, ctx.prec, "difference sum")

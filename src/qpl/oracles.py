@@ -41,7 +41,6 @@ def q_bracket_real(q: float, x: float) -> float:
 def _box_counts(M: int, r: int) -> list:
     """counts[t] = #{(m_1..m_r) in [0,M]^r : sum m_i = t}."""
     counts = [1]
-    block = [1] * (M + 1)
     for _ in range(r):
         nxt = [0] * (len(counts) + M)
         for i, c in enumerate(counts):

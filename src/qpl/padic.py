@@ -591,7 +591,8 @@ class QContext:
     def with_precision(self, prec: int) -> "QContext":
         """A view of this context at a different working precision.
 
-        Caches and beta tables are shared; both keyed by precision internally.
+        Caches and beta tables are shared: the caches are keyed by
+        precision, and each beta table keeps the highest target asked of it.
         """
         clone = object.__new__(QContext)
         clone.p = self.p
@@ -606,11 +607,12 @@ class QContext:
         return clone
 
     def with_convention(self, convention: str) -> "QContext":
+        """A view of this context under another convention.  Caches and
+        beta tables are shared: the Carlitz tables do not depend on it."""
         if convention not in self.CONVENTIONS:
             raise ValueError("unknown convention %r" % convention)
         clone = self.with_precision(self.prec)
         clone.convention = convention
-        clone._tables = {}
         return clone
 
     # -- materialization ---------------------------------------------------

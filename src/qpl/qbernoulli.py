@@ -8,9 +8,18 @@ Two single-beta conventions coexist and are kept strictly apart:
   coefficients vanish (beta_n^(r) = 0 for n < r); their r = 1 case is NOT
   the Carlitz sequence.
 
-The context convention flag decides which family feeds series expansions
-elsewhere; see series_beta.  The closed form used for the multiples is the
-one validated against the floating-point oracles.
+The two singles differ by one term that does not depend on x.  At base
+Q = q^d, the q-Volkenborn integral gives int Q^(lt) dmu_Q(t) = l/[l]_Q for
+l >= 1 and beta_0 = (Q - 1)/log Q for l = 0 (T. Kim, "q-Volkenborn
+integration", Russ. J. Math. Phys. 9, 2002), so expanding [x + t]_Q^n in
+powers of Q^(x+t) gives
+
+    beta_n(x) = beta^(1)_n(x) + beta_0 (1 - Q)^(-n),
+
+and every Carlitz value is computed that way, from multi_q_beta_poly at
+r = 1.  The context convention flag decides which family feeds series
+expansions elsewhere; see series_beta.  The closed form used for the
+multiples is the one validated against the floating-point oracles.
 """
 
 from __future__ import annotations
@@ -56,7 +65,8 @@ def _base_valuation(ctx: QContext, base_power: int) -> int:
 
 
 def loss_budget(ctx: QContext, n: int, base_power: int = 1) -> int:
-    """Extra working digits for a beta table up to index n."""
+    """Extra working digits gen_q_beta_poly and kim_sum_of_products carry
+    for indices up to n."""
     if n == 0:
         return 2
     return n * (_base_valuation(ctx, base_power) + _ceil_log(ctx.p, n) + 2)
@@ -68,7 +78,6 @@ class QBernoulliTable:
 
     ctx: QContext
     base_power: int
-    convention: str
     target: int = 0
     entries: list = field(default_factory=list)
 
@@ -81,37 +90,39 @@ class QBernoulliTable:
                                     self.base_power, target)
 
 
+def _carlitz_constants(ctx: QContext, d: int, digits: int):
+    """beta_0 = (Q - 1)/log Q and 1/(1 - Q) at base Q = q^d, each to digits
+    significant digits; log q is taken once, at the precision they need."""
+    one_minus_Q = ctx.one_minus_q_pow(d, digits)
+    log_Q = ctx.log_q(digits + _base_valuation(ctx, d)) * d
+    return -one_minus_Q / log_Q, 1 / one_minus_Q
+
+
 def _carlitz_run(ctx: QContext, n_max: int, d: int, target: int) -> list:
-    """Solve (q^n - 1) b_n = [n = 1] - sum_{k<n} C(n,k) q^k b_k at base q^d."""
-    p = ctx.p
-    work = target + loss_budget(ctx, n_max, d)
-    q_exact = ctx.q ** d
-    vd = _base_valuation(ctx, d)
-    num = PadicNumber.from_fraction(q_exact - 1, p, work)
-    log_qd = ctx.log_q(vd + work) * d
-    entries = [num / log_qd]
-    qpow = [ctx.q_pow_int(d * k, work) for k in range(n_max + 1)]
-    for n in range(1, n_max + 1):
-        acc = PadicNumber.from_int(1 if n == 1 else 0, p, work)
-        for k in range(n):
-            acc = acc - math.comb(n, k) * qpow[k] * entries[k]
-        divisor = PadicNumber.from_fraction(q_exact ** n - 1, p, acc.rel or 1)
-        b = acc / divisor
+    """beta_n = beta^(1)_n(0) + beta_0 (1 - Q)^(-n) at base Q = q^d for
+    n <= n_max, each to absolute precision at least target."""
+    beta_0, ratio = _carlitz_constants(
+        ctx, d, target + n_max * _base_valuation(ctx, d) + 2)
+    wctx = ctx.with_precision(target)
+    entries = []
+    term = beta_0
+    for n in range(n_max + 1):
+        b = multi_q_beta_poly(wctx, n, 1, 0, base_power=d) + term
         if b.prec < target:
             raise PrecisionExhausted(
                 "beta_%d at base q^%d retains %d digits, need %d"
                 % (n, d, b.prec, target)
             )
         entries.append(b)
+        term = term * ratio
     return entries
 
 
 def beta_table(ctx: QContext, base_power: int = 1) -> QBernoulliTable:
-    key = ("carlitz", base_power)
-    table = ctx._tables.get(key)
+    table = ctx._tables.get(base_power)
     if table is None:
-        table = QBernoulliTable(ctx, base_power, "carlitz")
-        ctx._tables[key] = table
+        table = QBernoulliTable(ctx, base_power)
+        ctx._tables[base_power] = table
     return table
 
 
@@ -127,28 +138,25 @@ def carlitz_beta(ctx: QContext, n: int, base_power: int = 1) -> PadicNumber:
 
 def carlitz_beta_poly(ctx: QContext, n: int, x,
                       base_power: int = 1) -> PadicNumber:
-    """beta_n(x) = sum C(n,k) q^(kx) beta_k [x]^(n-k), Carlitz convention."""
+    """Carlitz q-Bernoulli polynomial at base Q = q^base_power,
+
+        beta_n(x) = int [x + t]_Q^n dmu_Q(t)
+                  = beta^(1)_n(x) + beta_0 (1 - Q)^(-n),
+
+    with beta^(1)_n the pure-sum single (multi_q_beta_poly at r = 1, which
+    is 0 at n = 0) and beta_0 = (Q - 1)/log Q; see the module docstring.
+    Certified to ctx.prec.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = ExponentForm.wrap(x)
     d = base_power
-    work = ctx.prec + loss_budget(ctx, n, d) + 2
-    wctx = ctx.with_precision(work)
-    # top index first, so the table is built once
-    betas = [carlitz_beta(wctx, k, d) for k in range(n, -1, -1)][::-1]
-    u = ctx.q_power(d, x, work)
-    bracket = ctx.q_bracket(d, x, work)
-    acc = PadicNumber.exact_zero(ctx.p, work)
-    upow = PadicNumber.from_int(1, ctx.p, work)
-    # accumulate q^(kx) incrementally; bracket powers by reverse index
-    brackets = [PadicNumber.from_int(1, ctx.p, work)]
-    for _ in range(n):
-        brackets.append(brackets[-1] * bracket)
-    for k in range(n + 1):
-        acc = acc + math.comb(n, k) * upow * betas[k] * brackets[n - k]
-        if k < n:
-            upow = upow * u
-    return acc
+    if n == 0:
+        # beta_0(x) does not depend on x, but x must still lie in the domain
+        # of Q^x, as multi_q_beta_poly checks from n = 1 on
+        ctx.q_power(d, x)
+    beta_0, ratio = _carlitz_constants(
+        ctx, d, ctx.prec + n * _base_valuation(ctx, d) + 2)
+    return multi_q_beta_poly(ctx, n, 1, x, base_power=d) + beta_0 * ratio ** n
 
 
 def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
@@ -281,22 +289,17 @@ def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:
     return (m - r) * vd + r * (vd + _ceil_log(ctx.p, m - r + 1))
 
 
-def _clamp(x: PadicNumber, prec: int) -> PadicNumber:
-    """Truncate x to absolute precision prec (never extends)."""
-    if x.is_exact_zero:
-        return x if x.prec <= prec else PadicNumber.exact_zero(x.p, prec)
-    if x.prec <= prec:
-        return x
-    return x + PadicNumber.zero_at(x.p, prec)
-
-
 def _certified(x: PadicNumber, prec: int, what: str) -> PadicNumber:
     """x truncated to absolute precision prec; PrecisionExhausted if x
-    retains fewer digits than that."""
-    if not x.is_exact_zero and x.prec < prec:
+    retains fewer digits than that.  An exact zero stays exact."""
+    if x.is_exact_zero:
+        return PadicNumber.exact_zero(x.p, min(x.prec, prec))
+    if x.prec < prec:
         raise PrecisionExhausted("%s retains %d digits, %d requested"
                                  % (what, x.prec, prec))
-    return _clamp(x, prec)
+    if x.prec == prec:
+        return x
+    return x + PadicNumber.zero_at(x.p, prec)
 
 
 def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,

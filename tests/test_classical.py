@@ -36,6 +36,16 @@ def test_bernoulli_numbers():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
+def test_bernoulli_numbers_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(61):
+        want = sympy.bernoulli(n)
+        # sympy >= 1.12 takes B_1 = +1/2; qpl takes t/(e^t - 1), B_1 = -1/2
+        if n == 1:
+            want = -abs(want)
+        assert bernoulli_number(n) == Fraction(int(want.p), int(want.q)), n
+
+
 def test_bernoulli_poly_values():
     assert bernoulli_poly(1, Fraction(1, 2)) == 0
     assert bernoulli_poly(0, Fraction(7, 3)) == 1
@@ -61,6 +71,18 @@ def test_norlund_small_values():
     assert norlund_number(0, 3) == 1
     assert norlund_number(1, 2) == -1
     assert norlund_poly(3, 2, Fraction(2)) == Fraction(1, 2)
+
+
+def test_norlund_numbers_match_sympy_series():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for r in (1, 2, 3):
+        series = sympy.series((t / (sympy.exp(t) - 1)) ** r, t, 0, 11)
+        series = series.removeO()
+        for n in range(11):
+            want = series.coeff(t, n) * math.factorial(n)
+            assert norlund_number(n, r) == Fraction(int(want.p),
+                                                    int(want.q)), (n, r)
 
 
 def test_norlund_convolution():

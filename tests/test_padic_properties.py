@@ -1,0 +1,65 @@
+"""Property tests: p-adic arithmetic against exact Fractions, and certified
+digits that do not change when the precision rises."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st
+
+from qpl import PadicNumber, QContext, carlitz_beta_poly, fraction_valuation
+
+from helpers import assert_agree
+
+PRIMES = st.sampled_from((2, 3, 5, 7, 13))
+RATIONALS = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(1, 10 ** 6))
+DIGITS = st.integers(1, 30)
+# no example database; hypothesis still caches the constants of local
+# modules in ./.hypothesis, which .gitignore lists
+PROPERTY = settings(database=None, deadline=None)
+
+
+def assert_holds(x, exact):
+    """x agrees with the exact rational on every digit it certifies."""
+    v = fraction_valuation(exact, x.p) if exact else 0
+    ref = PadicNumber.from_fraction(exact, x.p, max(x.prec - v, 1))
+    assert_agree(x, ref, x.prec)
+
+
+@PROPERTY
+@given(PRIMES, RATIONALS, RATIONALS, DIGITS)
+def test_arithmetic_matches_fractions(p, a, b, k):
+    x = PadicNumber.from_fraction(a, p, k)
+    y = PadicNumber.from_fraction(b, p, k)
+    assert_holds(x + y, a + b)
+    assert_holds(x * y, a * b)
+    if b:
+        assert_holds(x / y, a / b)
+
+
+@PROPERTY
+@given(PRIMES, RATIONALS, RATIONALS, DIGITS, st.integers(1, 20))
+def test_certified_digits_stable_as_precision_rises(p, a, b, k, extra):
+    assume(b)
+
+    def chain(digits):
+        x = PadicNumber.from_fraction(a, p, digits)
+        y = PadicNumber.from_fraction(b, p, digits)
+        return (x * y + x - y) / y
+
+    low, high = chain(k), chain(k + extra)
+    assert high.prec >= low.prec
+    assert_agree(low, high, low.prec)
+
+
+@PROPERTY
+@given(st.sampled_from((3, 5, 7)), st.integers(0, 12),
+       st.sampled_from((0, 1, 4, Fraction(1, 2))), st.integers(2, 16),
+       st.integers(1, 10))
+def test_carlitz_digits_stable_as_precision_rises(p, n, x, k, extra):
+    low = carlitz_beta_poly(QContext(p, Fraction(1 + p), k), n, x)
+    high = carlitz_beta_poly(QContext(p, Fraction(1 + p), k + extra), n, x)
+    assert low.prec >= k
+    assert_agree(low, high, low.prec)

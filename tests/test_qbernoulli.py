@@ -84,26 +84,45 @@ def test_second_order_second_index():
 
 
 def test_carlitz_recurrence():
-    # (q beta + 1)^n - beta_n collapses to 1 at n = 1, else 0 (n >= 1)
-    for n in range(1, 9):
-        acc = PadicNumber.exact_zero(5, 20)
-        for k in range(n + 1):
-            acc = acc + carlitz_beta(CTX, k) * math.comb(n, k) * qp(6) ** k
-        acc = acc - carlitz_beta(CTX, n)
-        target = 1 if n == 1 else 0
-        assert bound_of(acc - target) >= 13
+    # beta_0 log Q = Q - 1 and (Q beta + 1)^n - beta_n = [n = 1] for n >= 1
+    # fix the Carlitz numbers at base Q = q^d, apart from the closed form
+    # they are computed from
+    for p in (2, 3, 5, 7, 11, 13):
+        pstar = 4 if p == 2 else p
+        ctx = QContext(p, sample_qs(p)[0], 14)
+        for d in (1, pstar, 3 * pstar):
+            Q = PadicNumber.from_fraction(ctx.q ** d, p, 40)
+            carlitz_beta(ctx, 30, d)       # top index first: one build
+            betas = [carlitz_beta(ctx, k, d) for k in range(31)]
+            assert_agree(betas[0] * iwasawa_log(Q), Q - 1, 14)
+            for n in range(1, 31):
+                acc = -betas[n]
+                for k in range(n + 1):
+                    acc = acc + betas[k] * math.comb(n, k) * Q ** k
+                target = 1 if n == 1 else 0
+                assert bound_of(acc - target) >= 14, (p, d, n)
 
 
 def test_carlitz_poly_expansion():
-    for n in range(7):
-        for z in (1, 2):
-            lhs = carlitz_beta_poly(CTX, n, z)
-            rhs = PadicNumber.exact_zero(5, 20)
-            for k in range(n + 1):
-                rhs = rhs + (carlitz_beta(CTX, k) * math.comb(n, k)
-                             * CTX.q_power(1, k * z, 20)
-                             * CTX.q_bracket(1, z, 20) ** (n - k))
-            assert_agree(lhs, rhs, 12)
+    # beta_n(x) = sum C(n,k) Q^(kx) beta_k [x]_Q^(n-k) at base Q = q^d
+    for ctx in (CTX, QContext(7, Fraction(8), 14)):
+        p = ctx.p
+        for d in (1, p):
+            for n in range(7):
+                for x in (1, 2, Fraction(1, 2), Fraction(5, 3)):
+                    lhs = carlitz_beta_poly(ctx, n, x, d)
+                    rhs = PadicNumber.exact_zero(p, 20)
+                    for k in range(n + 1):
+                        rhs = rhs + (carlitz_beta(ctx, k, d) * math.comb(n, k)
+                                     * ctx.q_power(d, k * x, 20)
+                                     * ctx.q_bracket(d, x, 20) ** (n - k))
+                    assert_agree(lhs, rhs, 12)
+    # the exponent of q^(1/2) is not 2-adically integral; this holds at
+    # n = 0 too, where beta_0(x) does not depend on x
+    ctx = QContext(2, Fraction(5), 10)
+    for n in (0, 3):
+        with pytest.raises(DomainError):
+            carlitz_beta_poly(ctx, n, Fraction(1, 2))
 
 
 def test_pure_multiple_expansion():
