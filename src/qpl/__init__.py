@@ -82,7 +82,6 @@ from .qbernoulli import (
     convention_certificate,
     gen_q_beta_poly,
     kim_sum_of_products,
-    load_convention_certificate,
     multi_gen_q_beta_poly,
     multi_q_beta_poly,
     series_beta,

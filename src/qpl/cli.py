@@ -83,26 +83,17 @@ class RunSpec:
                 for k, v in asdict(self).items() if v is not None}
 
 
-def parse_q(text: str) -> Fraction:
+def parse_q(text: str, p: int) -> Fraction:
     """q given exactly: "1+p^m" (or "1+p"), "num/den", or an integer."""
     text = text.strip().replace(" ", "")
     if text.startswith("1+p"):
         rest = text[3:]
         if rest == "":
-            return None  # caller substitutes 1 + p
+            return Fraction(1 + p)
         if rest.startswith("^") and rest[1:].isdigit():
-            return ("pow", int(rest[1:]))
+            return Fraction(1 + p ** int(rest[1:]))
         raise ValueError("malformed q spec %r" % text)
     return Fraction(text)
-
-
-def _materialize_q(qspec: str, p: int) -> Fraction:
-    parsed = parse_q(qspec)
-    if parsed is None:
-        return Fraction(1 + p)
-    if isinstance(parsed, tuple):
-        return Fraction(1 + p ** parsed[1])
-    return parsed
 
 
 def _parse_scalar(text: str) -> Fraction:
@@ -110,7 +101,7 @@ def _parse_scalar(text: str) -> Fraction:
 
 
 def _context(spec: RunSpec) -> QContext:
-    q = _materialize_q(spec.q, spec.p)
+    q = parse_q(spec.q, spec.p)
     convention = spec.convention or "pure_sum"
     return QContext(spec.p, q, spec.prec, convention)
 

@@ -2,7 +2,8 @@
 
 The module has three layers.  The closed-form layer (q_zeta_special,
 partial_q_zeta_special, Lq_special, Lpq_special) returns negative-integer
-special values as finite combinations of multiple q-Bernoulli polynomials.
+special values as (-1)^r/(n+1)_r times one window sum of multiple
+q-Bernoulli polynomials over residue rows (qbernoulli._window_sum).
 The series layer (Lpq_eval, Lpq_at_r) evaluates the two-variable p-adic
 q-L-function as a double sum: a finite outer sum over residue vectors,
 grouped by their sum, and an inner k-series that ends at an index proven
@@ -26,7 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import DirichletCharacter, char_twist_omega, induce
+from .characters import (
+    DirichletCharacter,
+    char_twist_omega,
+    induce,
+    principal_char,
+)
 from .classical import pochhammer, residue_sums
 from .errors import DivergenceDetected, DomainError, PoleError
 from .padic import (
@@ -47,7 +53,6 @@ from .qbernoulli import (
     _beta_headroom,
     _certified,
     _window_sum,
-    multi_q_beta_poly,
     series_beta,
     series_beta_floor,
 )
@@ -126,23 +131,24 @@ def choose_F(f: int, p: int, r: int = 1, purpose: str = "interpolation") -> int:
     raise ValueError("purpose must be 'interpolation' or 'difference'")
 
 
-def _neg_pochhammer(n: int, r: int):
-    """(-1)^r / (n+1)_r as an exact Fraction, plus its p-content."""
-    c = pochhammer(n + 1, r)
-    return Fraction((-1) ** r, c), c
-
-
 # -- closed-form special values ----------------------------------------------
+
+
+def _special(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
+             F: int, rows) -> PadicNumber:
+    """(-1)^r/(n+1)_r times the window sum of order n + r over rows,
+    padded once by v_p((n+1)_r) and certified to ctx.prec."""
+    poch = pochhammer(n + 1, r)
+    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
+    return _certified(_window_sum(inner, n + r, r, chi, z, F, rows)
+                      * Fraction((-1) ** r, poch), ctx.prec, "special value")
 
 
 def q_zeta_special(ctx: QContext, n: int, r: int, x) -> PadicNumber:
     """Multiple q-zeta value at s = -n: (-1)^r/(n+1)_r beta^(r)_{n+r}(x)."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    c, poch = _neg_pochhammer(n, r)
-    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p) + 2)
-    return _certified(multi_q_beta_poly(inner, n + r, r, x) * c, ctx.prec,
-                      "special value")
+    return _special(ctx, n, r, principal_char(ctx.p), x, 1, [(0, 1)])
 
 
 def partial_q_zeta_special(ctx: QContext, n: int, r: int, a_list, F: int,
@@ -156,14 +162,10 @@ def partial_q_zeta_special(ctx: QContext, n: int, r: int, a_list, F: int,
         raise ValueError("need exactly r residues")
     if any(a < 1 or a > F for a in a_list):
         raise DomainError("residues must satisfy 1 <= a_i <= F")
-    c, poch = _neg_pochhammer(n, r)
-    work = (ctx.prec + int_valuation(poch, ctx.p)
-            + _beta_headroom(ctx, n + r, r, F) + 2)
-    inner = ctx.with_precision(work)
-    x = ExponentForm.wrap(z).add_int(sum(a_list)).over(F)
-    beta = multi_q_beta_poly(inner, n + r, r, x, base_power=F)
-    value = inner.q_bracket(1, F) ** n * beta * c
-    return _certified(value, ctx.prec, "special value")
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    return _special(ctx, n, r, principal_char(ctx.p), z, F,
+                    [(sum(a_list), 1)])
 
 
 def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
@@ -185,10 +187,7 @@ def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     if F % chi.modulus != 0:
         raise DomainError("F = %d is not a multiple of the modulus %d"
                           % (F, chi.modulus))
-    c, poch = _neg_pochhammer(n, r)
-    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
-    return _certified(_window_sum(inner, n + r, r, chi, z, F) * c, ctx.prec,
-                      "special value")
+    return _special(ctx, n, r, chi, z, F, residue_sums(F, r, chi))
 
 
 def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,

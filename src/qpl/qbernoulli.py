@@ -20,14 +20,16 @@ and every Carlitz value is computed that way, from multi_q_beta_poly at
 r = 1.  The context convention flag decides which family feeds series
 expansions elsewhere; see series_beta.  The closed form used for the
 multiples is the one validated against the floating-point oracles.
+
+Every closed special value is a window sum of beta^(r) values over
+residue rows; _window_sum is the one loop that forms it, for
+multi_gen_q_beta_poly, gen_q_beta_poly and the closed forms of lfunctions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .classical import residue_sums
@@ -49,27 +51,17 @@ __all__ = [
     "carlitz_beta_poly",
     "gen_q_beta_poly",
     "kim_sum_of_products",
-    "loss_budget",
     "multi_q_beta_poly",
     "multi_gen_q_beta_poly",
     "series_beta",
     "series_beta_floor",
     "set_convention_certificate",
-    "load_convention_certificate",
     "convention_certificate",
 ]
 
 def _base_valuation(ctx: QContext, base_power: int) -> int:
     """v_p(q^base_power - 1); exact since v_p(q-1) clears the LTE threshold."""
     return ctx.v_q1 + int_valuation(base_power, ctx.p)
-
-
-def loss_budget(ctx: QContext, n: int, base_power: int = 1) -> int:
-    """Extra working digits gen_q_beta_poly and kim_sum_of_products carry
-    for indices up to n."""
-    if n == 0:
-        return 2
-    return n * (_base_valuation(ctx, base_power) + _ceil_log(ctx.p, n) + 2)
 
 
 @dataclass
@@ -82,12 +74,15 @@ class QBernoulliTable:
     entries: list = field(default_factory=list)
 
     def extend(self, n: int, target: int) -> None:
+        """Entries up to index n at absolute precision target; only the
+        missing ones are built unless target rises, into a new list."""
         if n < len(self.entries) and target <= self.target:
             return
-        target = max(target, self.target)
-        self.target = target
-        self.entries = _carlitz_run(self.ctx, max(n, len(self.entries) - 1),
-                                    self.base_power, target)
+        lo = len(self.entries) if target <= self.target else 0
+        self.target = max(target, self.target)
+        self.entries = self.entries[:lo] + _carlitz_run(
+            self.ctx, lo, max(n, len(self.entries) - 1), self.base_power,
+            self.target)
 
 
 def _carlitz_constants(ctx: QContext, d: int, digits: int):
@@ -98,15 +93,16 @@ def _carlitz_constants(ctx: QContext, d: int, digits: int):
     return -one_minus_Q / log_Q, 1 / one_minus_Q
 
 
-def _carlitz_run(ctx: QContext, n_max: int, d: int, target: int) -> list:
+def _carlitz_run(ctx: QContext, lo: int, n_max: int, d: int,
+                 target: int) -> list:
     """beta_n = beta^(1)_n(0) + beta_0 (1 - Q)^(-n) at base Q = q^d for
-    n <= n_max, each to absolute precision at least target."""
+    lo <= n <= n_max, each to absolute precision at least target."""
     beta_0, ratio = _carlitz_constants(
         ctx, d, target + n_max * _base_valuation(ctx, d) + 2)
     wctx = ctx.with_precision(target)
     entries = []
-    term = beta_0
-    for n in range(n_max + 1):
+    term = beta_0 * ratio ** lo
+    for n in range(lo, n_max + 1):
         b = multi_q_beta_poly(wctx, n, 1, 0, base_power=d) + term
         if b.prec < target:
             raise PrecisionExhausted(
@@ -136,6 +132,15 @@ def carlitz_beta(ctx: QContext, n: int, base_power: int = 1) -> PadicNumber:
     return table.entries[n]
 
 
+def _carlitz_term(ctx: QContext, n: int, d: int) -> PadicNumber:
+    """beta_0 (1 - Q)^(-n) at base Q = q^d, the term by which the Carlitz
+    beta_n(x) exceeds the pure-sum single; to absolute precision at
+    least ctx.prec."""
+    beta_0, ratio = _carlitz_constants(
+        ctx, d, ctx.prec + n * _base_valuation(ctx, d) + 2)
+    return beta_0 * ratio ** n
+
+
 def carlitz_beta_poly(ctx: QContext, n: int, x,
                       base_power: int = 1) -> PadicNumber:
     """Carlitz q-Bernoulli polynomial at base Q = q^base_power,
@@ -149,36 +154,42 @@ def carlitz_beta_poly(ctx: QContext, n: int, x,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    d = base_power
     if n == 0:
         # beta_0(x) does not depend on x, but x must still lie in the domain
         # of Q^x, as multi_q_beta_poly checks from n = 1 on
-        ctx.q_power(d, x)
-    beta_0, ratio = _carlitz_constants(
-        ctx, d, ctx.prec + n * _base_valuation(ctx, d) + 2)
-    return multi_q_beta_poly(ctx, n, 1, x, base_power=d) + beta_0 * ratio ** n
+        ctx.q_power(base_power, x)
+    return (multi_q_beta_poly(ctx, n, 1, x, base_power=base_power)
+            + _carlitz_term(ctx, n, base_power))
 
 
 def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
                     z=0) -> PadicNumber:
-    """Character-attached single q-Bernoulli polynomial, Carlitz convention:
+    """Character-attached single q-Bernoulli polynomial, Carlitz convention,
+    at the modulus f of chi and base Q = q^f:
 
-        [f]_q^(n-1) sum_{a=1..f} chi(a) beta_{n,q^f}((a+z)/f).
+        [f]_q^(n-1) sum_{a=1..f} chi(a) beta_{n,Q}((a+z)/f)
+          = (r = 1 window sum) + [f]_q^(n-1) beta_0 (1-Q)^(-n) sum_a chi(a)
+
+    by the closed form of carlitz_beta_poly; the second term is non-zero
+    only for principal chi.  Certified to ctx.prec or PrecisionExhausted.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     f = chi.modulus
-    zf = ExponentForm.wrap(z)
-    work = ctx.prec + loss_budget(ctx, n, f) + 2
-    acc = PadicNumber.exact_zero(ctx.p, work)
-    for a in range(1, f + 1):
-        e = chi.exponent(a)
-        if e is None:
-            continue
-        x = zf.add_int(a).over(f)
-        acc = acc + chi.eval(a, work) * carlitz_beta_poly(
-            ctx.with_precision(work), n, x, base_power=f)
-    return ctx.q_bracket(1, f, work) ** (n - 1) * acc
+    rows = residue_sums(f, 1, chi)
+    if n == 0:
+        # the window sum is 0 at n = 0, but (a + z)/f must still lie in the
+        # domain of Q^x, as in carlitz_beta_poly
+        ctx.q_power(f, ExponentForm.wrap(z).add_int(rows[0][0]).over(f))
+    value = _window_sum(ctx, n, 1, chi, z, f, rows)
+    if chi.is_principal:
+        # chi(a) = 1 on every row, so the character sum is the row count;
+        # v([f]_q) = v_p(f), which [f]_q^(-1) at n = 0 costs
+        term = _carlitz_term(
+            ctx.with_precision(ctx.prec + int_valuation(f, ctx.p) + 2), n, f)
+        bracket = ctx.q_bracket(1, f, term.rel)
+        value = value + len(rows) * bracket ** (n - 1) * term
+    return _certified(value, ctx.prec, "gen_q_beta_poly")
 
 
 # multi_q_beta_poly's coefficient tables kept per context.  A k-series
@@ -303,18 +314,19 @@ def _certified(x: PadicNumber, prec: int, what: str) -> PadicNumber:
 
 
 def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
-                F: int) -> PadicNumber:
-    """[F]_q^(n-r) sum_{a_1..a_r=1..F} chi(a_1+...+a_r)
-                     beta^(r)_{n,q^F}((z+a_1+...+a_r)/F)
+                F: int, rows) -> PadicNumber:
+    """[F]_q^(n-r) sum_{(t, count) in rows} count chi(t)
+                     beta^(r)_{n,q^F}((z+t)/F)
 
-    over a window F that is a multiple of the modulus of chi, grouped by
-    residue sum.  Padded by the beta headroom, so the value is certified to
-    ctx.prec or PrecisionExhausted is raised."""
+    The one loop over residue rows; rows are (t, count) pairs, such as
+    residue_sums(F, r, chi) for the sum over a_1..a_r = 1..F grouped by
+    t = a_1+...+a_r.  Padded by the beta headroom, so the value is
+    certified to ctx.prec or PrecisionExhausted is raised."""
     work = ctx.prec + _beta_headroom(ctx, n, r, F) + 4
     wctx = ctx.with_precision(work)
     zf = ExponentForm.wrap(z)
     acc = PadicNumber.exact_zero(ctx.p, work)
-    for t, count in residue_sums(F, r, chi):
+    for t, count in rows:
         beta = multi_q_beta_poly(wctx, n, r, zf.add_int(t).over(F), base_power=F)
         acc = acc + count * chi.eval(t, work) * beta
     return _certified(wctx.q_bracket(1, F) ** (n - r) * acc, ctx.prec,
@@ -333,7 +345,8 @@ def multi_gen_q_beta_poly(ctx: QContext, n: int, r: int,
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    return _window_sum(ctx, n, r, chi, z, chi.modulus)
+    f = chi.modulus
+    return _window_sum(ctx, n, r, chi, z, f, residue_sums(f, r, chi))
 
 
 # -- convention certificate ---------------------------------------------------
@@ -359,13 +372,6 @@ def set_convention_certificate(cert: dict) -> None:
     _CERTIFICATE[0] = dict(cert)
 
 
-def load_convention_certificate(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
-    set_convention_certificate(cert)
-    return cert
-
-
 def convention_certificate():
     return _CERTIFICATE[0]
 
@@ -380,8 +386,17 @@ def _single_poly(ctx: QContext, convention: str, k: int, z) -> PadicNumber:
 
 def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
     """The nested sums-of-products expansion over compositions
-    i_1+...+i_r = n+r, with the binomial weights and (q-1)-powers, using the
-    single-beta convention fixed by the stored resolution certificate.
+    i_1+...+i_r = N = n+r, with the single-beta convention fixed by the
+    stored resolution certificate:
+
+        sum (N; i_1..i_r) prod_{j<r} S_j(N-i_1-...-i_j, i_j) beta_{i_r}(z_r),
+        S_j(R, i) = sum_{k<=R} C(R, k) (q-1)^k beta_{k+i}(z_j).
+
+    The multinomial is a product of binomials, so this is r - 1 binomial
+    convolutions: E_r(M) = beta_M(z_r), E_j(M) = sum_{i<=M} C(M, i)
+    S_j(M-i, i) E_{j+1}(M-i), and the value is E_1(N).  Each single is
+    computed once per coordinate.  Certified to ctx.prec or
+    PrecisionExhausted is raised.
 
     The certificate also records which multiple-beta order this equals
     (its "normalization" field); no equality is assumed here beyond what
@@ -398,40 +413,29 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
         )
     if len(z_list) != r:
         raise ValueError("need exactly r shift arguments")
-    convention = cert["single_beta"]
     p = ctx.p
     N = n + r
-    work = ctx.prec + 2 * loss_budget(ctx, N) + 2
-    inner = ctx.with_precision(work)
-    q_minus_1 = ctx.q - 1
-    total = PadicNumber.exact_zero(p, work)
-    for comp in _compositions(N, r):
-        multinom = math.factorial(N)
-        for i in comp:
-            multinom //= math.factorial(i)
-        factor = PadicNumber.from_int(multinom, p, work)
-        running = N
-        for j in range(r - 1):
-            running -= comp[j]
-            inner_sum = PadicNumber.exact_zero(p, work)
-            for k in range(running + 1):
-                w = Fraction(math.comb(running, k)) * q_minus_1 ** k
-                inner_sum = inner_sum + PadicNumber.from_fraction(
-                    w, p, work) * _single_poly(inner, convention,
-                                               k + comp[j], z_list[j])
-            factor = factor * inner_sum
-        total = total + factor * _single_poly(inner, convention,
-                                              comp[r - 1], z_list[r - 1])
-    return total
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    # each of the r factors of a term loses at most the single headroom
+    inner = ctx.with_precision(ctx.prec + r * _beta_headroom(ctx, N, 1, 1) + 2)
+    work = inner.prec
+    q_minus_1 = [PadicNumber.from_fraction((ctx.q - 1) ** k, p, work)
+                 for k in range(N + 1)]
+    singles = [[_single_poly(inner, cert["single_beta"], m, z)
+                for m in range(N + 1)] for z in z_list]
+    E = singles[-1]
+    for beta in reversed(singles[:-1]):
+        row = []
+        for M in range(N + 1):
+            acc = PadicNumber.exact_zero(p, work)
+            for i in range(M + 1):
+                R = M - i
+                S = PadicNumber.exact_zero(p, work)
+                for k in range(R + 1):
+                    S = S + math.comb(R, k) * q_minus_1[k] * beta[k + i]
+                acc = acc + math.comb(M, i) * S * E[R]
+            row.append(acc)
+        E = row
+    return _certified(E[N], ctx.prec, "sum of products")
 
 
 def series_beta_floor(ctx: QContext, r: int):

@@ -60,6 +60,21 @@ def test_qbernoulli_kinds():
     assert doc["kind"] == "multiple"
 
 
+def test_q_spec_parsing():
+    assert cli.parse_q("1+p", 5) == Fraction(6)
+    assert cli.parse_q(" 1 + p^3 ", 5) == Fraction(126)
+    assert cli.parse_q("7/3", 5) == Fraction(7, 3)
+    for bad in ("1+px", "1+p^", "1+p^-2"):
+        with pytest.raises(ValueError):
+            cli.parse_q(bad, 5)
+    code, doc = run_json(["qbernoulli", "--p", "5", "--n", "2",
+                          "--q", "1+p^3"])
+    assert code == 0 and doc["params"]["q_exact"] == "126"
+    code, doc = run_json(["qbernoulli", "--p", "5", "--n", "2",
+                          "--q", "1+px"])
+    assert code == 1 and doc["error"]["type"] == "ValueError"
+
+
 def test_lp_pole_is_an_error_document():
     code, doc = run_json(["lp", "--p", "5", "--chi", "omega^2", "--s", "1"])
     assert code == 1

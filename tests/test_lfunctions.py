@@ -93,14 +93,18 @@ def test_partial_sums_reassemble(ctx):
 def test_partial_length_checked(ctx):
     with pytest.raises(ValueError):
         partial_q_zeta_special(ctx, 2, 2, [1], 10, 0)
+    with pytest.raises(ValueError):
+        partial_q_zeta_special(ctx, -1, 1, [1], 10, 0)
 
 
 def test_Lq_special_order_one(ctx):
     chi = omega_pow(5, 2)
+    # 1/(n + 1) costs v_p(n + 1) digits, one at n = 4
+    wide = ctx.with_precision(ctx.prec + 1)
     for n in (1, 2, 4):
         for z in (0, 5):
             lhs = Lq_special(ctx, n, 1, chi, z)
-            rhs = gen_q_beta_poly(ctx, n + 1, chi, z) * Fraction(-1, n + 1)
+            rhs = gen_q_beta_poly(wide, n + 1, chi, z) * Fraction(-1, n + 1)
             assert bound_of(lhs - rhs) >= ctx.prec
 
 

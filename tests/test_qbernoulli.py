@@ -1,6 +1,7 @@
 """Carlitz and pure-sum q-Bernoulli families: closed forms, expansion
 identities, convention plumbing."""
 
+import itertools
 import json
 import math
 import random
@@ -18,6 +19,7 @@ from qpl import (
     char_build,
     convention_certificate,
     gen_q_beta_poly,
+    induce,
     iwasawa_log,
     kim_sum_of_products,
     multi_gen_q_beta_poly,
@@ -27,6 +29,7 @@ from qpl import (
     set_convention_certificate,
 )
 from qpl.padic import _ceil_log, int_valuation
+from qpl import qbernoulli
 from qpl.qbernoulli import beta_table, series_beta, series_beta_floor
 
 from helpers import (
@@ -203,6 +206,29 @@ def test_multi_gen_reduces_to_gen():
                      gen_q_beta_poly(CTX, n, w2, 2), 14)
 
 
+def test_gen_q_beta_matches_definition():
+    # [f]_q^(n-1) sum_a chi(a) beta_{n,q^f}((a+z)/f) term by term at f = 5,
+    # with exactly ctx.prec digits, with and without the Carlitz term
+    wide = CTX.with_precision(30)
+    for chi in (omega_pow(5, 1), induce(principal_char(5), 5)):
+        for n in (0, 1, 2, 3, 6, 10):
+            for z in (0, 2):
+                want = PadicNumber.exact_zero(5, 30)
+                for a in range(1, 6):
+                    if chi.exponent(a) is not None:
+                        want = want + chi.eval(a, 30) * carlitz_beta_poly(
+                            wide, n, Fraction(a + z, 5), 5)
+                want = want * wide.q_bracket(1, 5) ** (n - 1)
+                got = gen_q_beta_poly(CTX, n, chi, z)
+                assert got.prec == CTX.prec, (chi, n, z)
+                assert_agree(got, want, CTX.prec)
+    # z must lie in the domain of q^z at n = 0 too, as in carlitz_beta_poly
+    ctx = QContext(2, Fraction(5), 10)
+    for n in (0, 3):
+        with pytest.raises(DomainError):
+            gen_q_beta_poly(ctx, n, principal_char(2), Fraction(1, 2))
+
+
 def test_measured_valuations_carlitz():
     vals = []
     for n in range(12):
@@ -264,6 +290,31 @@ def test_beta_table_caching():
     assert beta_table(QContext(5, Fraction(6), 10), 1) is not t1
 
 
+def test_beta_table_extends_only_missing(monkeypatch):
+    # an ascending caller builds each index once, and gets the values of a
+    # build that asks the top index first
+    built = []
+    run = qbernoulli._carlitz_run
+
+    def counting(ctx, lo, n_max, d, target):
+        built.extend(range(lo, n_max + 1))
+        return run(ctx, lo, n_max, d, target)
+
+    monkeypatch.setattr(qbernoulli, "_carlitz_run", counting)
+    ctx = QContext(5, Fraction(6), 12)
+    ascending = [carlitz_beta(ctx, k) for k in range(31)]
+    assert built == list(range(31))
+    top = QContext(5, Fraction(6), 12)
+    carlitz_beta(top, 30)
+    for k, b in enumerate(ascending):
+        assert b.prec >= 12
+        assert_agree(b, carlitz_beta(top, k), 12)
+    # a higher target rebuilds every entry
+    built.clear()
+    carlitz_beta(ctx.with_precision(16), 3)
+    assert built == list(range(31))
+
+
 def test_kim_requires_certificate(no_certificate):
     with pytest.raises(NormalizationUnresolved):
         kim_sum_of_products(CTX, 1, 1, [0])
@@ -283,6 +334,58 @@ def test_kim_matches_resolved_normalization():
             kim_sum_of_products(CTX, 2, 2, [0, 0])
         with pytest.raises(ValueError):
             kim_sum_of_products(CTX, 2, 1, [0, 0])
+    finally:
+        set_convention_certificate(saved)
+
+
+def _kim_reference(ctx, n, r, z_list, convention):
+    """The composition walk over i_1+...+i_r = n+r with exact multinomials,
+    independent of the convolution order kim_sum_of_products uses."""
+    p, N = ctx.p, n + r
+
+    def single(m, z):
+        if convention == "carlitz":
+            return carlitz_beta_poly(ctx, m, z)
+        if m == 0:
+            return PadicNumber.exact_zero(p, ctx.prec)
+        return multi_q_beta_poly(ctx, m, 1, z)
+
+    total = PadicNumber.exact_zero(p, ctx.prec)
+    for comp in itertools.product(range(N + 1), repeat=r):
+        if sum(comp) != N:
+            continue
+        multinom = math.factorial(N)
+        for i in comp:
+            multinom //= math.factorial(i)
+        term = PadicNumber.from_int(multinom, p, ctx.prec)
+        running = N
+        for j in range(r - 1):
+            running -= comp[j]
+            inner = PadicNumber.exact_zero(p, ctx.prec)
+            for k in range(running + 1):
+                w = math.comb(running, k) * (ctx.q - 1) ** k
+                inner = inner + PadicNumber.from_fraction(w, p, ctx.prec) \
+                    * single(k + comp[j], z_list[j])
+            term = term * inner
+        total = total + term * single(comp[-1], z_list[-1])
+    return total
+
+
+@pytest.mark.parametrize("convention", ("pure_sum", "carlitz"))
+def test_kim_matches_composition_walk(convention):
+    saved = convention_certificate()
+    set_convention_certificate({"normalization": "n+r",
+                                "single_beta": convention, "r_max": 3})
+    wide = CTX.with_precision(40)
+    try:
+        for r in (2, 3):
+            for n in range(4):
+                for z_list in ([0] * r, [1, 2, 3][:r]):
+                    got = kim_sum_of_products(CTX, n, r, z_list)
+                    want = _kim_reference(wide, n, r, z_list, convention)
+                    assert got.prec == CTX.prec, (r, n, z_list)
+                    assert want.prec >= CTX.prec
+                    assert_agree(got, want, CTX.prec)
     finally:
         set_convention_certificate(saved)
 
