@@ -30,7 +30,6 @@ from .errors import (
     UnsupportedOrder,
 )
 from .padic import (
-    ExponentForm,
     PadicNumber,
     QContext,
     angle_q,

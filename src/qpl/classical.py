@@ -54,11 +54,8 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int, z) -> Fraction:
-    z = Fraction(z)
-    return sum(
-        math.comb(n, k) * bernoulli_number(k) * z ** (n - k)
-        for k in range(n + 1)
-    )
+    """B_n(z), the order-1 Norlund polynomial."""
+    return norlund_poly(n, 1, z)
 
 
 @lru_cache(maxsize=None)
@@ -178,24 +175,13 @@ def _grouped_to_value(groups: dict, chi: DirichletCharacter, prec):
 def gen_bernoulli_poly(n: int, chi: DirichletCharacter, z=0, prec=None):
     """Generalized Bernoulli polynomial attached to chi at its modulus f:
 
-        f^(n-1) * sum_{a=1..f} chi(a) B_n((a+z)/f).
+        f^(n-1) * sum_{a=1..f} chi(a) B_n((a+z)/f),
 
-    For the modulus-1 principal character this is B_n(z+1), matching
-    B_{n,principal} = B_n for n != 1 and B_{1,principal} = +1/2.
+    the order-1 case of multi_gen_bernoulli_poly.  For the modulus-1
+    principal character this is B_n(z+1), matching B_{n,principal} = B_n
+    for n != 1 and B_{1,principal} = +1/2.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    f = chi.modulus
-    z = Fraction(z)
-    scale = Fraction(f) ** (n - 1)
-    groups = {}
-    for a in range(1, f + 1):
-        e = chi.exponent(a)
-        if e is None:
-            continue
-        term = scale * bernoulli_poly(n, Fraction(a + z, f))
-        groups[e] = groups.get(e, Fraction(0)) + term
-    return _grouped_to_value(groups, chi, prec)
+    return multi_gen_bernoulli_poly(n, 1, chi, z, prec)
 
 
 def multi_gen_bernoulli_poly(n: int, r: int, chi: DirichletCharacter,

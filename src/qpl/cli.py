@@ -96,8 +96,13 @@ def parse_q(text: str, p: int) -> Fraction:
     return Fraction(text)
 
 
-def _parse_scalar(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _parse_scalar(text):
+    """An exact scalar: an int when integral, else a Fraction; 0 when text
+    is None (an omitted --z)."""
+    if text is None:
+        return 0
+    x = Fraction(text.strip())
+    return x.numerator if x.denominator == 1 else x
 
 
 def _context(spec: RunSpec) -> QContext:
@@ -130,7 +135,7 @@ def _cmd_bernoulli(spec: RunSpec, stream) -> int:
 
 def _cmd_qbernoulli(spec: RunSpec, stream) -> int:
     ctx = _context(spec)
-    z = _parse_scalar(spec.z) if spec.z is not None else 0
+    z = _parse_scalar(spec.z)
     if spec.r is not None:
         value = multi_q_beta_poly(ctx, spec.n, spec.r, z)
         kind = "multiple"
@@ -159,11 +164,9 @@ def _cmd_lp(spec: RunSpec, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
     F = spec.F or choose_F(chi.conductor, spec.p, spec.r, "interpolation")
-    z = _parse_scalar(spec.z) if spec.z is not None else 0
+    z = _parse_scalar(spec.z)
     s = _parse_scalar(spec.s)
-    if s.denominator == 1:
-        s = int(s)
-    else:
+    if not isinstance(s, int):
         s = PadicNumber.from_fraction(s, spec.p, ctx.prec)
     result = Lpq_eval(ctx, LParams(r=spec.r, chi=chi, F=F, z=z, s=s))
     return _emit_series(dict(spec.to_dict(), F=F), ctx, result, stream)
@@ -172,7 +175,7 @@ def _cmd_lp(spec: RunSpec, stream) -> int:
 def _cmd_lp_at_r(spec: RunSpec, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
-    z = _parse_scalar(spec.z) if spec.z is not None else 0
+    z = _parse_scalar(spec.z)
     result = Lpq_at_r(ctx, spec.r, chi, z, spec.F)
     return _emit_series(spec.to_dict(), ctx, result, stream)
 
@@ -180,7 +183,7 @@ def _cmd_lp_at_r(spec: RunSpec, stream) -> int:
 def _cmd_lp_table(spec: RunSpec, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
-    z = _parse_scalar(spec.z) if spec.z is not None else 0
+    z = _parse_scalar(spec.z)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["p", "q", "prec", "r", "chi", "z", "n",
                      "valuation", "digits", "value"])
@@ -207,23 +210,19 @@ def _grid_worker(cells: list) -> list:
     for cell in cells:
         chi = parse_char_spec(cell.chi, cell.p)
         z = _parse_scalar(cell.z)
-        if z.denominator == 1:
-            z = int(z)
+        if cell.theorem == "54":
+            n, k = cell.n, (cell.k, cell.k2)
+        else:
+            n, k = cell.n_list, cell.k
         try:
             if cell.theorem == "53":
-                reports = verify_thm53(ctx, chi, cell.r, cell.n_list, cell.c,
-                                       cell.k, z)
+                reports = verify_thm53(ctx, chi, cell.r, n, cell.c, k, z)
             elif cell.theorem == "54":
-                reports = [verify_thm54(ctx, chi, cell.r, cell.n, cell.c,
-                                        cell.k, cell.k2, z)]
+                reports = [verify_thm54(ctx, chi, cell.r, n, cell.c, *k, z)]
             else:
-                reports = verify_binom_op_thm(ctx, chi, cell.r, cell.n_list,
-                                              cell.c, cell.k, z)
+                reports = verify_binom_op_thm(ctx, chi, cell.r, n, cell.c,
+                                              k, z)
         except (InconclusivePrecision, PreconditionViolated) as exc:
-            if cell.theorem == "54":
-                n, k = cell.n, (cell.k, cell.k2)
-            else:
-                n, k = cell.n_list, cell.k
             reports = [uncertified_report(ctx, chi, cell.theorem, exc, z,
                                           r=cell.r, c=cell.c, n=n, k=k)]
         docs.extend(r.to_dict() for r in reports)

@@ -22,6 +22,7 @@ from .errors import InconclusivePrecision, PreconditionViolated
 from .padic import (
     PadicNumber,
     QContext,
+    _valuation_at_least,
     fraction_valuation,
     int_valuation,
     rstar_threshold,
@@ -207,14 +208,6 @@ def _point(ctx: QContext, chi, **kw) -> dict:
     return d
 
 
-def _z_valuation_ok(z, p: int, need: int) -> bool:
-    if isinstance(z, PadicNumber):
-        bound, _ = z.valuation_bound()
-        return bound >= need
-    z = Fraction(z)
-    return z == 0 or fraction_valuation(z, p) >= need
-
-
 def _check_z(ctx: QContext, z, step: int):
     """Admissibility of z: v_p(z) >= v_p(step), i.e. z in step * Z_p.
 
@@ -223,7 +216,7 @@ def _check_z(ctx: QContext, z, step: int):
     unit cofactor) are exactly the anchor points and must be admitted.
     """
     need = int_valuation(step, ctx.p)
-    if not _z_valuation_ok(z, ctx.p, need):
+    if not _valuation_at_least(z, ctx.p, need):
         raise PreconditionViolated(
             "z = %s is outside the admissible set %d*Z_p (need v_%d(z) >= %d)"
             % (_zdesc(z), step, ctx.p, need)

@@ -36,14 +36,12 @@ from .characters import (
 from .classical import pochhammer, residue_sums
 from .errors import DivergenceDetected, DomainError, PoleError
 from .padic import (
-    ExponentForm,
     PadicNumber,
     QContext,
     _ceil_log,
+    _valuation_at_least,
     angle_q,
-    fraction_valuation,
     in_D,
-    in_R,
     int_valuation,
     iwasawa_log,
     p_star,
@@ -103,10 +101,8 @@ class LParams:
                 % (self.F, base)
             )
         z = self.z
-        if isinstance(z, PadicNumber):
-            if z.p != ctx.p or not in_R(z):
-                raise DomainError("z must lie in the valuation ring")
-        elif Fraction(z) != 0 and fraction_valuation(Fraction(z), ctx.p) < 0:
+        if ((isinstance(z, PadicNumber) and z.p != ctx.p)
+                or not _valuation_at_least(z, ctx.p, 0)):
             raise DomainError("z must lie in the valuation ring")
         s = self.s
         if isinstance(s, PadicNumber):
@@ -255,9 +251,9 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     br_F = wctx.q_bracket(1, F, work)
     rows = []
     for total, count in sums:
-        exponent = ExponentForm.wrap(z).scale_int(wctx.p_star).add_int(total)
+        exponent = z * wctx.p_star + total
         weight = (count * chi.eval(total, work)
-                  * wctx.q_power(1, exponent.scale_int(1 - r), work))
+                  * wctx.q_power(1, exponent * (1 - r), work))
         angle = angle_q(wctx, total, z, work)
         geom = wctx.q_power(1, exponent, work) * (
             br_F / wctx.q_bracket(1, exponent, work)
@@ -435,7 +431,7 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
     wctx = ctx.with_precision(work)
     acc = PadicNumber.exact_zero(p, work)
     for total, count in residue_sums(pstar * F, r, chir, p):
-        exponent = ExponentForm.wrap(z).scale_int(pstar).add_int(total)
+        exponent = z * pstar + total
         angle = angle_q(wctx, total, z, work)
         acc = acc + (count * chir.eval(total, work)
                      * wctx.q_power(1, exponent, work) * padic_power(angle, -s))

@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "PadicNumber",
-    "ExponentForm",
     "QContext",
     "padic_from_rational",
     "padic_arith",
@@ -466,62 +465,27 @@ def padic_exp(x: PadicNumber) -> PadicNumber:
     return acc
 
 
-# -- exponent forms and q-powers --------------------------------------------
+# -- exact exponents ---------------------------------------------------------
 
-class ExponentForm:
-    """A symbolic exponent num/den, kept unsplit so only q^(d*num/den) with
-    den | d*num is ever materialized.
+def _scaled_exponent(d: int, x):
+    """The exact exponent d*x, as an int whenever it is integral, else a
+    Fraction or a PadicNumber."""
+    if isinstance(x, PadicNumber):
+        return x * d
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("unsupported exponent %r" % (x,))
+    e = d * x
+    if isinstance(e, Fraction) and e.denominator == 1:
+        return e.numerator
+    return e
 
-    num may be an int, Fraction, or PadicNumber; den is a positive integer.
-    """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den: int = 1):
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        if isinstance(num, Fraction):
-            # fold exact rational numerators into the symbolic denominator
-            den *= num.denominator
-            num = num.numerator
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def wrap(cls, x) -> "ExponentForm":
-        if isinstance(x, ExponentForm):
-            return x
-        return cls(x, 1)
-
-    def add_int(self, a: int) -> "ExponentForm":
-        """self + a."""
-        return ExponentForm(self.num + a * self.den, self.den)
-
-    def over(self, f: int) -> "ExponentForm":
-        """self / f, kept symbolic."""
-        return ExponentForm(self.num, self.den * f)
-
-    def scale_int(self, c: int) -> "ExponentForm":
-        """c * self."""
-        return ExponentForm(self.num * c, self.den)
-
-    def scaled(self, d: int):
-        """The exact exponent d * num / den as int, Fraction, or PadicNumber."""
-        g = math.gcd(self.den, d)
-        rest = self.den // g
-        factor = d // g
-        if isinstance(self.num, PadicNumber):
-            x = self.num * factor
-            if rest == 1:
-                return x
-            return x / rest
-        value = Fraction(self.num * factor, rest)
-        if value.denominator == 1:
-            return int(value)
-        return value
-
-    def __repr__(self):
-        return "ExponentForm(%r / %d)" % (self.num, self.den)
+def _valuation_at_least(x, p: int, k: int) -> bool:
+    """v_p(x) >= k, provably, for an int, Fraction or PadicNumber x; 0 passes."""
+    if isinstance(x, PadicNumber):
+        return x.valuation_ge(k)
+    x = Fraction(x)
+    return x == 0 or fraction_valuation(x, p) >= k
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -606,15 +570,6 @@ class QContext:
         clone._coeff_tables = self._coeff_tables
         return clone
 
-    def with_convention(self, convention: str) -> "QContext":
-        """A view of this context under another convention.  Caches and
-        beta tables are shared: the Carlitz tables do not depend on it."""
-        if convention not in self.CONVENTIONS:
-            raise ValueError("unknown convention %r" % convention)
-        clone = self.with_precision(self.prec)
-        clone.convention = convention
-        return clone
-
     # -- materialization ---------------------------------------------------
 
     def q_int(self, prec: int = None) -> int:
@@ -628,23 +583,12 @@ class QContext:
             self._cache[key] = got
         return got
 
-    def q_padic(self, prec: int = None) -> PadicNumber:
-        prec = self.prec if prec is None else prec
-        return PadicNumber(self.p, 0, self.q_int(prec), prec)
-
-    def q_pow_int(self, e: int, prec: int = None) -> PadicNumber:
-        """q^e for an integer exponent, via modular exponentiation."""
-        prec = self.prec if prec is None else prec
-        mod = _ppow(self.p, prec)
-        unit = pow(self.q_int(prec), e, mod)
-        return PadicNumber(self.p, 0, unit, prec)
-
     def log_q(self, prec: int = None) -> PadicNumber:
         prec = self.prec if prec is None else prec
         key = ("logq", prec)
         got = self._cache.get(key)
         if got is None:
-            got = iwasawa_log(self.q_padic(prec))
+            got = iwasawa_log(PadicNumber(self.p, 0, self.q_int(prec), prec))
             assert got.val == self.v_q1
             self._cache[key] = got
         return got
@@ -662,20 +606,24 @@ class QContext:
     # -- q-powers and brackets ----------------------------------------------
 
     def q_power(self, d: int, x, prec: int = None):
-        """(q^d)^x = q^(d*x) for an ExponentForm (or plain) exponent x."""
+        """(q^d)^x = q^(d*x) for an int, Fraction or PadicNumber exponent x.
+
+        d*x is formed exactly, so x = (z + a)/F at d = F is never rounded:
+        an integral d*x is a modular power, any other d*x must lie in Z_p
+        and gives exp(d*x log q).
+        """
         prec = self.prec if prec is None else prec
-        e = ExponentForm.wrap(x).scaled(d)
+        e = _scaled_exponent(d, x)
         if isinstance(e, int):
-            return self.q_pow_int(e, prec)
+            mod = _ppow(self.p, prec)
+            return PadicNumber(self.p, 0, pow(self.q_int(prec), e, mod), prec)
         if isinstance(e, Fraction):
             if int_valuation(e.denominator, self.p) != 0:
                 raise DomainError("exponent %s is not p-adically integral" % e)
             e = PadicNumber.from_fraction(e, self.p, prec)
-        if isinstance(e, PadicNumber):
-            if not e.valuation_ge(0):
-                raise DomainError("exponent has negative valuation")
-            return padic_exp(e * self.log_q(prec + self.v_q1))
-        raise TypeError("unsupported exponent %r" % e)
+        if not e.valuation_ge(0):
+            raise DomainError("exponent has negative valuation")
+        return padic_exp(e * self.log_q(prec + self.v_q1))
 
     def one_minus_q_pow(self, e: int, rel: int) -> PadicNumber:
         """1 - q^e for an integer e, with rel significant digits.
@@ -692,13 +640,14 @@ class QContext:
         return PadicNumber(self.p, v, m // _ppow(self.p, v), v + rel)
 
     def q_bracket(self, d: int, x, prec: int = None) -> PadicNumber:
-        """[x]_{q^d} = (1 - q^(d*x)) / (1 - q^d); x is never divided by d.
+        """[x]_{q^d} = (1 - q^(d*x)) / (1 - q^d) for an int, Fraction or
+        PadicNumber exponent x, with d*x formed exactly as in q_power.
 
-        Integer exponents take both factors from one_minus_q_pow, so the
+        Integral d*x takes both factors from one_minus_q_pow, so the
         cancellation of their valuations costs no digits.
         """
         prec = self.prec if prec is None else prec
-        e = ExponentForm.wrap(x).scaled(d)
+        e = _scaled_exponent(d, x)
         if isinstance(e, int):
             return self.one_minus_q_pow(e, prec) / self.one_minus_q_pow(d, prec)
         vden = self.v_q1 + int_valuation(d, self.p)
@@ -723,23 +672,17 @@ def q_bracket(ctx: QContext, base_power: int, x) -> PadicNumber:
 def angle_q(ctx: QContext, a: int, z=0, prec: int = None) -> PadicNumber:
     """The principal-unit projection w(a)^(-1) * [a + p* z]_q.
 
-    a must be a unit; z must lie in the valuation ring.  The result is
+    a must be a unit; z is an int, Fraction or PadicNumber in the valuation
+    ring, and the exponent a + p* z is formed exactly.  The result is
     congruent to 1 modulo p* R.
     """
     p = ctx.p
     if math.gcd(a, p) != 1:
         raise NotAUnit("%d is not a unit modulo %d" % (a, p))
     prec = ctx.prec if prec is None else prec
-    if isinstance(z, PadicNumber):
-        if not in_R(z):
-            raise DomainError("z must lie in the valuation ring")
-        exponent = ExponentForm(z * ctx.p_star).add_int(a)
-    else:
-        zf = Fraction(z)
-        if zf != 0 and fraction_valuation(zf, p) < 0:
-            raise DomainError("z must lie in the valuation ring")
-        exponent = ExponentForm(ctx.p_star * zf).add_int(a)
-    bracket = ctx.q_bracket(1, exponent, prec)
+    if not _valuation_at_least(z, p, 0):
+        raise DomainError("z must lie in the valuation ring")
+    bracket = ctx.q_bracket(1, a + ctx.p_star * z, prec)
     mod = _ppow(p, prec)
     inv_t = pow(ctx.teich(a, prec), -1, mod)
     result = bracket * PadicNumber(p, 0, inv_t, prec)

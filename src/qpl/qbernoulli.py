@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .classical import residue_sums
 from .errors import NormalizationUnresolved, PrecisionExhausted
 from .padic import (
-    ExponentForm,
     PadicNumber,
     QContext,
     _ceil_log,
@@ -180,7 +180,7 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
     if n == 0:
         # the window sum is 0 at n = 0, but (a + z)/f must still lie in the
         # domain of Q^x, as in carlitz_beta_poly
-        ctx.q_power(f, ExponentForm.wrap(z).add_int(rows[0][0]).over(f))
+        ctx.q_power(1, z + rows[0][0])
     value = _window_sum(ctx, n, 1, chi, z, f, rows)
     if chi.is_principal:
         # chi(a) = 1 on every row, so the character sum is the row count;
@@ -324,10 +324,11 @@ def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
     certified to ctx.prec or PrecisionExhausted is raised."""
     work = ctx.prec + _beta_headroom(ctx, n, r, F) + 4
     wctx = ctx.with_precision(work)
-    zf = ExponentForm.wrap(z)
+    if not isinstance(z, PadicNumber):
+        z = Fraction(z)
     acc = PadicNumber.exact_zero(ctx.p, work)
     for t, count in rows:
-        beta = multi_q_beta_poly(wctx, n, r, zf.add_int(t).over(F), base_power=F)
+        beta = multi_q_beta_poly(wctx, n, r, (z + t) / F, base_power=F)
         acc = acc + count * chi.eval(t, work) * beta
     return _certified(wctx.q_bracket(1, F) ** (n - r) * acc, ctx.prec,
                       "special value")

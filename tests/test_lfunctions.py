@@ -22,6 +22,7 @@ from qpl import (
     choose_F,
     gen_q_beta_poly,
     induce,
+    multi_gen_q_beta_poly,
     multi_q_beta_poly,
     omega_pow,
     partial_q_zeta_special,
@@ -285,3 +286,26 @@ def test_p2_boundary_of_D_rejected():
     for F in (8, 4):
         with pytest.raises(DomainError, match="outside the convergence disk"):
             Lpq_eval(ctx, LParams(r=1, chi=principal_char(2), F=F, z=0, s=s))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_padic_shift_matches_rational_shift(p):
+    # A PadicNumber z reaches the window sum, the closed form, the k-series
+    # and the difference sum as the same exact exponents as the equal
+    # rational z, so every value has the same repr.
+    ctx = QContext(p, Fraction(1 + p), 8)
+    for chi in (principal_char(p), omega_pow(p, 1)):
+        wide = induce(chi, p * chi.modulus)
+        for z in (Fraction(0), Fraction(p), Fraction(2 * p, 7), Fraction(3)):
+            zp = PadicNumber.from_fraction(z, p, 60)
+            for r in (1, 2):
+                F = choose_F(chi.conductor, p, r)
+                step = choose_F(chi.conductor, p, r, "difference")
+                for value in (
+                    lambda z: multi_gen_q_beta_poly(ctx, 3, r, wide, z),
+                    lambda z: Lpq_special(ctx, 2, r, chi, z),
+                    lambda z: Lpq_eval(
+                        ctx, LParams(r=r, chi=chi, F=F, z=z, s=-2)).value,
+                    lambda z: Lpq_difference_rhs(ctx, -2, z, chi, r, step),
+                ):
+                    assert repr(value(zp)) == repr(value(z)), (chi, z, r)

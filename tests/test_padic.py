@@ -8,7 +8,6 @@ import pytest
 from qpl import (
     DivisionByZero,
     DomainError,
-    ExponentForm,
     NotAUnit,
     PadicNumber,
     QContext,
@@ -218,9 +217,27 @@ def test_q_bracket_cocycle():
 
 
 def test_q_bracket_exponent_form():
-    # [a + p* z] through the exponent-form path agrees with the integer path
-    e = ExponentForm(5 * 2).add_int(3)
+    # [a + p* z] at a p-adic z (the exp/log path) agrees with the int path
+    e = PadicNumber.from_int(2, 5, 8) * 5 + 3
     assert_agree(q_bracket(CTX, 1, e), q_bracket(CTX, 1, 13), 8)
+
+
+def test_integral_fraction_exponent_takes_int_path():
+    # d*x that is integral is an int exponent, bit for bit, also when x is
+    # a non-integral Fraction
+    for p in (2, 3, 5, 7):
+        for q in sample_qs(p):
+            ctx = QContext(p, q, 8)
+            for d in (1, 2, p, 3 * p):
+                for e in (0, 1, -1, p, -3 * p * d, 41):
+                    for prec in (1, 9, 40):
+                        at = (p, q, d, e, prec)
+                        assert digits_of(ctx.q_power(d, Fraction(e, d), prec)) \
+                            == digits_of(ctx.q_power(1, e, prec)), at
+                        assert digits_of(ctx.q_power(d, Fraction(e), prec)) \
+                            == digits_of(ctx.q_power(d, e, prec)), at
+                        assert digits_of(ctx.q_bracket(d, Fraction(e), prec)) \
+                            == digits_of(ctx.q_bracket(d, e, prec)), at
 
 
 def test_q_pow_integer_exact():
@@ -344,5 +361,3 @@ def test_context_precision_switch():
     wide = CTX.with_precision(20)
     assert wide.p == 5 and wide.q == CTX.q and wide.prec == 20
     assert wide.convention == CTX.convention
-    carl = CTX.with_convention("carlitz")
-    assert carl.convention == "carlitz" and carl.prec == CTX.prec
