@@ -344,12 +344,22 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     k = r - s and the result is exact to the reported precision.  For other
     s in D, C(r-s, k) is p-integral, and the series ends at the index
     _last_index proves from that and the beta floor; where no beta floor
-    is proven (pure-sum, and Carlitz at r >= 2) DivergenceDetected is
-    raised before the first term.  At s = -n the value equals Lpq_special.
+    is proven (pure-sum) DivergenceDetected is raised before the first
+    term.  At s = -n the value equals Lpq_special.
+
+    Under the Carlitz convention only r = 1 is evaluated.  At r >= 2 its
+    coefficients are the pure-sum multiples with only k = 0 changed, which
+    the row weight and prefactor above do not fit, so DivergenceDetected
+    is raised before the first term at every s, finite series included.
     """
     params.validate(ctx)
     r, chi, F, z, s = params.r, params.chi, params.F, params.z, params.s
     _pole_guard(r, s, chi)
+    if ctx.convention == "carlitz" and r >= 2:
+        raise DivergenceDetected(
+            "the carlitz series is evaluated at r = 1 only: the order-%d "
+            "Carlitz coefficients are the pure-sum multiples with only k = 0 "
+            "changed, and the order-r Carlitz family is not implemented" % r)
     prod = math.prod(s - j for j in range(1, r + 1))
     if isinstance(s, int):
         v_prod = int_valuation(prod, ctx.p)

@@ -180,13 +180,19 @@ class PadicNumber:
             if other.p != self.p:
                 raise ValueError("mixed primes %d and %d" % (self.p, other.p))
             return other
-        if isinstance(other, (int, Fraction)):
-            x = Fraction(other)
-            if x == 0:
+        if isinstance(other, int):
+            # from_int gives what from_fraction gives at denominator 1
+            if other == 0:
                 return PadicNumber.exact_zero(self.p, self.prec)
-            v = fraction_valuation(x, self.p)
+            v = int_valuation(other, self.p)
             digits = max(self.rel, self.prec - v, 1)
-            return PadicNumber.from_fraction(x, self.p, digits)
+            return PadicNumber.from_int(other, self.p, digits)
+        if isinstance(other, Fraction):
+            if other == 0:
+                return PadicNumber.exact_zero(self.p, self.prec)
+            v = fraction_valuation(other, self.p)
+            digits = max(self.rel, self.prec - v, 1)
+            return PadicNumber.from_fraction(other, self.p, digits)
         return NotImplemented
 
     def __add__(self, other):
@@ -386,19 +392,32 @@ def in_D(s: PadicNumber) -> bool:
 # -- Teichmuller lifting ---------------------------------------------------
 
 def teichmuller_int(a: int, p: int, prec: int) -> int:
-    """Integer lift of the Teichmuller representative of a modulo p^prec."""
+    """Integer lift of the Teichmuller representative of a modulo p^prec.
+
+    For odd p this is the root of x^p = x congruent to a modulo p, found by
+    Newton iteration from x = a (mod p), which doubles the precision each
+    step (Brent & Zimmermann, Modern Computer Arithmetic, 4.2).  The step
+    x - (x^p - x)/(p - 1) divides by p - 1, the derivative of x^p - x at
+    the root; at an x correct modulo p^k the derivative differs from it by
+    a multiple of p^k, so the step is still correct modulo p^(2k).  The
+    root is unique (Hensel), so this is the integer the iteration x -> x^p
+    converges to (Washington, GTM 83, 5.1).
+    """
     if math.gcd(a, p) != 1:
         raise NotAUnit("%d is not a unit modulo %d" % (a, p))
     mod = _ppow(p, prec)
     if p == 2:
         return 1 if a % 4 == 1 else mod - 1
-    x = a % mod
-    for _ in range(prec + 2):
-        y = pow(x, p, mod)
-        if y == x:
-            return x
-        x = y
-    raise AssertionError("Teichmuller iteration failed to stabilize")
+    steps = []
+    while prec > 1:
+        steps.append(prec)
+        prec = (prec + 1) // 2
+    x = a % p
+    inv = pow(p - 1, -1, mod)
+    for k in reversed(steps):
+        m = _ppow(p, k)
+        x = (x - (pow(x, p, m) - x) * inv) % m
+    return x % mod
 
 
 def teichmuller(a: int, ctx) -> PadicNumber:
@@ -413,7 +432,19 @@ def teichmuller(a: int, ctx) -> PadicNumber:
 # -- log and exp -----------------------------------------------------------
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
-    """log(x) for x = 1 + u with u in R*; series sum_{k>=1} (-1)^(k+1) u^k / k."""
+    """log(x) for x = 1 + u with u in R*; series sum_{k>=1} (-1)^(k+1) u^k / k.
+
+    Term k = kmax ends the series: k v(u) - v_p(k) never decreases on R*,
+    so the tail lies at or above target = x.prec.  The sum is formed in
+    integers for the representative p^v(u) * unit of u, in Horner form
+    (Brent & Zimmermann, Modern Computer Arithmetic, 4.4): with e =
+    ceil(log_p kmax) >= v_p(k), p^e log x = u H_1, H_kmax+1 = 0 and H_k =
+    (-1)^(k+1) p^e/k + u H_(k+1), where p^e/k is p-integral.  H_k enters
+    u H_1 times u^k, so it is kept modulo p^(target + e - k v(u)), and
+    u H_1 / p^e is exact modulo p^target.  These are the digits a chain of
+    PadicNumber operations gives, since each of its terms is the exact
+    term modulo a power of p at or above target.
+    """
     p = x.p
     u = x - 1
     if u.is_exact_zero:
@@ -424,25 +455,39 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
         return PadicNumber.zero_at(p, u.prec)
     target = x.prec
     vu = u.val
-    # Term valuation k*vu - v_p(k) >= k*vu - ceil_log(k) is nondecreasing for
-    # vu >= the R* threshold, so the first k clearing the target bounds the tail.
     kmax = 1
     while kmax * vu - _ceil_log(p, kmax) < target:
         kmax += 1
-    acc = PadicNumber.exact_zero(p, target)
-    power = u
-    for k in range(1, kmax + 1):
-        term = power / k
-        if k % 2 == 0:
-            term = -term
-        acc = acc + term
-        if k < kmax:
-            power = power * u
-    return acc
+    e = _ceil_log(p, kmax)
+    scale = _ppow(p, e)
+    step = u.unit * _ppow(p, vu)
+    acc = 0
+    for k in range(kmax, 0, -1):
+        digits = target + e - k * vu
+        if digits <= 0:
+            continue
+        mod = _ppow(p, digits)
+        if k % p:
+            c = scale * pow(k, -1, mod)
+        else:
+            t = _ppow(p, int_valuation(k, p))
+            c = scale // t * pow(k // t, -1, mod)
+        acc = ((c if k % 2 else -c) + step * acc) % mod
+    return _normalize(p, step * acc // scale, 0, target)
 
 
 def padic_exp(x: PadicNumber) -> PadicNumber:
-    """exp(x) for v(x) >= 1 (odd p) or >= 2 (p=2)."""
+    """exp(x) for v(x) >= 1 (odd p) or >= 2 (p=2).
+
+    The series ends at n = kmax: v_p(k!) <= (k-1)/(p-1), so k v(x) -
+    (k-1)/(p-1) bounds the term valuation from below and increases on the
+    exp domain.  With N = n! and the representative p^v(x) * unit of x,
+    N * sum_{k<=n} x^k/k! is summed in Horner form, G_n = 1 and G_k =
+    N/k! + x G_(k+1), in integers modulo p^(target + v_p(N)), target =
+    x.prec; G_0 / N is then exact modulo p^target.  These are the digits a
+    chain of PadicNumber operations gives, since each of its terms is the
+    exact term modulo a power of p at or above target.
+    """
     p = x.p
     if x.is_exact_zero:
         return PadicNumber.from_int(1, p, x.prec)
@@ -452,17 +497,24 @@ def padic_exp(x: PadicNumber) -> PadicNumber:
         return PadicNumber(p, 0, 1, x.prec)
     target = x.prec
     vx = x.val
-    # v_p(k!) <= (k-1)/(p-1), so k*vx - (k-1)/(p-1) bounds the term valuation
-    # from below and is strictly increasing on the exp domain.
-    kmax = 1
-    while kmax * vx - Fraction(kmax - 1, p - 1) < target:
-        kmax += 1
-    acc = PadicNumber.from_int(1, p, target)
-    term = PadicNumber.from_int(1, p, target)
-    for k in range(1, kmax + 1):
-        term = term * x / k
-        acc = acc + term
-    return acc
+    n = 1
+    while (n * vx - target) * (p - 1) < n - 1:
+        n += 1
+    vfact = 0       # v_p(n!), by Legendre's formula
+    t = p
+    while t <= n:
+        vfact += n // t
+        t *= p
+    wide = _ppow(p, target + vfact)
+    step = x.unit * _ppow(p, vx)
+    total = 1
+    ratio = 1
+    for k in range(n, 0, -1):
+        ratio = ratio * k % wide
+        total = (ratio + step * total) % wide
+    shift = _ppow(p, vfact)
+    mod = _ppow(p, target)
+    return _normalize(p, total // shift * pow(ratio // shift, -1, mod), 0, target)
 
 
 # -- exact exponents ---------------------------------------------------------

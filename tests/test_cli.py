@@ -91,6 +91,15 @@ def test_lp_padic_s_is_an_error_document():
         assert doc["error"]["type"] == "DivergenceDetected"
 
 
+def test_lp_carlitz_above_order_one_is_refused():
+    # the finite series at s = -2 would otherwise report a wrong value as
+    # converged
+    code, doc = run_json(["lp", "--p", "5", "--chi", "omega", "--r", "2",
+                          "--s", "-2", "--convention", "carlitz"])
+    assert code == 1
+    assert doc["error"]["type"] == "DivergenceDetected"
+
+
 def test_lp_at_r_conventions():
     code, doc = run_json(["lp-at-r", "--p", "5", "--chi", "omega^2",
                           "--convention", "carlitz"])

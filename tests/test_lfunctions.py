@@ -259,6 +259,10 @@ def test_series_without_beta_floor_raises_before_first_term(monkeypatch):
     carl = QContext(5, Fraction(6), 12, convention="carlitz")
     with pytest.raises(DivergenceDetected, match="beta\\^\\(2\\)"):
         Lpq_at_r(carl, 2, omega_pow(5, 1))
+    # Carlitz above order 1, also where the series is finite (s = -n)
+    for r, s in ((2, -2), (3, 0), (2, PadicNumber.from_int(-2 + 5 ** 4, 5, 18))):
+        with pytest.raises(DivergenceDetected, match="order-%d Carlitz" % r):
+            Lpq_eval(carl, LParams(r=r, chi=omega_pow(5, 1), F=5, z=0, s=s))
 
 
 def test_proven_truncation_digits_stable_under_precision():

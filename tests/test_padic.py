@@ -30,6 +30,7 @@ from qpl import (
     teichmuller,
     teichmuller_int,
 )
+from qpl.padic import _ceil_log
 
 from helpers import (
     assert_agree,
@@ -186,6 +187,153 @@ def test_exp_log_round_trip():
 def test_exp_domain():
     with pytest.raises(DomainError):
         padic_exp(PadicNumber.from_int(1, 5, 8))
+
+
+# The log and exp series as chains of PadicNumber operations, one term at a
+# time: the references the integer kernels must match digit for digit.
+
+def _log_chain(x):
+    p = x.p
+    u = x - 1
+    if u.is_exact_zero:
+        return u
+    if not in_Rstar(u):
+        raise DomainError("log requires x = 1 (mod R*); got v(x-1) outside range")
+    if u.unit == 0:
+        return PadicNumber.zero_at(p, u.prec)
+    target = x.prec
+    vu = u.val
+    kmax = 1
+    while kmax * vu - _ceil_log(p, kmax) < target:
+        kmax += 1
+    acc = PadicNumber.exact_zero(p, target)
+    power = u
+    for k in range(1, kmax + 1):
+        term = power / k
+        if k % 2 == 0:
+            term = -term
+        acc = acc + term
+        if k < kmax:
+            power = power * u
+    return acc
+
+
+def _exp_chain(x):
+    p = x.p
+    if x.is_exact_zero:
+        return PadicNumber.from_int(1, p, x.prec)
+    if not in_Rstar(x):
+        raise DomainError("exp requires v(x) >= %d for p=%d" % (rstar_threshold(p), p))
+    if x.unit == 0:
+        return PadicNumber(p, 0, 1, x.prec)
+    target = x.prec
+    vx = x.val
+    kmax = 1
+    while kmax * vx - Fraction(kmax - 1, p - 1) < target:
+        kmax += 1
+    acc = PadicNumber.from_int(1, p, target)
+    term = PadicNumber.from_int(1, p, target)
+    for k in range(1, kmax + 1):
+        term = term * x / k
+        acc = acc + term
+    return acc
+
+
+def _outcome(f, x):
+    try:
+        return digits_of(f(x))
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+def _series_inputs(p, prec, v):
+    """Arguments of valuation v at absolute precision prec: from an int,
+    from a fraction, and one whose unit carries a third of the digits, as
+    a product with a low-precision factor does."""
+    unit = (7 ** (prec + 3) + 3) % p ** (prec + 2)
+    unit += unit % p == 0
+    short = max(prec // 3, 1)
+    return (PadicNumber.from_int(p ** v * unit, p, prec),
+            PadicNumber.from_fraction(Fraction(-(p ** v) * unit, 1 + 2 * p), p, prec),
+            PadicNumber(p, v, unit % p ** short, v + short))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_log_exp_match_padic_chain(p):
+    th = rstar_threshold(p)
+    for prec in (1, 2, 3, 12, 40, 100, 300):
+        for v in range(th, th + 4):
+            for u in _series_inputs(p, prec, v):
+                at = (p, prec, v, digits_of(u))
+                assert _outcome(padic_exp, u) == _outcome(_exp_chain, u), at
+                for x in (1 + u, 1 - u):
+                    assert _outcome(iwasawa_log, x) == _outcome(_log_chain, x), at
+    # exact zero, zero at precision, and the domain errors
+    for prec in (1, 12):
+        edge = (PadicNumber.exact_zero(p, prec), PadicNumber.zero_at(p, prec),
+                PadicNumber.from_int(1, p, prec), PadicNumber.from_int(p, p, prec),
+                PadicNumber.from_int(2 * p + 1, p, prec),
+                PadicNumber.from_fraction(Fraction(1, p), p, prec))
+        for x in edge:
+            assert _outcome(padic_exp, x) == _outcome(_exp_chain, x), (prec, x)
+            assert _outcome(iwasawa_log, x) == _outcome(_log_chain, x), (prec, x)
+    assert _outcome(padic_exp, PadicNumber.from_int(1, p, 8))[0] == "DomainError"
+    assert _outcome(iwasawa_log, PadicNumber.from_int(3, p, 8))[0] == "DomainError"
+
+
+def test_teichmuller_int_is_the_root_of_unity_lift():
+    for p in (2, 3, 5, 7, 11, 13):
+        for prec in (1, 2, 3, 12, 40, 100, 300):
+            mod = p ** prec
+            for a in (1, 2, p - 1, p + 2, 3 * p - 1, -1, -p - 4, 10 ** 9 + 7):
+                if a % p == 0:
+                    continue
+                t = teichmuller_int(a, p, prec)
+                assert 0 <= t < mod, (p, prec, a)
+                if p == 2:
+                    assert t == (1 if a % 4 == 1 else mod - 1)
+                    assert t * t % mod == 1
+                else:
+                    assert t == pow(a, p ** (prec - 1), mod), (p, prec, a)
+                    assert pow(t, p - 1, mod) == 1 and (t - a) % p == 0
+
+
+def test_log_exp_make_no_per_term_padic_operations(monkeypatch):
+    # The kernels sum in integers: a return to one PadicNumber operation per
+    # term (about 300 per call here) fails this count.
+    counts = {"ops": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            counts["ops"] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(PadicNumber, name,
+                            counted(getattr(PadicNumber, name)))
+    p, prec = 5, 300
+    x = PadicNumber.from_int(1 + p * 123456789, p, prec)
+    e = PadicNumber.from_int(p * 987654321, p, prec)
+    for fn, arg in ((iwasawa_log, x), (padic_exp, e)):
+        counts["ops"] = 0
+        fn(arg)
+        assert counts["ops"] <= 2, (fn.__name__, counts["ops"])
+    counts["ops"] = 0
+    _log_chain(x)
+    assert counts["ops"] > 300
+
+
+def test_int_operand_coerces_like_its_fraction():
+    for p in (2, 3, 5):
+        for x in (PadicNumber.from_fraction(Fraction(7, 3), p, 6),
+                  PadicNumber(p, 2, 1, 5), PadicNumber(p, -1, 2, 4),
+                  PadicNumber.zero_at(p, 5), PadicNumber.exact_zero(p, 5)):
+            for n in (1, -1, p, -3 * p ** 4, 10 ** 12 + 1, p ** 9, True):
+                got = x._coerce(n)
+                want = x._coerce(Fraction(n))
+                assert digits_of(got) == digits_of(want), (p, x, n)
 
 
 def test_q_bracket_of_three():
