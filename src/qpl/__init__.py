@@ -85,6 +85,7 @@ from .qbernoulli import (
     multi_q_beta_poly,
     series_beta,
     set_convention_certificate,
+    volkenborn_beta_poly,
 )
 from .lfunctions import (
     LParams,

@@ -347,10 +347,10 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     is proven (pure-sum) DivergenceDetected is raised before the first
     term.  At s = -n the value equals Lpq_special.
 
-    Under the Carlitz convention only r = 1 is evaluated.  At r >= 2 its
-    coefficients are the pure-sum multiples with only k = 0 changed, which
-    the row weight and prefactor above do not fit, so DivergenceDetected
-    is raised before the first term at every s, finite series included.
+    Under the Carlitz convention only r = 1 is evaluated: at r >= 2 the
+    coefficients are the integral family, which the pure-sum row weight
+    and prefactor above do not fit, so DivergenceDetected is raised before
+    the first term at every s, finite series included.
     """
     params.validate(ctx)
     r, chi, F, z, s = params.r, params.chi, params.F, params.z, params.s
@@ -358,8 +358,8 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     if ctx.convention == "carlitz" and r >= 2:
         raise DivergenceDetected(
             "the carlitz series is evaluated at r = 1 only: the order-%d "
-            "Carlitz coefficients are the pure-sum multiples with only k = 0 "
-            "changed, and the order-r Carlitz family is not implemented" % r)
+            "Carlitz coefficients are the integral family, for which the "
+            "series weight and prefactor are not derived" % r)
     prod = math.prod(s - j for j in range(1, r + 1))
     if isinstance(s, int):
         v_prod = int_valuation(prod, ctx.p)

@@ -1,29 +1,25 @@
 """q-Bernoulli numbers and polynomials over Z_p.
 
-Two single-beta conventions coexist and are kept strictly apart:
+Two families of order-r polynomials at base Q = q^d are kept strictly
+apart.  Both are (1 - Q)^(r-n) sum_i a_i Q^(ix) (1 - Q^i)^(-r) for an
+integer vector a_i, evaluated from one coefficient table (_coeff_table):
 
-* Carlitz singles carry the 1/log q correction (beta_0 = (q-1)/log q) and
-  satisfy the classical symbolic recurrence.
-* Pure-sum multiples come from the order-r generating function whose low
-  coefficients vanish (beta_n^(r) = 0 for n < r); their r = 1 case is NOT
-  the Carlitz sequence.
+* pure-sum, multi_q_beta_poly: the order-r generating-function
+  coefficients, a_i = (-1)^(r+i-1) n!/(n-r)! C(n-r, i-1) for
+  i = 1..n-r+1, and 0 for n < r;
+* integral, volkenborn_beta_poly: a_i = (-1)^i C(n, i) i^r for i = 1..n,
+  plus beta_0^r (1 - Q)^(-n).  This is the r-fold q-Volkenborn integral
+  of [x + t_1+...+t_r]_Q^n (T. Kim, Russ. J. Math. Phys. 9, 2002 and 13,
+  2006): expand [y]_Q^n = (1-Q)^(-n) sum_j C(n, j) (-1)^j Q^(jy), and
+  each fold gives int Q^(jt) dmu_Q(t) = j/[j]_Q for j >= 1 and
+  beta_0 = (Q - 1)/log Q for j = 0.
 
-The two singles differ by one term that does not depend on x.  At base
-Q = q^d, the q-Volkenborn integral gives int Q^(lt) dmu_Q(t) = l/[l]_Q for
-l >= 1 and beta_0 = (Q - 1)/log Q for l = 0 (T. Kim, "q-Volkenborn
-integration", Russ. J. Math. Phys. 9, 2002), so expanding [x + t]_Q^n in
-powers of Q^(x+t) gives
-
-    beta_n(x) = beta^(1)_n(x) + beta_0 (1 - Q)^(-n),
-
-and every Carlitz value is computed that way, from multi_q_beta_poly at
-r = 1.  The context convention flag decides which family feeds series
-expansions elsewhere; see series_beta.  The closed form used for the
-multiples is the one validated against the floating-point oracles.
-
-Every closed special value is a window sum of beta^(r) values over
-residue rows; _window_sum is the one loop that forms it, for
-multi_gen_q_beta_poly, gen_q_beta_poly and the closed forms of lfunctions.
+At r = 1 both vectors are (-1)^i i C(n, i), so the Carlitz single is
+beta_n(x) = beta^(1)_n(x) + beta_0 (1 - Q)^(-n); the pure-sum r = 1 case
+is NOT the Carlitz sequence.  The context convention flag decides which
+family feeds series expansions; see series_beta.  Every closed special
+value is a window sum of beta^(r) values over residue rows, formed by the
+one loop _window_sum.
 """
 
 from __future__ import annotations
@@ -57,6 +53,7 @@ __all__ = [
     "series_beta_floor",
     "set_convention_certificate",
     "convention_certificate",
+    "volkenborn_beta_poly",
 ]
 
 def _base_valuation(ctx: QContext, base_power: int) -> int:
@@ -132,24 +129,20 @@ def carlitz_beta(ctx: QContext, n: int, base_power: int = 1) -> PadicNumber:
     return table.entries[n]
 
 
-def _carlitz_term(ctx: QContext, n: int, d: int) -> PadicNumber:
-    """beta_0 (1 - Q)^(-n) at base Q = q^d, the term by which the Carlitz
-    beta_n(x) exceeds the pure-sum single; to absolute precision at
-    least ctx.prec."""
+def _carlitz_term(ctx: QContext, n: int, r: int, d: int) -> PadicNumber:
+    """beta_0^r (1 - Q)^(-n) at base Q = q^d, the x-independent term of the
+    integral family (the j = 0 moment of each fold), to absolute precision
+    at least ctx.prec."""
     beta_0, ratio = _carlitz_constants(
         ctx, d, ctx.prec + n * _base_valuation(ctx, d) + 2)
-    return beta_0 * ratio ** n
+    return beta_0 ** r * ratio ** n
 
 
 def carlitz_beta_poly(ctx: QContext, n: int, x,
                       base_power: int = 1) -> PadicNumber:
-    """Carlitz q-Bernoulli polynomial at base Q = q^base_power,
-
-        beta_n(x) = int [x + t]_Q^n dmu_Q(t)
-                  = beta^(1)_n(x) + beta_0 (1 - Q)^(-n),
-
-    with beta^(1)_n the pure-sum single (multi_q_beta_poly at r = 1, which
-    is 0 at n = 0) and beta_0 = (Q - 1)/log Q; see the module docstring.
+    """Carlitz q-Bernoulli polynomial beta_n(x) = int [x + t]_Q^n dmu_Q(t)
+    at base Q = q^base_power, as beta^(1)_n(x) + beta_0 (1 - Q)^(-n) with
+    the pure-sum single beta^(1)_n (0 at n = 0); see the module docstring.
     Certified to ctx.prec.
     """
     if n < 0:
@@ -159,7 +152,7 @@ def carlitz_beta_poly(ctx: QContext, n: int, x,
         # of Q^x, as multi_q_beta_poly checks from n = 1 on
         ctx.q_power(base_power, x)
     return (multi_q_beta_poly(ctx, n, 1, x, base_power=base_power)
-            + _carlitz_term(ctx, n, base_power))
+            + _carlitz_term(ctx, n, 1, base_power))
 
 
 def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
@@ -185,16 +178,16 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
     if chi.is_principal:
         # chi(a) = 1 on every row, so the character sum is the row count;
         # v([f]_q) = v_p(f), which [f]_q^(-1) at n = 0 costs
-        term = _carlitz_term(
-            ctx.with_precision(ctx.prec + int_valuation(f, ctx.p) + 2), n, f)
+        wide = ctx.with_precision(ctx.prec + int_valuation(f, ctx.p) + 2)
+        term = _carlitz_term(wide, n, 1, f)
         bracket = ctx.q_bracket(1, f, term.rel)
         value = value + len(rows) * bracket ** (n - 1) * term
     return _certified(value, ctx.prec, "gen_q_beta_poly")
 
 
-# multi_q_beta_poly's coefficient tables kept per context.  A k-series
-# builds one table per k and never returns to it, so the cap bounds memory;
-# a congruence grid revisits at most k' + 1 tables, far fewer.
+# Coefficient tables kept per context.  A k-series builds one table per k
+# and never returns to it, so the cap bounds memory; a congruence grid
+# revisits at most k' + 1 tables, far fewer.
 COEFF_TABLE_CAP = 32
 
 
@@ -211,83 +204,116 @@ def _unit_inverses(units: list, mod: int) -> list:
     return out
 
 
-def _coeff_table(ctx: QContext, n: int, r: int, d: int, rel: int):
-    """The x-independent part of multi_q_beta_poly at base Q = q^d, to rel
-    significant digits: (base, coeffs, pref) with
+def _pure_sum_a(n: int, r: int) -> list:
+    """a_i = (-1)^(r+i-1) n!/(n-r)! C(n-r, i-1) for i = 1..n-r+1."""
+    return [(-1) ** (r + i) * math.perm(n, r) * math.comb(n - r, i)
+            for i in range(n - r + 1)]
 
-        coeffs[j] * p^base = C(n-r,j) (-1)^j (1-Q^(j+1))^(-r)   mod p^(base+rel)
 
-    and pref = (-1)^r n!/(n-r)! (1-Q)^(r-n) as a PadicNumber.  The
-    valuation of 1 - Q^(j+1) is v(Q-1) + v_p(j+1) (lifting the exponent),
-    so Q^(j+1) is formed modulo p^(rel + v(Q-1) + ceil(log_p(n-r+1))).
-    """
-    key = (n, r, d, rel)
+def _integral_a(n: int, r: int) -> list:
+    """a_i = (-1)^i C(n, i) i^r for i = 1..n."""
+    return [(-1) ** i * math.comb(n, i) * i ** r for i in range(1, n + 1)]
+
+
+def _coeff_table(ctx: QContext, family, n: int, r: int, d: int, rel: int):
+    """The x-independent part of a family at base Q = q^d, to rel
+    significant digits: (base, coeffs, pref) with pref = (1-Q)^(r-n) and
+
+        coeffs[i-1] * p^base = a_i (1-Q^i)^(-r)   mod p^(base+rel)
+
+    for the non-empty a = family(n, r).  v(1 - Q^i) = v(Q-1) + v_p(i) by
+    lifting the exponent, so Q^i is formed modulo p^(rel + v(Q-1) +
+    ceil(log_p(len a))).  The key names the family, since at n = r both
+    families ask the same rel."""
+    key = (family.__name__, n, r, d, rel)
     tables = ctx._coeff_tables
     table = tables.get(key)
     if table is not None:
         return table
-    p, N = ctx.p, n - r
+    p, a = ctx.p, family(n, r)
     vd = _base_valuation(ctx, d)
-    mod = _ppow(p, rel)
-    k = rel + vd + _ceil_log(p, N + 1)
-    wide = _ppow(p, k)
+    k = rel + vd + _ceil_log(p, len(a))
+    mod, wide = _ppow(p, rel), _ppow(p, k)
     Q = pow(ctx.q_int(k), d, wide)
-    Qj = 1
+    Qi = 1
     units, signed, vals = [], [], []
-    for j in range(N + 1):
-        Qj = Qj * Q % wide
-        v = vd + int_valuation(j + 1, p)
-        units.append((1 - Qj) % wide // _ppow(p, v) % mod)
-        c = math.comb(N, j)
+    for i, c in enumerate(a, 1):
+        Qi = Qi * Q % wide
+        v = vd + int_valuation(i, p)
+        units.append((1 - Qi) % wide // _ppow(p, v) % mod)
         vc = int_valuation(c, p)
-        signed.append((-1) ** j * (c // _ppow(p, vc)))
+        signed.append(c // _ppow(p, vc))
         vals.append(vc - r * v)
     inv = _unit_inverses([pow(w, r, mod) for w in units], mod)
     base = min(vals)
-    coeffs = [c * i * _ppow(p, v - base) % mod
-              for c, i, v in zip(signed, inv, vals)]
-    perm = math.perm(n, r)
-    vperm = int_valuation(perm, p)
+    coeffs = [c * w * _ppow(p, v - base) % mod
+              for c, w, v in zip(signed, inv, vals)]
     inv_w0 = pow(units[0], r - 1, mod) * inv[0] % mod     # (1-Q)'s unit, inverted
-    pval = vperm - N * vd
-    punit = (-1) ** r * (perm // _ppow(p, vperm)) * pow(inv_w0, N, mod) % mod
-    table = (base, coeffs, PadicNumber(p, pval, punit, pval + rel))
+    pval = (r - n) * vd
+    table = (base, coeffs,
+             PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
     if len(tables) >= COEFF_TABLE_CAP:
         del tables[next(iter(tables))]
     tables[key] = table
     return table
 
 
+def _family_sum(ctx: QContext, family, n: int, r: int, x, d: int,
+                rel: int) -> PadicNumber:
+    """(1-Q)^(r-n) sum_i a_i Q^(ix) (1-Q^i)^(-r) at base Q = q^d, for
+    a = family(n, r), as a Horner sum in u = Q^x modulo p^rel."""
+    base, coeffs, pref = _coeff_table(ctx, family, n, r, d, rel)
+    u = ctx.q_power(d, x, rel)
+    # u = Q^x is a unit, since v(Q - 1) > 0
+    digits = min(rel, u.rel)
+    mod = _ppow(ctx.p, digits)
+    m = 0
+    for a in reversed(coeffs):
+        m = (m + a) * u.unit % mod
+    return pref * _normalize(ctx.p, m, base, base + digits)
+
+
 def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
                       base_power: int = 1) -> PadicNumber:
-    """Multiple q-Bernoulli polynomial of order r at base Q = q^base_power:
+    """Multiple q-Bernoulli polynomial of order r at base Q = q^base_power,
+    the pure-sum family, padded by the beta headroom to hold to ctx.prec:
 
         (-1)^r n!/(n-r)! (1-Q)^(r-n)
             sum_{j=0..n-r} C(n-r,j) (-1)^j Q^((j+1)x) (1-Q^(j+1))^(-r)
 
     and 0 for n < r (the order-r generating function starts at t^r).
-
-    Evaluated modulo p^k: the coefficients and the prefactor come from a
-    table of integers mod p^k (cached on the context), whose valuations are
-    taken from the lifting-the-exponent lemma, and the sum is a Horner
-    evaluation in u = Q^x.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    p = ctx.p
     if n < r:
-        return PadicNumber.exact_zero(p, ctx.prec)
-    d = base_power
-    rel = ctx.prec + _beta_headroom(ctx, n, r, d) + 2
-    base, coeffs, pref = _coeff_table(ctx, n, r, d, rel)
-    u = ctx.q_power(d, x, rel)
-    # u = Q^x is a unit, since v(Q - 1) > 0
-    digits = min(rel, u.rel)
-    mod = _ppow(p, digits)
-    m = 0
-    for a in reversed(coeffs):
-        m = (m + a) * u.unit % mod
-    return pref * _normalize(p, m, base, base + digits)
+        return PadicNumber.exact_zero(ctx.p, ctx.prec)
+    rel = ctx.prec + _beta_headroom(ctx, n, r, base_power) + 2
+    return _family_sum(ctx, _pure_sum_a, n, r, x, base_power, rel)
+
+
+def volkenborn_beta_poly(ctx: QContext, n: int, r: int, x,
+                         base_power: int = 1) -> PadicNumber:
+    """The integral family: the order-r q-Bernoulli polynomial at base
+    Q = q^base_power as the r-fold q-Volkenborn integral
+
+        int...int [x + t_1+...+t_r]_Q^n dmu_Q(t_1)...dmu_Q(t_r)
+          = (1-Q)^(r-n) sum_{i=1..n} (-1)^i C(n,i) i^r Q^(ix) (1-Q^i)^(-r)
+            + beta_0^r (1-Q)^(-n),
+
+    with beta_0 = (Q - 1)/log Q; see the module docstring.  At r = 1 it is
+    carlitz_beta_poly.  Exactly ctx.prec digits, or PrecisionExhausted.
+    """
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    value = _carlitz_term(ctx, n, r, base_power)
+    if n == 0:
+        ctx.q_power(base_power, x)      # no sum, but x must be in the domain
+    else:
+        # term i has valuation v_p(C(n, i)) - n v(Q-1), as a_i carries i^r
+        rel = ctx.prec + n * _base_valuation(ctx, base_power) + 2
+        value = value + _family_sum(ctx, _integral_a, n, r, x, base_power,
+                                    rel)
+    return _certified(value, ctx.prec, "r-fold q-Volkenborn integral")
 
 
 def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:
@@ -377,31 +403,20 @@ def convention_certificate():
     return _CERTIFICATE[0]
 
 
-def _single_poly(ctx: QContext, convention: str, k: int, z) -> PadicNumber:
-    if convention == "carlitz":
-        return carlitz_beta_poly(ctx, k, z)
-    if k < 1:
-        return PadicNumber.exact_zero(ctx.p, ctx.prec)
-    return multi_q_beta_poly(ctx, k, 1, z)
-
-
 def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
-    """The nested sums-of-products expansion over compositions
-    i_1+...+i_r = N = n+r, with the single-beta convention fixed by the
-    stored resolution certificate:
+    """Kim's sums-of-products expansion over compositions of N = n+r,
 
         sum (N; i_1..i_r) prod_{j<r} S_j(N-i_1-...-i_j, i_j) beta_{i_r}(z_r),
-        S_j(R, i) = sum_{k<=R} C(R, k) (q-1)^k beta_{k+i}(z_j).
+        S_j(R, i) = sum_{k<=R} C(R, k) (q-1)^k beta_{k+i}(z_j),
 
-    The multinomial is a product of binomials, so this is r - 1 binomial
-    convolutions: E_r(M) = beta_M(z_r), E_j(M) = sum_{i<=M} C(M, i)
-    S_j(M-i, i) E_{j+1}(M-i), and the value is E_1(N).  Each single is
-    computed once per coordinate.  Certified to ctx.prec or
-    PrecisionExhausted is raised.
-
-    The certificate also records which multiple-beta order this equals
-    (its "normalization" field); no equality is assumed here beyond what
-    the oracle established.
+    whose single betas the stored resolution certificate fixes; without one
+    covering order r, NormalizationUnresolved is raised.  [a + b]_q =
+    [a]_q + q^a [b]_q and q^a = 1 + (q-1)[a]_q make it the integral of
+    [y_1 + ... + y_r]_q^N, y_j = z_j + t_j, over r single measures whose
+    j = 0 moment is beta_0 (Carlitz) or 0 (pure sum).  So it is
+    volkenborn_beta_poly at x = z_1 + ... + z_r under the Carlitz
+    certificate, less its beta_0^r (1-q)^(-N) term under the pure-sum one.
+    Each z_j must lie in the domain of q^(z_j).  Exactly ctx.prec digits.
     """
     cert = _CERTIFICATE[0]
     if cert is None:
@@ -414,29 +429,13 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
         )
     if len(z_list) != r:
         raise ValueError("need exactly r shift arguments")
-    p = ctx.p
-    N = n + r
-    # each of the r factors of a term loses at most the single headroom
-    inner = ctx.with_precision(ctx.prec + r * _beta_headroom(ctx, N, 1, 1) + 2)
-    work = inner.prec
-    q_minus_1 = [PadicNumber.from_fraction((ctx.q - 1) ** k, p, work)
-                 for k in range(N + 1)]
-    singles = [[_single_poly(inner, cert["single_beta"], m, z)
-                for m in range(N + 1)] for z in z_list]
-    E = singles[-1]
-    for beta in reversed(singles[:-1]):
-        row = []
-        for M in range(N + 1):
-            acc = PadicNumber.exact_zero(p, work)
-            for i in range(M + 1):
-                R = M - i
-                S = PadicNumber.exact_zero(p, work)
-                for k in range(R + 1):
-                    S = S + math.comb(R, k) * q_minus_1[k] * beta[k + i]
-                acc = acc + math.comb(M, i) * S * E[R]
-            row.append(acc)
-        E = row
-    return _certified(E[N], ctx.prec, "sum of products")
+    for z in z_list:
+        ctx.q_power(1, z)
+    value = volkenborn_beta_poly(ctx, n + r, r, sum(z_list))
+    if cert["single_beta"] == "carlitz":
+        return value
+    return _certified(value - _carlitz_term(ctx, n + r, r, 1), ctx.prec,
+                      "sum of products")
 
 
 def series_beta_floor(ctx: QContext, r: int):
@@ -447,8 +446,8 @@ def series_beta_floor(ctx: QContext, r: int):
     q-Volkenborn integral of [x]_Q^k, which is p-integral on Z_p, and
     |int f dmu_Q| <= p ||f||_1 (T. Kim, "q-Volkenborn integration", Russ.
     J. Math. Phys. 9, 2002).  No bound is proven for the pure-sum multiples,
-    which lose about v(Q - 1) of valuation per k, nor for the Carlitz
-    convention at r >= 2, whose terms k >= 1 are those multiples.
+    which lose about v(Q - 1) of valuation per k, nor yet for the Carlitz
+    convention at r >= 2, whose coefficients are the integral family.
     """
     if ctx.convention == "carlitz" and r == 1:
         return -1
@@ -461,16 +460,15 @@ def series_beta(ctx: QContext, k: int, r: int,
     expansions consume, honoring the context convention flag.
 
     pure_sum: the order-r generating-function coefficients (0 for k < r).
-    carlitz: for r = 1 the full Carlitz sequence; for r >= 2 the k = 0 term
-    is replaced by ((q^d - 1)/log q^d)^r and the other low terms stay 0.
+    carlitz: for r = 1 the Carlitz sequence, from its table; for r >= 2 the
+    integral family, the r-fold q-Volkenborn integral at x = 0.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if ctx.convention == "carlitz":
         if r == 1:
             return carlitz_beta(ctx, k, base_power)
-        if k == 0:
-            return carlitz_beta(ctx, 0, base_power) ** r
+        return volkenborn_beta_poly(ctx, k, r, 0, base_power)
     if k < r:
         return PadicNumber.exact_zero(ctx.p, ctx.prec)
     return multi_q_beta_poly(ctx, k, r, 0, base_power=base_power)

@@ -27,6 +27,7 @@ from qpl import (
     omega_pow,
     principal_char,
     set_convention_certificate,
+    volkenborn_beta_poly,
 )
 from qpl.padic import _ceil_log, int_valuation
 from qpl import qbernoulli
@@ -267,7 +268,10 @@ def test_series_beta_conventions():
     assert_agree(series_beta(carl, 1, 1), carlitz_beta(CTX, 1), 14)
     b0 = carlitz_beta(CTX, 0)
     assert_agree(series_beta(carl, 0, 2), b0 * b0, 14)
-    assert series_beta(carl, 1, 2).is_exact_zero
+    # order 2 under carlitz is the integral family, (b0^2 - 1)/(1 - q) at k = 1
+    b12 = series_beta(carl, 1, 2)
+    assert_agree(b12, volkenborn_beta_poly(CTX, 1, 2, 0), 14)
+    assert_agree(b12, (b0 * b0 - 1) / (1 - qp(6)), 12)
     assert series_beta(CTX, 1, 2).is_exact_zero          # pure: k < r
     assert_agree(series_beta(CTX, 3, 2), multi_q_beta_poly(CTX, 3, 2, 0), 14)
 
@@ -388,6 +392,106 @@ def test_kim_matches_composition_walk(convention):
                     assert_agree(got, want, CTX.prec)
     finally:
         set_convention_certificate(saved)
+
+
+def test_kim_checks_every_shift():
+    # q^(1/2) has no 2-adically integral exponent, so both lists are
+    # refused, although their sums 1 and 2 lie in the domain
+    ctx = QContext(2, Fraction(5), 10)
+    saved = convention_certificate()
+    try:
+        for convention in ("pure_sum", "carlitz"):
+            set_convention_certificate({"normalization": "n+r",
+                                        "single_beta": convention, "r_max": 2})
+            for z_list in ([Fraction(1, 2)] * 2,
+                           [Fraction(1, 2), Fraction(3, 2)]):
+                with pytest.raises(DomainError):
+                    kim_sum_of_products(ctx, 1, 2, z_list)
+                assert volkenborn_beta_poly(ctx, 3, 2, sum(z_list)).prec == 10
+    finally:
+        set_convention_certificate(saved)
+
+
+def test_volkenborn_matches_riemann_sums():
+    # The r-fold q-Volkenborn integral against its unweighted Riemann sums
+    # [p^m]_Q^(-r) sum_{t in [0, p^m)^r} [x + t_1+...+t_r]_Q^N in exact
+    # rationals, the tuples grouped by their sum; independent of the
+    # expansion in powers of Q^x.  The sums approach it to valuation m.
+    for p in (3, 5):
+        ctx = QContext(p, Fraction(1 + p), 12)
+        for d in (1, p):
+            Q = (1 + p) ** d
+
+            def bracket(y):
+                return (Q ** y - 1) // (Q - 1)
+
+            for m in (1, 2, 3):
+                M = p ** m
+                counts = [1]
+                for r in (1, 2, 3):
+                    # counts[s]: r-tuples in [0, M)^r with sum s
+                    counts = [sum(counts[max(0, s - M + 1):s + 1])
+                              for s in range(len(counts) + M - 1)]
+                    for N in (1, 2, 4):
+                        for x in (0, 2):
+                            total = sum(c * bracket(x + s) ** N
+                                        for s, c in enumerate(counts))
+                            riemann = PadicNumber.from_fraction(
+                                Fraction(total, bracket(M) ** r), p, 40)
+                            got = volkenborn_beta_poly(ctx, N, r, x, d)
+                            assert got.prec == ctx.prec
+                            assert bound_of(got - riemann) >= m, \
+                                (p, d, m, r, N, x)
+
+
+def test_volkenborn_order_one_is_carlitz():
+    # At r = 1 the integral vector is the pure-sum one: the family is the
+    # Carlitz polynomial, and without beta_0 (the pure-sum certificate's
+    # Kim value) it is the pure-sum single.
+    saved = convention_certificate()
+    set_convention_certificate({"normalization": "n+r",
+                                "single_beta": "pure_sum", "r_max": 1})
+    try:
+        for p in (2, 3, 5, 7):
+            pstar = 4 if p == 2 else p
+            for q in sample_qs(p):
+                ctx = QContext(p, q, 12)
+                for d, x, n in itertools.product(
+                        (1, pstar), (0, 1, Fraction(1, 2), Fraction(5, 3)),
+                        range(10)):
+                    try:
+                        want = carlitz_beta_poly(ctx, n, x, d)
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            volkenborn_beta_poly(ctx, n, 1, x, d)
+                        continue
+                    got = volkenborn_beta_poly(ctx, n, 1, x, d)
+                    assert got.prec == ctx.prec
+                    assert_agree(got, want, ctx.prec)
+                    pure = multi_q_beta_poly(ctx, n, 1, x, base_power=d)
+                    assert_agree(got - qbernoulli._carlitz_term(ctx, n, 1, d),
+                                 pure, ctx.prec)
+                    if d == 1 and n >= 1:
+                        kim = kim_sum_of_products(ctx, n - 1, 1, [x])
+                        assert kim.prec == ctx.prec
+                        assert_agree(kim, pure, ctx.prec)
+    finally:
+        set_convention_certificate(saved)
+
+
+def test_coeff_tables_keep_families_apart():
+    # At n = r both families ask the table cache for the same (n, r, d,
+    # rel).  Interleaved on one context, every value is the fresh one.
+    shared = QContext(5, Fraction(6), 12)
+    calls = []
+    for n, r, d in ((2, 2, 1), (3, 3, 5), (4, 2, 1), (5, 3, 5)):
+        for x in (0, Fraction(1, 2)):
+            calls.append((multi_q_beta_poly, n, r, x, d))
+            calls.append((volkenborn_beta_poly, n, r, x, d))
+    for f, n, r, x, d in calls + calls[::-1]:
+        fresh = QContext(5, Fraction(6), 12)
+        assert digits_of(f(shared, n, r, x, d)) == \
+            digits_of(f(fresh, n, r, x, d)), (f.__name__, n, r, x, d)
 
 
 def test_certificate_validation():
