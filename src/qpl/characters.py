@@ -122,7 +122,12 @@ def _eta_base(p: int) -> int:
     return 3 if p == 2 else _primitive_root_mod_prime(p)
 
 
-@lru_cache(maxsize=None)
+#: (p, e, prec) lifts kept by _eta_power_int; about four times the peak of
+#: the perfbench workloads (268), so that none of them evicts
+ETA_CACHE_CAP = 1024
+
+
+@lru_cache(maxsize=ETA_CACHE_CAP)
 def _eta_power_int(p: int, e: int, prec: int) -> int:
     a = pow(_eta_base(p), e, p_star(p))
     return teichmuller_int(a, p, prec)

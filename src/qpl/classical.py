@@ -58,6 +58,9 @@ def bernoulli_poly(n: int, z) -> Fraction:
     return norlund_poly(n, 1, z)
 
 
+# The recursive memos _egf_coeff and stirling_first stay unbounded: each
+# entry is built from entries below it, so evicting one would redo its
+# whole recursion on the next call.
 @lru_cache(maxsize=None)
 def _egf_coeff(r: int, n: int) -> Fraction:
     """Coefficient of t^n in (t/(e^t - 1))^r."""
@@ -84,6 +87,7 @@ def norlund_poly(n: int, r: int, z) -> Fraction:
     )
 
 
+# Unbounded, as a recursive memo; see _egf_coeff.
 @lru_cache(maxsize=None)
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling numbers of the first kind.
@@ -110,6 +114,8 @@ def pochhammer(x, r: int):
     return result
 
 
+# Unbounded: a run asks for a few (window, order) pairs, at most five on
+# any perfbench workload, and every character on a window reuses its table.
 @lru_cache(maxsize=None)
 def sum_counts(f: int, r: int) -> tuple:
     """counts[t] = #{(a_1..a_r) in [1,f]^r : sum a_i = t}, t = 0..r*f."""

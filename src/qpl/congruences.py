@@ -155,8 +155,7 @@ def Bnr_structure(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     key = ("Bnr", n, r, chi, _zkey(z), ctx.prec, ctx.convention)
     value = ctx._cache.get(key)
     if value is None:
-        value = Lpq_special(ctx, n, r, chi, z)
-        ctx._cache[key] = value
+        value = ctx._remember(key, Lpq_special(ctx, n, r, chi, z))
     return value
 
 

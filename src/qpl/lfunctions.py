@@ -6,11 +6,16 @@ special values as (-1)^r/(n+1)_r times one window sum of multiple
 q-Bernoulli polynomials over residue rows (qbernoulli._window_sum).
 The series layer (Lpq_eval, Lpq_at_r) evaluates the two-variable p-adic
 q-L-function as a double sum: a finite outer sum over residue vectors,
-grouped by their sum, and an inner k-series that ends at an index proven
-before the sum starts, from lower bounds on the valuations of its factors
-that hold for every k (see _last_index).  Lpq_difference_rhs is the finite
-sum that a shift of z by r*F adds to the function, used by the congruence
-machinery.
+grouped by their sum into rows, and an inner k-series that ends at an index
+proven before the sum starts, from lower bounds on the valuations of its
+factors that hold for every k (see _last_index).  The two sums are swapped
+(_k_series): the series coefficients t_k = c_k beta^(r)_k are formed once,
+and sum_k t_k geom^k is one integer Horner evaluation per row modulo a
+power of p.  The rows are summed in integers and built into one
+PadicNumber at the precision the term-by-term sum keeps, capped at the
+stop target, so the value is that sum's digit for digit.
+Lpq_difference_rhs is the finite sum that a shift of z by r*F adds to the
+function, used by the congruence machinery.
 
 Both layers drop the same terms: the residue vectors whose sum is divisible
 by p.  Lpq_special is the residue-sum closed form of Lpq_eval at s = -n; it
@@ -38,7 +43,10 @@ from .errors import DivergenceDetected, DomainError, PoleError
 from .padic import (
     PadicNumber,
     QContext,
+    _angle_of_bracket,
     _ceil_log,
+    _normalize,
+    _ppow,
     _valuation_at_least,
     angle_q,
     in_D,
@@ -254,10 +262,9 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
         exponent = z * wctx.p_star + total
         weight = (count * chi.eval(total, work)
                   * wctx.q_power(1, exponent * (1 - r), work))
-        angle = angle_q(wctx, total, z, work)
-        geom = wctx.q_power(1, exponent, work) * (
-            br_F / wctx.q_bracket(1, exponent, work)
-        )
+        bracket = wctx.q_bracket(1, exponent, work)
+        angle = _angle_of_bracket(wctx, total, bracket, work)
+        geom = wctx.q_power(1, exponent, work) * (br_F / bracket)
         rows.append((weight, angle, geom))
     return wctx, ctx.prec + r * vF + v_div, br_F, rows
 
@@ -267,14 +274,17 @@ def _last_index(ctx: QContext, target: int, r: int, F: int, k: int,
     """The last index a k-series from k needs for its value to hold to
     valuation target, proven before the sum starts.
 
-    Term k is c_k beta^(r)_{k,q^F} sum_rows head geom^k.  Each factor has a
-    lower bound that holds for every k: coeff_floor(k) for c_k,
+    The series is sum_rows head sum_k c_k beta^(r)_{k,q^F} geom^k, and the
+    terms of index k are its products head c_k beta_k geom^k, one per row.
+    Each factor has a lower bound that holds for every k and every row:
+    coeff_floor(k) for c_k,
     series_beta_floor for beta, 0 for head, and v_p(F) for geom, since
     [A + p* z]_q is a unit for A prime to p and v([F]_q) = v_p(F) by
     lifting the exponent.  Their sum k v_p(F) + floor + coeff_floor(k)
     never decreases (coeff_floor falls by at most 1 <= v_p(F) per step),
-    so every term from the first k at which it reaches target on lies at
-    or above target (Washington, GTM 83, 5.3).  Raises DivergenceDetected
+    so every product from the first k at which it reaches target on lies at
+    or above target, and so does each row's polynomial tail past the last
+    index (Washington, GTM 83, 5.3).  Raises DivergenceDetected
     where no bound on beta is proven.
     """
     floor = series_beta_floor(ctx, r)
@@ -292,35 +302,97 @@ def _last_index(ctx: QContext, target: int, r: int, F: int, k: int,
 def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
               rows, heads, k: int, coeffs, coeff_floor, last, lead,
               divisor) -> SeriesValue:
-    """(lead() + sum_{k..last} c_k beta^(r)_{k,q^F} sum_rows head geom^k)
-    / divisor, with lead None for 0.
+    """(lead() + sum_rows head P(geom)) / divisor, with lead None for 0 and
 
-    k starts at the given k, and coeffs yields c_k from there.  A series
+        P(g) = sum_{j=k..last} t_j g^j,    t_j = c_j beta^(r)_{j,q^F},
+
+    the k-series sum_j t_j sum_rows head geom^j with its two sums swapped.
+    k starts at the given k, and coeffs yields c_j from there.  A series
     whose coefficients vanish past last gives it, and the sum is exact;
     otherwise last is None and _last_index proves it from coeff_floor, a
-    lower bound on v(c_k), before any term or lead is computed.
+    lower bound on v(c_j), before any term or lead is computed.
+
+    Each t_j is one PadicNumber product, and a beta zero at its precision
+    is skipped.  The rest is integer arithmetic (_horner_rows): one Horner
+    evaluation of P per row, built into one value at the precision M that
+    the term-by-term PadicNumber sum keeps, capped at target, where the
+    value is certified.
     """
     if last is None:
         last = _last_index(wctx, target, r, F, k, coeff_floor)
     # top index first, so a Carlitz table is built once for the series
     betas = [series_beta(wctx, j, r, base_power=F)
              for j in range(last, k - 1, -1)][::-1]
-    work = wctx.prec
-    acc = lead() if lead else PadicNumber.exact_zero(ctx.p, work)
-    # geom ** 0 would carry only the digits of geom, not the working precision
-    if k == 0:
-        gpow = [wctx.one(work) for _ in rows]
-    else:
-        gpow = [geom ** k for _, _, geom in rows]
-    for coeff, beta in zip(coeffs, betas):
-        if not beta.is_zero:
-            row_sum = PadicNumber.exact_zero(ctx.p, work)
-            for head, g in zip(heads, gpow):
-                row_sum = row_sum + head * g
-            acc = acc + coeff * beta * row_sum
-        gpow = [g * geom for g, (_, _, geom) in zip(gpow, rows)]
+    terms = [(j, coeff * beta)
+             for j, (coeff, beta) in enumerate(zip(coeffs, betas), k)
+             if not beta.is_zero]
+    terms = [(j, t) for j, t in terms if not t.is_exact_zero]
+    acc = lead() if lead else PadicNumber.exact_zero(ctx.p, wctx.prec)
+    lines = [(h, g) for h, (_, _, g) in zip(heads, rows)
+             if not h.is_exact_zero]
+    if terms and lines:
+        acc = acc + _horner_rows(ctx.p, wctx.prec, target, terms, lines,
+                                 int_valuation(F, ctx.p))
     value = _certified(acc / divisor, ctx.prec, "series evaluation")
     return SeriesValue(value, len(betas), ctx.prec, True)
+
+
+def _horner_rows(p: int, work: int, target: int, terms, lines,
+                 vg: int) -> PadicNumber:
+    """sum over lines (head, geom) of head sum_{(j, t) in terms} t geom^j
+    modulo p^M, for _k_series; terms ascend in j, every geom has valuation
+    vg, and geom^0 = 1 carries work digits.
+
+    M is the absolute precision of the term-by-term PadicNumber sum,
+    capped at target.  That sum adds t_j S_j, with S_j = sum_rows head
+    geom^j known modulo p^P_j, P_j the least precision of the products
+    head geom^j, so M is the least over j of min(v(t_j) + P_j, prec(t_j) +
+    v(S_j)).  v(S_j) is at least the least v(head) + j vg; S_j itself is
+    formed only where that bound leaves the term below the precision
+    reached so far, as when rows cancel against a low-precision t_j.
+
+    Scaled to integers at b = min v(t_j), P(g) = sum_j t_j g^j is evaluated
+    in Horner form at each row's integer geom (Brent & Zimmermann, Modern
+    Computer Arithmetic, 4.4), the partial sum from index j on kept modulo
+    p^(M - b - v(head) - j vg), the digits it contributes below p^M.
+    These are the digits of the PadicNumber sum, whose every product and
+    sum is exact modulo a power of p at or above M.
+    """
+    assert all(g.val == vg for _, g in lines)
+    k, last = terms[0][0], terms[-1][0]
+    b = min(t.val for _, t in terms)
+    hb = min(h.val for h, _ in lines)
+    # P_j - j vg at j = 0 and at j >= 1
+    p_at = (min(h.val + min(h.rel, work) for h, _ in lines),
+            min(h.val + min(h.rel, g.rel) for h, g in lines))
+    lifted = [(h.unit * _ppow(p, h.val - hb), h.val, g.unit * _ppow(p, vg))
+              for h, g in lines]
+    ints = [0] * (last - k + 1)
+    M = target
+    for j, t in terms:
+        ints[j - k] = t.unit * _ppow(p, t.val - b)
+        p_sum = p_at[j > 0] + j * vg
+        bound = t.val + p_sum
+        if t.prec + hb + j * vg < min(M, bound):
+            top = min(p_sum, M - t.prec)
+            mod = _ppow(p, top - hb)
+            s = sum(h * pow(G, j, mod) for h, _, G in lifted) % mod
+            bound = min(bound, t.prec + (hb + int_valuation(s, p) if s else top))
+        M = min(M, bound)
+    total = 0
+    for h, vh, G in lifted:
+        digits = M - b - vh
+        if digits <= 0:
+            continue
+        acc = 0
+        for j in range(last, k - 1, -1):
+            need = digits - j * vg
+            if need > 0:
+                acc = (ints[j - k] + G * acc) % _ppow(p, need)
+        if k:
+            acc = acc * pow(G, k, _ppow(p, digits))
+        total += h * acc
+    return _normalize(p, total, b + hb, M)
 
 
 def _binomials(a, one):

@@ -45,7 +45,14 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+#: entries kept by the power cache below and by each QContext's value
+#: cache; about three times the peaks of the perfbench workloads (1,408
+#: powers, 234 context entries), so that none of them evicts
+PPOW_CACHE_CAP = 4096
+CONTEXT_CACHE_CAP = 1024
+
+
+@lru_cache(maxsize=PPOW_CACHE_CAP)
 def _ppow(p: int, e: int) -> int:
     return p ** e
 
@@ -622,6 +629,16 @@ class QContext:
         clone._coeff_tables = self._coeff_tables
         return clone
 
+    def _remember(self, key, value):
+        """Store value under key in the cache the context's precision views
+        share, first evicting the oldest entry if CONTEXT_CACHE_CAP are
+        held; returns value."""
+        cache = self._cache
+        if len(cache) >= CONTEXT_CACHE_CAP:
+            del cache[next(iter(cache))]
+        cache[key] = value
+        return value
+
     # -- materialization ---------------------------------------------------
 
     def q_int(self, prec: int = None) -> int:
@@ -631,8 +648,8 @@ class QContext:
         got = self._cache.get(key)
         if got is None:
             mod = _ppow(self.p, prec)
-            got = self.q.numerator * pow(self.q.denominator, -1, mod) % mod
-            self._cache[key] = got
+            got = self._remember(
+                key, self.q.numerator * pow(self.q.denominator, -1, mod) % mod)
         return got
 
     def log_q(self, prec: int = None) -> PadicNumber:
@@ -642,7 +659,7 @@ class QContext:
         if got is None:
             got = iwasawa_log(PadicNumber(self.p, 0, self.q_int(prec), prec))
             assert got.val == self.v_q1
-            self._cache[key] = got
+            self._remember(key, got)
         return got
 
     def teich(self, a: int, prec: int = None) -> int:
@@ -651,8 +668,7 @@ class QContext:
         key = ("teich", a % self.p_star if self.p != 2 else a % 4, prec)
         got = self._cache.get(key)
         if got is None:
-            got = teichmuller_int(a, self.p, prec)
-            self._cache[key] = got
+            got = self._remember(key, teichmuller_int(a, self.p, prec))
         return got
 
     # -- q-powers and brackets ----------------------------------------------
@@ -734,7 +750,15 @@ def angle_q(ctx: QContext, a: int, z=0, prec: int = None) -> PadicNumber:
     prec = ctx.prec if prec is None else prec
     if not _valuation_at_least(z, p, 0):
         raise DomainError("z must lie in the valuation ring")
-    bracket = ctx.q_bracket(1, a + ctx.p_star * z, prec)
+    return _angle_of_bracket(ctx, a, ctx.q_bracket(1, a + ctx.p_star * z, prec),
+                             prec)
+
+
+def _angle_of_bracket(ctx: QContext, a: int, bracket: PadicNumber,
+                      prec: int) -> PadicNumber:
+    """w(a)^(-1) * bracket for bracket = [a + p* z]_q: angle_q past its
+    checks, for a caller that needs the bracket as well."""
+    p = ctx.p
     mod = _ppow(p, prec)
     inv_t = pow(ctx.teich(a, prec), -1, mod)
     result = bracket * PadicNumber(p, 0, inv_t, prec)

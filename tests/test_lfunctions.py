@@ -1,6 +1,8 @@
 """Two-variable p-adic q-L-function: special values, the interpolation and
 difference identities, and the near-pole series."""
 
+import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -31,11 +33,12 @@ from qpl import (
     q_zeta_special,
 )
 
-from qpl import classical, lfunctions
+from qpl import QplError, classical, lfunctions
 from qpl.classical import TERM_BUDGET
 from qpl.padic import int_valuation
+from qpl.qbernoulli import _certified
 
-from helpers import assert_agree, bound_of
+from helpers import assert_agree, bound_of, digits_of, sample_qs
 
 
 @pytest.fixture(scope="module")
@@ -313,3 +316,163 @@ def test_padic_shift_matches_rational_shift(p):
                     lambda z: Lpq_difference_rhs(ctx, -2, z, chi, r, step),
                 ):
                     assert repr(value(zp)) == repr(value(z)), (chi, z, r)
+
+
+# The k-series as the term-by-term PadicNumber loop over rows and terms: the
+# reference the integer Horner kernel must match digit for digit.
+
+def _k_series_loop(ctx, wctx, target, r, F, rows, heads, k, coeffs,
+                   coeff_floor, last, lead, divisor):
+    if last is None:
+        last = lfunctions._last_index(wctx, target, r, F, k, coeff_floor)
+    betas = [lfunctions.series_beta(wctx, j, r, base_power=F)
+             for j in range(last, k - 1, -1)][::-1]
+    work = wctx.prec
+    acc = lead() if lead else PadicNumber.exact_zero(ctx.p, work)
+    if k == 0:
+        gpow = [wctx.one(work) for _ in rows]
+    else:
+        gpow = [geom ** k for _, _, geom in rows]
+    for coeff, beta in zip(coeffs, betas):
+        if not beta.is_zero:
+            row_sum = PadicNumber.exact_zero(ctx.p, work)
+            for head, g in zip(heads, gpow):
+                row_sum = row_sum + head * g
+            acc = acc + coeff * beta * row_sum
+        gpow = [g * geom for g, (_, _, geom) in zip(gpow, rows)]
+    value = _certified(acc / divisor, ctx.prec, "series evaluation")
+    return lfunctions.SeriesValue(value, len(betas), ctx.prec, True)
+
+
+def _series_outcome(f):
+    try:
+        out = f()
+    except QplError as exc:
+        return (type(exc).__name__, str(exc))
+    return digits_of(out.value) + (out.terms_used,)
+
+
+def _kernel_and_loop(monkeypatch, f):
+    """f's outcome with the kernel and with the reference loop."""
+    got = _series_outcome(f)
+    with monkeypatch.context() as m:
+        m.setattr(lfunctions, "_k_series", _k_series_loop)
+        want = _series_outcome(f)
+    return got, want
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_k_series_matches_padic_loop(p, monkeypatch):
+    # Integer s <= 0 is a finite series under both conventions; p-adic s
+    # and s = r run only under carlitz at r = 1, where s with 5 digits is
+    # short enough for the precision to rest on row sums that cancel.
+    rng = random.Random(p)
+    order = 2 if p == 2 else p - 1
+    values = 0
+    for convention in ("pure_sum", "carlitz"):
+        ctx = QContext(p, rng.choice(sample_qs(p)), 8, convention=convention)
+        for r in ((1, 2, 3) if convention == "pure_sum" else (1,)):
+            for h in sorted({0, 1, 2 % order}):
+                chi = omega_pow(p, h)
+                F = choose_F(chi.conductor, p, r)
+                den = 3 if p == 2 else 2
+                for z in (rng.randrange(2 * p),
+                          Fraction(rng.randrange(1, 9, den), den),
+                          PadicNumber.from_fraction(
+                              Fraction(rng.randrange(1, 50), 7), p, 40)):
+                    points = [0, -1, -3]
+                    if convention == "carlitz":
+                        u = rng.randrange(1, p)
+                        points += [PadicNumber.from_int(-2 + u * p ** 2, p, 28),
+                                   PadicNumber.from_int(-2 + u * p ** 3, p, 5)]
+                    for s in points:
+                        params = LParams(r=r, chi=chi, F=F, z=z, s=s)
+                        got, want = _kernel_and_loop(
+                            monkeypatch, lambda: Lpq_eval(ctx, params))
+                        assert got == want, (convention, r, h, z, s)
+                        values += not isinstance(got[0], str)
+                    if convention == "carlitz" and h:
+                        got, want = _kernel_and_loop(
+                            monkeypatch, lambda: Lpq_at_r(ctx, r, chi, z, F))
+                        assert got == want, ("at_r", h, z)
+    assert values > 0
+
+
+def _series_args(p, prec, k, last=None):
+    """_k_series arguments for a series from k at r = 1, chi = omega, z = 0
+    under carlitz, with the coefficients (-1)^j/j of Lpq_at_r (1 at j = 0)
+    and no lead; with last given, the series ends there.  Returns a
+    function of the heads and rows, and the rows with their weights as
+    heads."""
+    ctx = QContext(p, Fraction(1 + p), prec, convention="carlitz")
+    chi = omega_pow(p, 1)
+    F = choose_F(chi.conductor, p)
+    wctx, target, br_F, rows = lfunctions._outer_rows(ctx, chi, 1, F, 0, 0,
+                                                      last or 1)
+
+    def args(heads, rows=rows):
+        coeffs = (Fraction((-1) ** j, j) if j else Fraction(1)
+                  for j in itertools.count(k))
+        return (ctx, wctx, target, 1, F, rows, heads, k, coeffs,
+                lambda j: -lfunctions._ceil_log(p, j + 1), last, None, br_F)
+    return args, [wt for wt, _, _ in rows], rows
+
+
+def test_k_series_zero_head_and_zero_beta(monkeypatch):
+    # Heads zero at precision, of positive valuation or with few digits, a
+    # geom with few digits, and betas zero at a low precision, which the
+    # sum skips: the kernel keeps
+    # the loop's digits and precision, also at j = 0, where the loop's
+    # power of geom is 1 at the working precision.
+    p = 5
+    real_beta = lfunctions.series_beta
+    for k in (0, 1):
+        args, heads, rows = _series_args(p, 12, k)
+        zero = PadicNumber.zero_at(p, heads[1].prec)
+        short = PadicNumber(p, 0, heads[3].unit % p ** 6, 6)
+        wt, angle, geom = rows[2]
+        short_geom = PadicNumber(p, geom.val, geom.unit % p ** 9,
+                                 geom.val + 9)
+        cases = [(heads, rows),
+                 ([heads[0], zero, heads[2], heads[3]], rows),
+                 ([heads[0], heads[1] * p, zero, heads[3] * p ** 2], rows),
+                 ([heads[0], heads[1], heads[2], short], rows),
+                 ([zero] * 4, rows),
+                 (heads, rows[:2] + [(wt, angle, short_geom)] + rows[3:])]
+        for vanish in ((), (1,), (2, 3), (0, 1, 2, 3, 4, 5)):
+            def beta(ctx, j, r, base_power=1):
+                got = real_beta(ctx, j, r, base_power=base_power)
+                return PadicNumber.zero_at(p, 2) if j in vanish else got
+
+            monkeypatch.setattr(lfunctions, "series_beta", beta)
+            for hs, rs in cases:
+                got = _series_outcome(
+                    lambda: lfunctions._k_series(*args(hs, rs)))
+                want = _series_outcome(lambda: _k_series_loop(*args(hs, rs)))
+                assert got == want, (k, vanish, hs, rs)
+
+
+def test_k_series_makes_no_per_row_term_padic_operations(monkeypatch):
+    # One PadicNumber product per term and a few for the whole sum; the
+    # loop over rows and terms makes several per (row, term) pair.
+    args, heads, _ = _series_args(5, 40, 1, last=40)
+    rows, terms = len(heads), 40
+    lfunctions._k_series(*args(heads))     # fills the beta table
+    counts = {"ops": 0}
+
+    def counted(fn):
+        def wrapper(*a):
+            counts["ops"] += 1
+            return fn(*a)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(PadicNumber, name,
+                            counted(getattr(PadicNumber, name)))
+    assert rows >= 4
+    lfunctions._k_series(*args(heads))
+    assert counts["ops"] <= terms + rows + 4, counts["ops"]
+    counts["ops"] = 0
+    _k_series_loop(*args(heads))
+    assert counts["ops"] > rows * terms, counts["ops"]

@@ -30,6 +30,7 @@ from qpl import (
     teichmuller,
     teichmuller_int,
 )
+from qpl import characters, padic
 from qpl.padic import _ceil_log
 
 from helpers import (
@@ -509,3 +510,30 @@ def test_context_precision_switch():
     wide = CTX.with_precision(20)
     assert wide.p == 5 and wide.q == CTX.q and wide.prec == 20
     assert wide.convention == CTX.convention
+
+
+def test_caches_stay_within_their_caps():
+    # Asked at more precisions than its cache holds, a context evicts its
+    # oldest entries and recomputes them to the same values.
+    p, q = 7, Fraction(10, 3)
+    cap = padic.CONTEXT_CACHE_CAP
+    ctx = QContext(p, q, 5)
+    first = {}
+    for prec in range(1, cap // 2 + 40):      # two entries per precision
+        view = ctx.with_precision(prec)
+        mod = p ** prec
+        first[prec] = (view.q_int(), view.teich(3))
+        assert first[prec] == (10 * pow(3, -1, mod) % mod,
+                               teichmuller_int(3, p, prec)), prec
+        if prec % 97 == 0:
+            assert digits_of(view.log_q()) == digits_of(
+                QContext(p, q, prec).log_q()), prec
+        assert len(ctx._cache) <= cap
+    assert len(ctx._cache) == cap
+    for prec in (1, 2, 3, cap // 2):
+        view = ctx.with_precision(prec)
+        assert (view.q_int(), view.teich(3)) == first[prec]
+        assert len(ctx._cache) <= cap
+    assert padic._ppow.cache_info().maxsize == padic.PPOW_CACHE_CAP
+    assert (characters._eta_power_int.cache_info().maxsize
+            == characters.ETA_CACHE_CAP)
