@@ -57,7 +57,12 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+#: primes kept by the two prime-keyed caches below; a workload or the whole
+#: test suite asks for at most six primes
+PRIME_CACHE_CAP = 64
+
+
+@lru_cache(maxsize=PRIME_CACHE_CAP)
 def _primitive_root_mod_prime(q: int) -> int:
     order = q - 1
     factors = list(_factorize(order))
@@ -116,7 +121,7 @@ def eta_order(p: int) -> int:
     return euler_phi(p_star(p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIME_CACHE_CAP)
 def _eta_base(p: int) -> int:
     """Smallest primitive root modulo p* (3 for p = 2)."""
     return 3 if p == 2 else _primitive_root_mod_prime(p)
@@ -173,6 +178,12 @@ class DirichletCharacter:
         if e is None:
             return PadicNumber.exact_zero(self.p, prec)
         return eta_power(self.p, e, prec)
+
+    def lift(self, a: int, prec: int) -> int:
+        """chi(a) as an integer modulo p^prec: 0 off the units, the
+        Teichmuller lift of eta^e on them (the tables hold e reduced)."""
+        e = self.exponent(a)
+        return 0 if e is None else _eta_power_int(self.p, e, prec)
 
     def generator_data(self) -> tuple:
         """((g, exponent), ...) over the canonical generators of the modulus."""

@@ -114,8 +114,8 @@ def _context(spec: RunSpec) -> QContext:
 def _emit(doc: dict, stream) -> None:
     doc = dict(doc)
     doc["schema"] = SCHEMA
-    json.dump(doc, stream, sort_keys=True, indent=2)
-    stream.write("\n")
+    # one write per document: json.dump would write each token separately
+    stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # -- subcommand bodies -------------------------------------------------------

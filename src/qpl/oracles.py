@@ -29,6 +29,10 @@ __all__ = [
     "q_bracket_real",
 ]
 
+#: entries kept by each of the two memos below (_carlitz_beta_seq and
+#: _sum_count_row); the whole test suite fills 16 and 2
+ORACLE_CACHE_CAP = 128
+
 #: candidate readings resolved by oracle_resolve_conventions
 NORMALIZATIONS = ("n", "n+r")
 SINGLE_CONVENTIONS = ("pure_sum", "carlitz")
@@ -150,7 +154,7 @@ def closed_multi_beta(q: float, n: int, r: int, z: float = 0.0) -> float:
     return (-1) ** r * _falling(n, r) * (1.0 - q) ** (r - n) * acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORACLE_CACHE_CAP)
 def _carlitz_beta_seq(q: float, n_max: int) -> tuple:
     # (q b + 1)^n - b_n = 1 at n=1 else 0, with b_0 = (q-1)/ln q
     seq = [(q - 1.0) / math.log(q)]
@@ -254,7 +258,7 @@ def oracle_multi_gen_beta(q: float, n: int, r: int, chi: DirichletCharacter,
     return q_bracket_real(q, f) ** (n - r) * total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORACLE_CACHE_CAP)
 def _sum_count_row(f: int, r: int) -> tuple:
     counts = [1]
     for _ in range(r):

@@ -18,8 +18,9 @@ At r = 1 both vectors are (-1)^i i C(n, i), so the Carlitz single is
 beta_n(x) = beta^(1)_n(x) + beta_0 (1 - Q)^(-n); the pure-sum r = 1 case
 is NOT the Carlitz sequence.  The context convention flag decides which
 family feeds series expansions; see series_beta.  Every closed special
-value is a window sum of beta^(r) values over residue rows, formed by the
-one loop _window_sum.
+value is a window sum of beta^(r) values over residue rows, which
+_window_sum forms as one integer Horner sum over the rows, _horner_sum,
+the same kernel that evaluates a single value.
 """
 
 from __future__ import annotations
@@ -258,19 +259,43 @@ def _coeff_table(ctx: QContext, family, n: int, r: int, d: int, rel: int):
     return table
 
 
+def _horner_sum(p: int, table, terms, digits: int = None) -> PadicNumber:
+    """pref sum_{(w, u) in terms} w sum_i coeffs[i-1] u^i for a table
+    (base, coeffs, pref) of _coeff_table: each u a unit PadicNumber, each
+    w a nonzero integer, exact or, with digits given, known to that many
+    significant digits.
+
+    The module's one Horner loop, in integers modulo p^d for each row, d =
+    min(rel, u.rel) with rel = pref.rel (Brent & Zimmermann, Modern
+    Computer Arithmetic, 4.4).  One value is built, at the precision of the
+    PadicNumber sum of the products w * pref m p^base: each is known
+    modulo p^(v(pref) + base + v_p(w) + min(d, v(m) + digits)), reading
+    v(m) as d where m = 0 modulo p^d.
+    """
+    base, coeffs, pref = table
+    rel = pref.rel
+    total, reach = 0, []
+    for w, u in terms:
+        d = min(rel, u.rel)
+        mod = _ppow(p, d)
+        m = 0
+        for a in reversed(coeffs):
+            m = (m + a) * u.unit % mod
+        if digits is not None and m:
+            d = min(d, int_valuation(m, p) + digits)
+        reach.append(d + int_valuation(w, p))
+        total += w * m
+    # at the row of least v_p(w m) the sum keeps at most d - v(m) <= rel
+    # significant digits, all of which the product with pref keeps
+    return pref * _normalize(p, total, base, base + min(reach))
+
+
 def _family_sum(ctx: QContext, family, n: int, r: int, x, d: int,
                 rel: int) -> PadicNumber:
     """(1-Q)^(r-n) sum_i a_i Q^(ix) (1-Q^i)^(-r) at base Q = q^d, for
     a = family(n, r), as a Horner sum in u = Q^x modulo p^rel."""
-    base, coeffs, pref = _coeff_table(ctx, family, n, r, d, rel)
-    u = ctx.q_power(d, x, rel)
-    # u = Q^x is a unit, since v(Q - 1) > 0
-    digits = min(rel, u.rel)
-    mod = _ppow(ctx.p, digits)
-    m = 0
-    for a in reversed(coeffs):
-        m = (m + a) * u.unit % mod
-    return pref * _normalize(ctx.p, m, base, base + digits)
+    return _horner_sum(ctx.p, _coeff_table(ctx, family, n, r, d, rel),
+                       [(1, ctx.q_power(d, x, rel))])
 
 
 def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
@@ -344,18 +369,36 @@ def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
     """[F]_q^(n-r) sum_{(t, count) in rows} count chi(t)
                      beta^(r)_{n,q^F}((z+t)/F)
 
-    The one loop over residue rows; rows are (t, count) pairs, such as
-    residue_sums(F, r, chi) for the sum over a_1..a_r = 1..F grouped by
-    t = a_1+...+a_r.  Padded by the beta headroom, so the value is
-    certified to ctx.prec or PrecisionExhausted is raised."""
-    work = ctx.prec + _beta_headroom(ctx, n, r, F) + 4
+    The one sum over residue rows; rows are (t, count) pairs with count >= 1
+    and chi(t) != 0, such as residue_sums(F, r, chi) for the sum over
+    a_1..a_r = 1..F grouped by t = a_1+...+a_r.  Padded by the beta
+    headroom, so the value is certified to ctx.prec or PrecisionExhausted
+    is raised.
+
+    All rows share one coefficient table, so this is one _horner_sum over
+    u_t = q^(z+t), z + t being the exact exponent F (z+t)/F, with integer
+    weights count chi(t), chi(t) lifted to work digits.  It keeps the
+    precision of the per-row PadicNumber sum of count chi(t) beta_t, as
+    lfunctions._horner_rows keeps that of its term-by-term sum: each row
+    is known to its own q-power's digits (at most v(beta_t) + work) above
+    p^v_p(count).  One precision for all rows, or one without v_p(count),
+    loses digits at an exact zero z of few digits or a count divisible by
+    p."""
+    headroom = _beta_headroom(ctx, n, r, F)
+    work = ctx.prec + headroom + 4
     wctx = ctx.with_precision(work)
     if not isinstance(z, PadicNumber):
         z = Fraction(z)
-    acc = PadicNumber.exact_zero(ctx.p, work)
-    for t, count in rows:
-        beta = multi_q_beta_poly(wctx, n, r, (z + t) / F, base_power=F)
-        acc = acc + count * chi.eval(t, work) * beta
+        if z.denominator == 1:
+            z = z.numerator     # so each exponent z + t is a plain int
+    if n < r:
+        acc = PadicNumber.exact_zero(ctx.p, work)
+    else:
+        rel = work + headroom + 2       # multi_q_beta_poly's at wctx
+        table = _coeff_table(wctx, _pure_sum_a, n, r, F, rel)
+        terms = [(count * chi.lift(t, work), wctx.q_power(1, z + t, rel))
+                 for t, count in rows]
+        acc = _horner_sum(ctx.p, table, terms, work)
     return _certified(wctx.q_bracket(1, F) ** (n - r) * acc, ctx.prec,
                       "special value")
 

@@ -169,6 +169,24 @@ def test_kummer_grid_counts():
         assert got == counts, theorem
 
 
+def test_emit_writes_a_grid_document_once_as_json_dump_would():
+    code, out = run_cli(["kummer-verify", "--theorem", "54", "--grid",
+                         "default", "--p", "5"])
+    doc = json.loads(out)
+    assert code == 3 and doc["reports"]
+    want = io.StringIO()
+    json.dump(doc, want, sort_keys=True, indent=2)
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    cli._emit(doc, Recording())
+    assert writes == [want.getvalue() + "\n"] == [out]
+
+
 def test_kummer_grid_parallel_identical():
     base = run_cli(["kummer-verify", "--theorem", "54", "--grid", "default",
                     "--p", "5"])

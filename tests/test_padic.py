@@ -30,7 +30,7 @@ from qpl import (
     teichmuller,
     teichmuller_int,
 )
-from qpl import characters, padic
+from qpl import characters, oracles, padic
 from qpl.padic import _ceil_log
 
 from helpers import (
@@ -535,5 +535,10 @@ def test_caches_stay_within_their_caps():
         assert (view.q_int(), view.teich(3)) == first[prec]
         assert len(ctx._cache) <= cap
     assert padic._ppow.cache_info().maxsize == padic.PPOW_CACHE_CAP
-    assert (characters._eta_power_int.cache_info().maxsize
-            == characters.ETA_CACHE_CAP)
+    for memo, cap in ((characters._eta_power_int, characters.ETA_CACHE_CAP),
+                      (characters._primitive_root_mod_prime,
+                       characters.PRIME_CACHE_CAP),
+                      (characters._eta_base, characters.PRIME_CACHE_CAP),
+                      (oracles._carlitz_beta_seq, oracles.ORACLE_CACHE_CAP),
+                      (oracles._sum_count_row, oracles.ORACLE_CACHE_CAP)):
+        assert memo.cache_info().maxsize == cap, memo.__name__

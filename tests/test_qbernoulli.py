@@ -14,6 +14,7 @@ from qpl import (
     NormalizationUnresolved,
     PadicNumber,
     QContext,
+    QplError,
     carlitz_beta,
     carlitz_beta_poly,
     char_build,
@@ -29,6 +30,7 @@ from qpl import (
     set_convention_certificate,
     volkenborn_beta_poly,
 )
+from qpl.classical import residue_sums
 from qpl.padic import _ceil_log, int_valuation
 from qpl import qbernoulli
 from qpl.qbernoulli import beta_table, series_beta, series_beta_floor
@@ -492,6 +494,145 @@ def test_coeff_tables_keep_families_apart():
         fresh = QContext(5, Fraction(6), 12)
         assert digits_of(f(shared, n, r, x, d)) == \
             digits_of(f(fresh, n, r, x, d)), (f.__name__, n, r, x, d)
+
+
+def _window_sum_loop(ctx, n, r, chi, z, F, rows):
+    """The per-row PadicNumber loop that _window_sum replaced: one
+    multi_q_beta_poly value and two products per row."""
+    work = ctx.prec + qbernoulli._beta_headroom(ctx, n, r, F) + 4
+    wctx = ctx.with_precision(work)
+    if not isinstance(z, PadicNumber):
+        z = Fraction(z)
+    acc = PadicNumber.exact_zero(ctx.p, work)
+    for t, count in rows:
+        beta = multi_q_beta_poly(wctx, n, r, (z + t) / F, base_power=F)
+        acc = acc + count * chi.eval(t, work) * beta
+    return qbernoulli._certified(wctx.q_bracket(1, F) ** (n - r) * acc,
+                                 ctx.prec, "special value")
+
+
+def _outcome(f, *args):
+    try:
+        return digits_of(f(*args))
+    except QplError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _window_shifts(p, prec, rng):
+    """z of every kind _window_sum takes, several with fewer digits than
+    prec.  z + t then carries the precision of z, except at an exact zero
+    z, whose precision only caps the digits of z + t: there rows with p^k
+    dividing t, k >= prec(z), get q-powers with more digits."""
+    den = 3 if p == 2 else 2
+    return (rng.randrange(3 * p),
+            Fraction(rng.randrange(1, 30, den), den),
+            Fraction(1, p),                           # outside Z_p
+            PadicNumber.from_fraction(Fraction(rng.randrange(1, 90), 7), p,
+                                      prec + 20),
+            PadicNumber.from_fraction(Fraction(rng.randrange(1, 90), 7), p,
+                                      rng.randrange(1, prec + 1)),
+            PadicNumber.from_int(p * rng.randrange(1, p * p), p,
+                                 rng.randrange(1, 4)),
+            PadicNumber.zero_at(p, rng.randrange(1, 4)),
+            PadicNumber.exact_zero(p, rng.randrange(1, 3)))
+
+
+def _mixed_rows(p, more):
+    """Rows at F = 1 on which every row bounds the precision at an exact
+    zero z of one digit: the q-powers of rows with p | t carry one digit
+    more than the rest, and the rest have counts divisible by p."""
+    rows = [(1, p), (p, 1), (2, p)]
+    if more:
+        rows += ([(t, p * t) for t in range(3, 40)]
+                 + [(p * t, t) for t in range(2, 20)])
+    return rows
+
+
+def test_horner_sum_is_the_padic_sum_of_its_rows():
+    # One sum over rows equals the PadicNumber sum of weight times each
+    # row's one-row sum, digit for digit, for q-powers of different
+    # precision, weights divisible by p, and weights known exactly or to
+    # so few digits that they bound a row's precision
+    p, rng = 5, random.Random(5)
+    ctx = QContext(p, Fraction(6), 12)
+    table = qbernoulli._coeff_table(ctx, qbernoulli._pure_sum_a, 6, 2, 5, 20)
+    for _ in range(60):
+        terms = [(rng.randrange(1, 200),
+                  ctx.q_power(1, rng.randrange(50), rng.randrange(1, 25)))
+                 for _ in range(rng.randrange(1, 6))]
+        for digits in (None, 1, 3, 30):
+            want = PadicNumber.exact_zero(p, 100)
+            for w, u in terms:
+                weight = w if digits is None else PadicNumber.from_int(
+                    w, p, digits)
+                want = want + weight * qbernoulli._horner_sum(p, table,
+                                                              [(1, u)])
+            assert digits_of(qbernoulli._horner_sum(p, table, terms, digits)) \
+                == digits_of(want), (terms, digits)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_window_sum_matches_row_loop(p):
+    # Residue rows of every kind of character, with counts divisible by p
+    # once r >= 2 and F >= p, and the mixed rows, where a sum that takes
+    # one precision for every row, or drops v_p(count), keeps fewer digits
+    rng = random.Random(p)
+    omega = omega_pow(p, 1)
+    chars = (principal_char(p), omega, omega_pow(p, 2),
+             induce(omega, omega.modulus * 3))       # imprimitive
+    multiple_counts = certified = 0
+    for prec in range(1, 31):
+        ctx = QContext(p, rng.choice(sample_qs(p)), prec)
+        r = rng.randrange(1, 4)
+        n = rng.choice((r - 1, r, rng.randrange(r, 13)))
+        chi = rng.choice(chars)
+        F = chi.modulus * rng.choice((1, 2, p))
+        rows = residue_sums(F, r, chi)
+        multiple_counts += any(c % p == 0 for _, c in rows)
+        for chi, F, rows in ((chi, F, rows),
+                             (chars[0], 1, _mixed_rows(p, False))):
+            for z in _window_shifts(p, prec, rng):
+                args = (ctx, n, r, chi, z, F, rows)
+                got = _outcome(qbernoulli._window_sum, *args)
+                assert got == _outcome(_window_sum_loop, *args), \
+                    (prec, n, r, chi, F, z)
+                certified += not isinstance(got[0], str)
+    assert multiple_counts > 0 and certified > 0
+
+
+def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
+    # At an integral z, a fixed number of PadicNumber operations per window,
+    # whatever its row count; the loop makes several per row.  At an exact
+    # zero z, the loop's digits, on the mixed rows.
+    ctx = QContext(5, Fraction(6), 1)
+    one = principal_char(5)
+    windows = (_mixed_rows(5, False), _mixed_rows(5, True))
+    for rows in windows:
+        args = (ctx, 2, 2, one, PadicNumber.exact_zero(5, 1), 1, rows)
+        assert digits_of(qbernoulli._window_sum(*args)) == \
+            digits_of(_window_sum_loop(*args))
+    counts = {"ops": 0}
+
+    def counted(fn):
+        def wrapper(*a):
+            counts["ops"] += 1
+            return fn(*a)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__"):
+        monkeypatch.setattr(PadicNumber, name,
+                            counted(getattr(PadicNumber, name)))
+    ops = []
+    for rows in windows:
+        counts["ops"] = 0
+        qbernoulli._window_sum(ctx, 2, 2, one, 3, 1, rows)
+        ops.append(counts["ops"])
+    assert len(windows[1]) > 15 * len(windows[0])
+    assert ops[0] == ops[1] <= 6, ops
+    counts["ops"] = 0
+    _window_sum_loop(ctx, 2, 2, one, 3, 1, windows[1])
+    assert counts["ops"] > 2 * len(windows[1]), counts["ops"]
 
 
 def test_certificate_validation():
