@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import UnsupportedOrder
-from .padic import PadicNumber, p_star, teichmuller_int
+from .padic import PadicNumber, _teich_lift, p_star
 
 __all__ = [
     "DirichletCharacter",
@@ -127,20 +127,14 @@ def _eta_base(p: int) -> int:
     return 3 if p == 2 else _primitive_root_mod_prime(p)
 
 
-#: (p, e, prec) lifts kept by _eta_power_int; about four times the peak of
-#: the perfbench workloads (268), so that none of them evicts
-ETA_CACHE_CAP = 1024
-
-
-@lru_cache(maxsize=ETA_CACHE_CAP)
 def _eta_power_int(p: int, e: int, prec: int) -> int:
-    a = pow(_eta_base(p), e, p_star(p))
-    return teichmuller_int(a, p, prec)
+    """eta^e modulo p^prec: the lift of the residue eta^e mod p*."""
+    return _teich_lift(p, pow(_eta_base(p), e, p_star(p)), prec)
 
 
 def eta_power(p: int, e: int, prec: int) -> PadicNumber:
     """eta^e in Z_p at absolute precision prec."""
-    return PadicNumber(p, 0, _eta_power_int(p, e % eta_order(p), prec), prec)
+    return PadicNumber(p, 0, _eta_power_int(p, e, prec), prec)
 
 
 class DirichletCharacter:

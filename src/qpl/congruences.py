@@ -152,11 +152,8 @@ def Bnr_structure(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     """
     if n < 1 or r < 1:
         raise PreconditionViolated("n and r must be >= 1")
-    key = ("Bnr", n, r, chi, _zkey(z), ctx.prec, ctx.convention)
-    value = ctx._cache.get(key)
-    if value is None:
-        value = ctx._remember(key, Lpq_special(ctx, n, r, chi, z))
-    return value
+    return ctx._memo(("Bnr", n, r, chi, _zkey(z), ctx.prec),
+                     lambda: Lpq_special(ctx, n, r, chi, z))
 
 
 # -- report plumbing ---------------------------------------------------------

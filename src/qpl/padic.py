@@ -45,16 +45,30 @@ __all__ = [
 ]
 
 
-#: entries kept by the power cache below and by each QContext's value
-#: cache; about three times the peaks of the perfbench workloads (1,408
-#: powers, 234 context entries), so that none of them evicts
+#: entries kept by the power cache, by the Teichmuller lift cache and by
+#: each QContext's memo; about three to four times the peaks of the
+#: perfbench workloads (1,408 powers, 268 lifts, 234 context entries), so
+#: that none of them evicts
 PPOW_CACHE_CAP = 4096
+TEICH_CACHE_CAP = 1024
 CONTEXT_CACHE_CAP = 1024
 
 
 @lru_cache(maxsize=PPOW_CACHE_CAP)
 def _ppow(p: int, e: int) -> int:
     return p ** e
+
+
+def _memoized(cache: dict, cap: int, key, build):
+    """cache[key], built by build() on a miss and stored after evicting the
+    oldest entry if cap are held: the one eviction policy of the keyed
+    stores of the library."""
+    got = cache.get(key)
+    if got is None:
+        if len(cache) >= cap:
+            del cache[next(iter(cache))]
+        got = cache[key] = build()
+    return got
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -427,6 +441,13 @@ def teichmuller_int(a: int, p: int, prec: int) -> int:
     return x % mod
 
 
+@lru_cache(maxsize=TEICH_CACHE_CAP)
+def _teich_lift(p: int, a: int, prec: int) -> int:
+    """teichmuller_int(a, p, prec) for a residue 0 < a < p*: the one cache
+    of lifts, shared by the angle projections and the character values."""
+    return teichmuller_int(a, p, prec)
+
+
 def teichmuller(a: int, ctx) -> PadicNumber:
     """The root of unity congruent to a modulo p*.
 
@@ -608,13 +629,12 @@ class QContext:
                 % (rstar_threshold(p), p)
             )
         self._cache = {}
-        self._tables = {}
         self._coeff_tables = {}
 
     def with_precision(self, prec: int) -> "QContext":
         """A view of this context at a different working precision.
 
-        Caches and beta tables are shared: the caches are keyed by
+        The memo and the coefficient tables are shared: their keys name the
         precision, and each beta table keeps the highest target asked of it.
         """
         clone = object.__new__(QContext)
@@ -625,50 +645,30 @@ class QContext:
         clone.convention = self.convention
         clone.v_q1 = self.v_q1
         clone._cache = self._cache
-        clone._tables = self._tables
         clone._coeff_tables = self._coeff_tables
         return clone
 
-    def _remember(self, key, value):
-        """Store value under key in the cache the context's precision views
-        share, first evicting the oldest entry if CONTEXT_CACHE_CAP are
-        held; returns value."""
-        cache = self._cache
-        if len(cache) >= CONTEXT_CACHE_CAP:
-            del cache[next(iter(cache))]
-        cache[key] = value
-        return value
+    def _memo(self, key, build):
+        """The value under key in the memo the context's precision views
+        share, built by build() on a miss; at most CONTEXT_CACHE_CAP
+        entries are kept.  The only access to the memo."""
+        return _memoized(self._cache, CONTEXT_CACHE_CAP, key, build)
 
     # -- materialization ---------------------------------------------------
 
     def q_int(self, prec: int = None) -> int:
         """Integer lift of q modulo p^prec."""
         prec = self.prec if prec is None else prec
-        key = ("qint", prec)
-        got = self._cache.get(key)
-        if got is None:
-            mod = _ppow(self.p, prec)
-            got = self._remember(
-                key, self.q.numerator * pow(self.q.denominator, -1, mod) % mod)
-        return got
+        return self._memo(("qint", prec), lambda: self.q.numerator * pow(
+            self.q.denominator, -1, _ppow(self.p, prec)) % _ppow(self.p, prec))
 
     def log_q(self, prec: int = None) -> PadicNumber:
         prec = self.prec if prec is None else prec
-        key = ("logq", prec)
-        got = self._cache.get(key)
-        if got is None:
-            got = iwasawa_log(PadicNumber(self.p, 0, self.q_int(prec), prec))
-            assert got.val == self.v_q1
-            self._remember(key, got)
-        return got
+        return self._memo(("logq", prec), lambda: self._log_q(prec))
 
-    def teich(self, a: int, prec: int = None) -> int:
-        """Cached integer Teichmuller lift of a."""
-        prec = self.prec if prec is None else prec
-        key = ("teich", a % self.p_star if self.p != 2 else a % 4, prec)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._remember(key, teichmuller_int(a, self.p, prec))
+    def _log_q(self, prec: int) -> PadicNumber:
+        got = iwasawa_log(PadicNumber(self.p, 0, self.q_int(prec), prec))
+        assert got.val == self.v_q1
         return got
 
     # -- q-powers and brackets ----------------------------------------------
@@ -760,7 +760,7 @@ def _angle_of_bracket(ctx: QContext, a: int, bracket: PadicNumber,
     checks, for a caller that needs the bracket as well."""
     p = ctx.p
     mod = _ppow(p, prec)
-    inv_t = pow(ctx.teich(a, prec), -1, mod)
+    inv_t = pow(_teich_lift(p, a % ctx.p_star, prec), -1, mod)
     result = bracket * PadicNumber(p, 0, inv_t, prec)
     assert (result - 1).valuation_ge(int_valuation(ctx.p_star, p)), \
         "angle projection left the principal-unit disk"

@@ -36,6 +36,7 @@ from .padic import (
     PadicNumber,
     QContext,
     _ceil_log,
+    _memoized,
     _normalize,
     _ppow,
     int_valuation,
@@ -113,11 +114,8 @@ def _carlitz_run(ctx: QContext, lo: int, n_max: int, d: int,
 
 
 def beta_table(ctx: QContext, base_power: int = 1) -> QBernoulliTable:
-    table = ctx._tables.get(base_power)
-    if table is None:
-        table = QBernoulliTable(ctx, base_power)
-        ctx._tables[base_power] = table
-    return table
+    return ctx._memo(("beta_table", base_power),
+                     lambda: QBernoulliTable(ctx, base_power))
 
 
 def carlitz_beta(ctx: QContext, n: int, base_power: int = 1) -> PadicNumber:
@@ -125,8 +123,7 @@ def carlitz_beta(ctx: QContext, n: int, base_power: int = 1) -> PadicNumber:
     if n < 0:
         raise ValueError("n must be >= 0")
     table = beta_table(ctx, base_power)
-    if n >= len(table.entries) or table.target < ctx.prec:
-        table.extend(n, ctx.prec)
+    table.extend(n, ctx.prec)
     return table.entries[n]
 
 
@@ -186,9 +183,10 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
     return _certified(value, ctx.prec, "gen_q_beta_poly")
 
 
-# Coefficient tables kept per context.  A k-series builds one table per k
-# and never returns to it, so the cap bounds memory; a congruence grid
-# revisits at most k' + 1 tables, far fewer.
+# Coefficient tables kept per context, in a store of their own beside the
+# context memo.  A k-series and a Carlitz run build one table per index and
+# never return to it, and a table holds an integer per index, so a small
+# cap bounds memory; a congruence grid revisits at most k' + 1 tables.
 COEFF_TABLE_CAP = 32
 
 
@@ -226,12 +224,16 @@ def _coeff_table(ctx: QContext, family, n: int, r: int, d: int, rel: int):
     lifting the exponent, so Q^i is formed modulo p^(rel + v(Q-1) +
     ceil(log_p(len a))).  The key names the family, since at n = r both
     families ask the same rel."""
-    key = (family.__name__, n, r, d, rel)
-    tables = ctx._coeff_tables
-    table = tables.get(key)
-    if table is not None:
-        return table
-    p, a = ctx.p, family(n, r)
+    return _memoized(ctx._coeff_tables, COEFF_TABLE_CAP,
+                     (family.__name__, n, r, d, rel),
+                     lambda: _build_coeff_table(ctx, family(n, r), n, r, d,
+                                                rel))
+
+
+def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
+                       rel: int):
+    """The table of _coeff_table for the vector a = family(n, r)."""
+    p = ctx.p
     vd = _base_valuation(ctx, d)
     k = rel + vd + _ceil_log(p, len(a))
     mod, wide = _ppow(p, rel), _ppow(p, k)
@@ -251,12 +253,8 @@ def _coeff_table(ctx: QContext, family, n: int, r: int, d: int, rel: int):
               for c, w, v in zip(signed, inv, vals)]
     inv_w0 = pow(units[0], r - 1, mod) * inv[0] % mod     # (1-Q)'s unit, inverted
     pval = (r - n) * vd
-    table = (base, coeffs,
-             PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
-    if len(tables) >= COEFF_TABLE_CAP:
-        del tables[next(iter(tables))]
-    tables[key] = table
-    return table
+    return (base, coeffs,
+            PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
 
 
 def _horner_sum(p: int, table, terms, digits: int = None) -> PadicNumber:

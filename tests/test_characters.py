@@ -1,6 +1,10 @@
 """Dirichlet characters with p-adic values: construction, conductor,
 products, twists."""
 
+import itertools
+import math
+import re
+
 import pytest
 
 from qpl import (
@@ -19,7 +23,7 @@ from qpl import (
     principal_char,
     teichmuller_int,
 )
-from qpl.characters import eta_order
+from qpl.characters import eta_order, unit_group_generators
 
 from helpers import bound_of, residue
 
@@ -138,6 +142,8 @@ def test_unsupported_order():
     # values of order 6 do not embed into the 5-adic roots of unity
     with pytest.raises(UnsupportedOrder):
         char_build(7, {3: 1}, 5)
+    with pytest.raises(UnsupportedOrder):
+        parse_char_spec("mod:7;gens:3->1", 5)
 
 
 def test_char_build_quadratic():
@@ -152,6 +158,51 @@ def test_parse_char_spec():
     assert parse_char_spec("omega", 5) == omega_pow(5, 1)
     assert parse_char_spec("omega^2", 5) == omega_pow(5, 2)
     assert parse_char_spec("omega^0", 5).is_principal
+
+
+def _mod_spec(chi):
+    d = chi.to_dict()
+    return "mod:%d;gens:%s" % (
+        d["modulus"], ",".join("%d->%d" % (g, e) for g, e in d["generators"]))
+
+
+def test_unit_group_generators():
+    # the 2-power branches, and the CRT lift of a generator modulo 3 and
+    # one modulo 5 to residues = 1 modulo the other factor
+    assert unit_group_generators(2) == ()
+    assert unit_group_generators(4) == ((3, 2),)
+    assert unit_group_generators(8) == ((7, 2), (5, 2))
+    assert unit_group_generators(15) == ((11, 2), (7, 4))
+
+
+@pytest.mark.parametrize("p", (2, 5))
+@pytest.mark.parametrize("modulus", (4, 8))
+def test_mod_gens_spec_round_trip_at_two_powers(p, modulus):
+    gens = unit_group_generators(modulus)
+    eta = eta_order(p)
+    # every image e with order * e = 0 mod eta is a character into Z_p
+    choices = [[e for e in range(eta) if order * e % eta == 0]
+               for _, order in gens]
+    seen = set()
+    for images in itertools.product(*choices):
+        chi = char_build(modulus, dict(zip((g for g, _ in gens), images)), p)
+        assert parse_char_spec(_mod_spec(chi), p) == chi
+        seen.add(chi)
+    assert len(seen) == math.prod(len(c) for c in choices)
+
+
+def test_mod_gens_spec():
+    chi = parse_char_spec("mod:15;gens:7->1,11->2", 5)
+    assert (chi.modulus, chi.conductor, chi.order) == (15, 15, 4)
+    assert _mod_spec(chi) == "mod:15;gens:11->2,7->1"
+    assert parse_char_spec(_mod_spec(chi), 5) == chi
+    for spec, message in (
+            ("mod:15", "expected 'mod:<m>;gens:<g>-><e>,...'"),
+            ("mod:15;gens:7", "bad generator image '7'"),
+            ("mod:15;gens:3->1", "generator 3 is not a unit modulo 15"),
+            ("mod:15;gens:7->1", "generators [7] do not generate (Z/15)^*")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_char_spec(spec, 5)
 
 
 def test_character_hashable_and_serializable():

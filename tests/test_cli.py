@@ -75,6 +75,14 @@ def test_q_spec_parsing():
     assert code == 1 and doc["error"]["type"] == "ValueError"
 
 
+def test_lp_takes_a_character_by_generator_images():
+    code, doc = run_json(["lp", "--p", "5", "--chi",
+                          "mod:15;gens:11->2,7->1", "--s", "-2"])
+    assert code == 0
+    assert doc["converged"] is True
+    assert doc["params"]["F"] == 15
+
+
 def test_lp_pole_is_an_error_document():
     code, doc = run_json(["lp", "--p", "5", "--chi", "omega^2", "--s", "1"])
     assert code == 1

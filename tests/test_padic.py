@@ -512,33 +512,99 @@ def test_context_precision_switch():
     assert wide.convention == CTX.convention
 
 
+@pytest.mark.parametrize("p, q, prec, convention, error, message", (
+    # composites past trial division that only the Miller-Rabin loop
+    # rejects; 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    (1763, 1764, 4, "pure_sum", ValueError, "p must be prime, got 1763"),
+    (3215031751, 3215031752, 4, "pure_sum", ValueError,
+     "p must be prime, got 3215031751"),
+    (2 ** 61 - 1, 2 ** 61, 4, "pure_sum", None, None),
+    (5, 6, 0, "pure_sum", ValueError, "working precision must be >= 1"),
+    (5, 6, 4, "naive", ValueError, "unknown convention 'naive'"),
+    (5, 1, 4, "pure_sum", DomainError, "q = 1 is degenerate"),
+    (5, Fraction(1, 5), 4, "pure_sum", DomainError, "q must lie in Z_p"),
+    (2, 3, 4, "pure_sum", DomainError,
+     "q - 1 must have valuation >= 2 for p = 2"),
+    (5, 2, 4, "carlitz", DomainError,
+     "q - 1 must have valuation >= 1 for p = 5"),
+))
+def test_context_input_checks(p, q, prec, convention, error, message):
+    if error is None:
+        ctx = QContext(p, q, prec, convention)
+        assert (ctx.p, ctx.v_q1) == (p, 1)
+        return
+    with pytest.raises(error) as info:
+        QContext(p, q, prec, convention)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_equality_and_powers_of_zeros():
+    x = PadicNumber.from_fraction(Fraction(1, 3), 5, 4)
+    assert x == Fraction(1, 3) and x == Fraction(1, 3) + 5 ** 4
+    assert x != Fraction(1, 3) + 5 ** 3
+    y = PadicNumber.from_int(7, 5, 3)
+    assert y == 7 and y == 7 + 5 ** 3 and y != 8
+    exact = PadicNumber.exact_zero(5, 3)
+    at_prec = PadicNumber.zero_at(5, 3)
+    assert exact == PadicNumber.exact_zero(5, 7) and exact == 0
+    assert exact == at_prec and at_prec == exact
+    assert PadicNumber.from_int(5, 5, 3) != 0
+    assert PadicNumber.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(x)
+    assert (exact ** 3).is_exact_zero
+    cube = at_prec ** 3
+    assert cube.is_zero and not cube.is_exact_zero and cube.prec == 9
+    for zero, message in ((exact, "negative power of exact zero"),
+                          (at_prec, "negative power of zero at precision")):
+        with pytest.raises(DivisionByZero, match=message):
+            zero ** -2
+
+
 def test_caches_stay_within_their_caps():
-    # Asked at more precisions than its cache holds, a context evicts its
+    # Asked at more precisions than its memo holds, a context evicts its
     # oldest entries and recomputes them to the same values.
     p, q = 7, Fraction(10, 3)
     cap = padic.CONTEXT_CACHE_CAP
     ctx = QContext(p, q, 5)
     first = {}
-    for prec in range(1, cap // 2 + 40):      # two entries per precision
+    for prec in range(1, cap + 40):
         view = ctx.with_precision(prec)
         mod = p ** prec
-        first[prec] = (view.q_int(), view.teich(3))
-        assert first[prec] == (10 * pow(3, -1, mod) % mod,
-                               teichmuller_int(3, p, prec)), prec
-        if prec % 97 == 0:
+        first[prec] = view.q_int()
+        assert first[prec] == 10 * pow(3, -1, mod) % mod, prec
+        if prec % 97 == 0 and prec < cap // 2:
             assert digits_of(view.log_q()) == digits_of(
                 QContext(p, q, prec).log_q()), prec
         assert len(ctx._cache) <= cap
     assert len(ctx._cache) == cap
     for prec in (1, 2, 3, cap // 2):
-        view = ctx.with_precision(prec)
-        assert (view.q_int(), view.teich(3)) == first[prec]
+        assert ctx.with_precision(prec).q_int() == first[prec]
         assert len(ctx._cache) <= cap
     assert padic._ppow.cache_info().maxsize == padic.PPOW_CACHE_CAP
-    for memo, cap in ((characters._eta_power_int, characters.ETA_CACHE_CAP),
+    for memo, cap in ((padic._teich_lift, padic.TEICH_CACHE_CAP),
                       (characters._primitive_root_mod_prime,
                        characters.PRIME_CACHE_CAP),
                       (characters._eta_base, characters.PRIME_CACHE_CAP),
                       (oracles._carlitz_beta_seq, oracles.ORACLE_CACHE_CAP),
                       (oracles._sum_count_row, oracles.ORACLE_CACHE_CAP)):
         assert memo.cache_info().maxsize == cap, memo.__name__
+
+
+@pytest.mark.parametrize("p, q", ((2, 5), (7, 8)))
+def test_angle_and_character_lift_share_one_cache_entry(p, q):
+    # w(a) in the angle projection and omega(a) of the Teichmuller
+    # character are one lift of the residue a mod p*, cached once.
+    ctx = QContext(p, Fraction(q), 9)
+    omega = characters.omega_pow(p, 1)
+    a = p_star(p) + 3
+    lifts = padic._teich_lift
+    lifts.cache_clear()
+    angle_q(ctx, a)
+    info = lifts.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
+    assert omega.lift(a, 9) == teichmuller_int(a, p, 9)
+    assert omega.eval(3, 9).unit == teichmuller_int(3, p, 9)
+    info = lifts.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
