@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .classical import residue_sums
-from .errors import NormalizationUnresolved, PrecisionExhausted
+from .errors import DomainError, NormalizationUnresolved, PrecisionExhausted
 from .padic import (
     PadicNumber,
     QContext,
@@ -57,6 +57,13 @@ __all__ = [
     "convention_certificate",
     "volkenborn_beta_poly",
 ]
+
+def _require_base(base_power: int) -> None:
+    """Refuse base_power 0 before any work, as QContext refuses q = 1."""
+    if base_power == 0:
+        raise DomainError("base q^0 = 1 is degenerate (division by 1 - Q "
+                          "everywhere)")
+
 
 def _base_valuation(ctx: QContext, base_power: int) -> int:
     """v_p(q^base_power - 1); exact since v_p(q-1) clears the LTE threshold."""
@@ -95,14 +102,44 @@ def _carlitz_constants(ctx: QContext, d: int, digits: int):
 def _carlitz_run(ctx: QContext, lo: int, n_max: int, d: int,
                  target: int) -> list:
     """beta_n = beta^(1)_n(0) + beta_0 (1 - Q)^(-n) at base Q = q^d for
-    lo <= n <= n_max, each to absolute precision at least target."""
-    beta_0, ratio = _carlitz_constants(
-        ctx, d, target + n_max * _base_valuation(ctx, d) + 2)
-    wctx = ctx.with_precision(target)
+    lo <= n <= n_max, each to absolute precision at least target.
+
+    beta^(1)_n(0) = (1-Q)^(1-n) sum_i (-1)^i C(n, i) i (1-Q^i)^(-1) is the
+    r = 1 pure-sum single at x = 0, kept to the rel(n) significant digits
+    multi_q_beta_poly keeps at precision target.  With w_i the unit of
+    1 - Q^i, i (1-Q^i)^(-1) = p^(-v(Q-1)) J_i for the unit J_i =
+    (i / p^v_p(i)) w_i^(-1), so the sum is p^(-v(Q-1)) m_n with m_n =
+    sum_i (-1)^i C(n, i) J_i = (-1)^n Delta^n J(0), and one difference
+    table gives m_n for every n.  The units are formed and inverted once,
+    modulo p^rel(n_max), which every p^rel(n) divides.
+    """
+    p = ctx.p
+    vd = _base_valuation(ctx, d)
+    beta_0, ratio = _carlitz_constants(ctx, d, target + n_max * vd + 2)
+    top = target + _beta_headroom(ctx, n_max, 1, d) + 2
+    mod = _ppow(p, top)
+    units, vals = _unit_vector(ctx, n_max, d, top)
+    inv = _unit_inverses(units, mod)
+    # after J_j, diag[k] = sum_i (-1)^i C(k, i) J_(j-k+i) for k <= j, and
+    # the one it appends is m_j
+    diag, m = [0], [0]
+    for i, (w, v) in enumerate(zip(inv, vals), 1):
+        cur = i // _ppow(p, v - vd) * w % mod
+        for k, prev in enumerate(diag):
+            diag[k] = cur
+            cur = (prev - cur) % mod
+        diag.append(cur)
+        m.append(cur)
     entries = []
     term = beta_0 * ratio ** lo
     for n in range(lo, n_max + 1):
-        b = multi_q_beta_poly(wctx, n, 1, 0, base_power=d) + term
+        b = term
+        if n:
+            rel = target + _beta_headroom(ctx, n, 1, d) + 2
+            pval = (1 - n) * vd
+            pref = PadicNumber(p, pval, pow(inv[0], n - 1, _ppow(p, rel)),
+                               pval + rel)
+            b = pref * _normalize(p, m[n], -vd, rel - vd) + term
         if b.prec < target:
             raise PrecisionExhausted(
                 "beta_%d at base q^%d retains %d digits, need %d"
@@ -114,6 +151,7 @@ def _carlitz_run(ctx: QContext, lo: int, n_max: int, d: int,
 
 
 def beta_table(ctx: QContext, base_power: int = 1) -> QBernoulliTable:
+    _require_base(base_power)
     return ctx._memo(("beta_table", base_power),
                      lambda: QBernoulliTable(ctx, base_power))
 
@@ -184,9 +222,10 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
 
 
 # Coefficient tables kept per context, in a store of their own beside the
-# context memo.  A k-series and a Carlitz run build one table per index and
-# never return to it, and a table holds an integer per index, so a small
-# cap bounds memory; a congruence grid revisits at most k' + 1 tables.
+# context memo.  A pure-sum k-series builds one table per index and never
+# returns to it (a Carlitz run keeps its units to itself and builds none),
+# and a table holds an integer per index, so a small cap bounds memory; a
+# congruence grid revisits at most k' + 1 tables.
 COEFF_TABLE_CAP = 32
 
 
@@ -230,20 +269,35 @@ def _coeff_table(ctx: QContext, family, n: int, r: int, d: int, rel: int):
                                                 rel))
 
 
+def _unit_vector(ctx: QContext, count: int, d: int, rel: int):
+    """(units, vals) for i = 1..count at base Q = q^d: vals[i-1] =
+    v(1 - Q^i) = v(Q-1) + v_p(i) by lifting the exponent, and units[i-1] =
+    (1 - Q^i) / p^vals[i-1] modulo p^rel, so Q^i is formed modulo
+    p^(rel + v(Q-1) + ceil(log_p count)).  The module's one place that
+    forms 1 - Q^i."""
+    p = ctx.p
+    vd = _base_valuation(ctx, d)
+    k = rel + vd + _ceil_log(p, count)
+    mod, wide = _ppow(p, rel), _ppow(p, k)
+    Q = pow(ctx.q_int(k), d, wide)
+    Qi = 1
+    units, vals = [], []
+    for i in range(1, count + 1):
+        Qi = Qi * Q % wide
+        v = vd + int_valuation(i, p)
+        units.append((1 - Qi) % wide // _ppow(p, v) % mod)
+        vals.append(v)
+    return units, vals
+
+
 def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
                        rel: int):
     """The table of _coeff_table for the vector a = family(n, r)."""
     p = ctx.p
-    vd = _base_valuation(ctx, d)
-    k = rel + vd + _ceil_log(p, len(a))
-    mod, wide = _ppow(p, rel), _ppow(p, k)
-    Q = pow(ctx.q_int(k), d, wide)
-    Qi = 1
-    units, signed, vals = [], [], []
-    for i, c in enumerate(a, 1):
-        Qi = Qi * Q % wide
-        v = vd + int_valuation(i, p)
-        units.append((1 - Qi) % wide // _ppow(p, v) % mod)
+    mod = _ppow(p, rel)
+    units, uvals = _unit_vector(ctx, len(a), d, rel)
+    signed, vals = [], []
+    for c, v in zip(a, uvals):
         vc = int_valuation(c, p)
         signed.append(c // _ppow(p, vc))
         vals.append(vc - r * v)
@@ -252,7 +306,7 @@ def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
     coeffs = [c * w * _ppow(p, v - base) % mod
               for c, w, v in zip(signed, inv, vals)]
     inv_w0 = pow(units[0], r - 1, mod) * inv[0] % mod     # (1-Q)'s unit, inverted
-    pval = (r - n) * vd
+    pval = (r - n) * _base_valuation(ctx, d)
     return (base, coeffs,
             PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
 
@@ -308,6 +362,7 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
+    _require_base(base_power)
     if n < r:
         return PadicNumber.exact_zero(ctx.p, ctx.prec)
     rel = ctx.prec + _beta_headroom(ctx, n, r, base_power) + 2
@@ -328,6 +383,7 @@ def volkenborn_beta_poly(ctx: QContext, n: int, r: int, x,
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
+    _require_base(base_power)
     value = _carlitz_term(ctx, n, r, base_power)
     if n == 0:
         ctx.q_power(base_power, x)      # no sum, but x must be in the domain

@@ -13,6 +13,7 @@ from qpl import (
     DomainError,
     NormalizationUnresolved,
     PadicNumber,
+    PrecisionExhausted,
     QContext,
     QplError,
     carlitz_beta,
@@ -319,6 +320,104 @@ def test_beta_table_extends_only_missing(monkeypatch):
     built.clear()
     carlitz_beta(ctx.with_precision(16), 3)
     assert built == list(range(31))
+
+
+def _carlitz_run_loop(ctx, lo, n_max, d, target):
+    """The per-index loop that _carlitz_run replaced: one r = 1
+    multi_q_beta_poly value, so one coefficient table, per index."""
+    beta_0, ratio = qbernoulli._carlitz_constants(
+        ctx, d, target + n_max * qbernoulli._base_valuation(ctx, d) + 2)
+    wctx = ctx.with_precision(target)
+    entries = []
+    term = beta_0 * ratio ** lo
+    for n in range(lo, n_max + 1):
+        b = multi_q_beta_poly(wctx, n, 1, 0, base_power=d) + term
+        if b.prec < target:
+            raise PrecisionExhausted(
+                "beta_%d at base q^%d retains %d digits, need %d"
+                % (n, d, b.prec, target)
+            )
+        entries.append(b)
+        term = term * ratio
+    return entries
+
+
+def _run_outcome(run, *args):
+    try:
+        return [digits_of(b) + (b.is_exact_zero,) for b in run(*args)]
+    except QplError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_carlitz_run_matches_per_index_tables(monkeypatch):
+    # Every (p, q, d, run) of the grid, the target cycling through its
+    # values, against the transcribed loop on a fresh context each
+    targets = (1, 5, 12, 40, 90)
+    runs = ((0, 0), (0, 1), (0, 30), (0, 60), (7, 19), (31, 31))
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        ps = 4 if p == 2 else p
+        for q in sample_qs(p)[:2]:          # an integer and a Fraction
+            for d in (1, 2, ps, 3 * ps, ps * ps):
+                for lo, n_max in runs:
+                    target = targets[cases % len(targets)]
+                    args = (lo, n_max, d, target)
+                    got = _run_outcome(qbernoulli._carlitz_run,
+                                       QContext(p, q, 7), *args)
+                    assert got == _run_outcome(
+                        _carlitz_run_loop, QContext(p, q, 7), *args), \
+                        (p, q, args)
+                    cases += 1
+    # a table extended past its end, then rebuilt at a higher target
+    tables = []
+    for run in (qbernoulli._carlitz_run, _carlitz_run_loop):
+        monkeypatch.setattr(qbernoulli, "_carlitz_run", run)
+        table = qbernoulli.QBernoulliTable(QContext(7, Fraction(8), 7), 7)
+        steps = []
+        for n, target in ((0, 12), (12, 12), (20, 12), (20, 30), (25, 20)):
+            table.extend(n, target)
+            steps.append([digits_of(b) for b in table.entries])
+        tables.append(steps)
+    assert tables[0] == tables[1]
+    assert [len(step) for step in tables[0]] == [1, 13, 21, 21, 26]
+
+
+def test_carlitz_run_builds_no_coefficient_tables(monkeypatch):
+    # One unit vector for the whole run, inverted once; the loop built a
+    # coefficient table, with its own inversion, for every index
+    ctx = QContext(5, Fraction(6), 12)
+    multi_q_beta_poly(ctx, 4, 2, 0)
+    tables = list(ctx._coeff_tables.items())
+    calls = {"_unit_inverses": 0, "multi_q_beta_poly": 0}
+
+    def counted(name):
+        fn = getattr(qbernoulli, name)
+
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qbernoulli, name, counted(name))
+    assert len(qbernoulli._carlitz_run(ctx, 0, 59, 5, 40)) == 60
+    assert calls == {"_unit_inverses": 1, "multi_q_beta_poly": 0}, calls
+    assert list(ctx._coeff_tables.items()) == tables
+
+
+def test_base_power_zero_is_refused():
+    # q^0 = 1 divides by 1 - Q = 0: refused before any work, and no beta
+    # table is left in the context memo
+    ctx = QContext(5, Fraction(6), 12)
+    memo = dict(ctx._cache)
+    for f, args in ((carlitz_beta, (3, 0)),
+                    (multi_q_beta_poly, (3, 1, 0, 0)),
+                    (multi_q_beta_poly, (0, 1, 0, 0)),
+                    (volkenborn_beta_poly, (3, 2, 0, 0)),
+                    (beta_table, (0,))):
+        with pytest.raises(DomainError, match="base q\\^0 = 1 is degenerate"):
+            f(ctx, *args)
+    assert ctx._cache == memo and not ctx._coeff_tables
 
 
 def test_kim_requires_certificate(no_certificate):
