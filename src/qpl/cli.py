@@ -304,14 +304,16 @@ def _build_parser() -> argparse.ArgumentParser:
     default_prec = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_context_args(sp, prec_required=False):
+    def add_context_args(sp, convention=False):
         sp.add_argument("--p", type=int, required=True, help="prime p")
         sp.add_argument("--q", default="1+p",
                         help='q as "1+p", "1+p^m", "num/den", or integer')
         sp.add_argument("--prec", type=int, default=default_prec,
                         help="working precision in p-adic digits")
-        sp.add_argument("--convention", choices=("pure_sum", "carlitz"),
-                        default=None, help="k=0 reading of the series layer")
+        if convention:
+            sp.add_argument("--convention", choices=("pure_sum", "carlitz"),
+                            default=None,
+                            help="family of the series coefficients")
 
     sp = sub.add_parser("bernoulli", help="classical Bernoulli numbers")
     sp.add_argument("--n", type=int, required=True)
@@ -327,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", default=None, help="polynomial argument (rational)")
 
     sp = sub.add_parser("lp", help="series value of the two-variable function")
-    add_context_args(sp)
+    add_context_args(sp, convention=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--chi", required=True)
     sp.add_argument("--s", required=True, help="evaluation point (rational)")
@@ -335,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--F", type=int, default=None)
 
     sp = sub.add_parser("lp-at-r", help="value at the near-pole point s = r")
-    add_context_args(sp)
+    add_context_args(sp, convention=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--chi", required=True)
     sp.add_argument("--z", default=None)
@@ -416,7 +418,7 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
                 parser.error("theorem 54 needs --n and --k2")
             if spec.theorem in ("53", "binop") and spec.n_list is None:
                 parser.error("theorems 53/binop need --n-list")
-    if spec.subcommand in ("lp", "lp-at-r", "lp-table") and spec.prec < 1:
+    if spec.prec is not None and spec.prec < 1:
         parser.error("--prec must be >= 1")
     if spec.jobs is not None and spec.jobs < 1:
         parser.error("--jobs must be >= 1")

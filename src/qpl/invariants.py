@@ -17,6 +17,7 @@ from .padic import (
     QContext,
     iwasawa_log,
     p_star,
+    padic_arith,
     padic_exp,
     rstar_threshold,
     teichmuller_int,
@@ -34,10 +35,6 @@ class SuiteResult:
     cases: int
     failures: int
     first_failure: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.failures == 0
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "cases": self.cases, "failures": self.failures}
@@ -59,10 +56,18 @@ def _run(name: str, cases: int, seed: int, one_case) -> SuiteResult:
     return SuiteResult(name, cases, failures, first)
 
 
-def suite_teichmuller(cases: int = 1000, seed: int = 0,
-                      prec: int = 12) -> SuiteResult:
+def _drift(a: PadicNumber, b: PadicNumber):
+    """a - b when it is not zero to min(a.prec, b.prec), the precision both
+    certify; None when it is."""
+    diff = a - b
+    bound, _ = diff.valuation_bound()
+    return diff if bound < min(a.prec, b.prec) else None
+
+
+def suite_teichmuller(cases: int = 1000, seed: int = 0) -> SuiteResult:
     """omega(a)^phi(p*) = 1 exactly at working precision, and
     omega(a) = a (mod p*)."""
+    prec = 12
 
     def one_case(rng):
         p = rng.choice(_PRIMES)
@@ -81,36 +86,32 @@ def suite_teichmuller(cases: int = 1000, seed: int = 0,
     return _run("teichmuller", cases, seed, one_case)
 
 
-def suite_logexp(cases: int = 1000, seed: int = 0,
-                 prec: int = 14) -> SuiteResult:
+def suite_logexp(cases: int = 1000, seed: int = 0) -> SuiteResult:
     """exp(log x) = x for x = 1 (mod p*), and log(exp y) = y for y in p*R,
     both to the guaranteed output precision."""
+    prec = 14
 
     def one_case(rng):
         p = rng.choice(_PRIMES)
         ps = p_star(p)
         t = rng.randrange(1, p ** (prec - rstar_threshold(p)))
         x = PadicNumber.from_int(1 + ps * t, p, prec)
-        back = padic_exp(iwasawa_log(x))
-        diff = back - x
-        bound, _ = diff.valuation_bound()
-        if bound < min(back.prec, x.prec):
+        diff = _drift(padic_exp(iwasawa_log(x)), x)
+        if diff is not None:
             return "exp(log(1+%d*%d)) drifted at p=%d: %r" % (ps, t, p, diff)
         y = PadicNumber.from_fraction(Fraction(ps * t), p, prec)
-        back = iwasawa_log(padic_exp(y))
-        diff = back - y
-        bound, _ = diff.valuation_bound()
-        if bound < min(back.prec, y.prec):
+        diff = _drift(iwasawa_log(padic_exp(y)), y)
+        if diff is not None:
             return "log(exp(%d*%d)) drifted at p=%d: %r" % (ps, t, p, diff)
         return ""
 
     return _run("logexp", cases, seed, one_case)
 
 
-def suite_qpow(cases: int = 1000, seed: int = 0,
-               prec: int = 12) -> SuiteResult:
+def suite_qpow(cases: int = 1000, seed: int = 0) -> SuiteResult:
     """q_power at integer exponents is the exact rational power, and base
     powers compose: (q^d)^x = q^(dx)."""
+    prec = 12
 
     def one_case(rng):
         p = rng.choice(_ODD_PRIMES)
@@ -123,24 +124,19 @@ def suite_qpow(cases: int = 1000, seed: int = 0,
         d = rng.randrange(1, 4)
         direct = ctx.q_power(d, x, prec)
         exact = PadicNumber.from_fraction(q ** (d * x), p, prec)
-        diff = direct - exact
-        bound, _ = diff.valuation_bound()
-        if bound < min(direct.prec, exact.prec):
+        if _drift(direct, exact) is not None:
             return "q_power(%d, %d) != q^%d at p=%d q=%s" % (d, x, d * x, p, q)
-        composed = ctx.q_power(1, d * x, prec)
-        diff = direct - composed
-        bound, _ = diff.valuation_bound()
-        if bound < min(direct.prec, composed.prec):
+        if _drift(direct, ctx.q_power(1, d * x, prec)) is not None:
             return "base-power composition broke at p=%d d=%d x=%d" % (p, d, x)
         return ""
 
     return _run("qpow", cases, seed, one_case)
 
 
-def suite_precision(cases: int = 1000, seed: int = 0,
-                    prec: int = 10) -> SuiteResult:
+def suite_precision(cases: int = 1000, seed: int = 0) -> SuiteResult:
     """Recomputing at higher precision never changes the digits already
     certified: results at prec and prec+6 agree on the overlap."""
+    prec = 10
 
     def one_case(rng):
         p = rng.choice(_PRIMES)
@@ -158,19 +154,11 @@ def suite_precision(cases: int = 1000, seed: int = 0,
             for pr in (prec, prec + 6):
                 x = PadicNumber.from_fraction(a, p, pr)
                 y = PadicNumber.from_fraction(b, p, pr)
-                if op == "add":
-                    vals.append(x + y)
-                elif op == "mul":
-                    vals.append(x * y)
-                else:
-                    if b == 0:
-                        vals.append(x)
-                    else:
-                        vals.append(x / y)
+                vals.append(x if op == "div" and b == 0
+                            else padic_arith(op, x, y))
+            # hi carries 6 more digits than lo, so the overlap is lo.prec
             lo, hi = vals
-            diff = lo - hi
-            bound, _ = diff.valuation_bound()
-            if bound < lo.prec:
+            if _drift(lo, hi) is not None:
                 return "%s(%s, %s) changed below prec %d at p=%d" % (
                     op, a, b, lo.prec, p)
         return ""

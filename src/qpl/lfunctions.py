@@ -232,10 +232,13 @@ def _pole_guard(r: int, s, chi: DirichletCharacter) -> None:
         return
     if chi.is_principal:
         raise PoleError("simple pole at s = %d for the principal character" % hit)
+    if hit == r:
+        advice = "use Lpq_at_r for the value at s = r = %d" % r
+    else:
+        advice = "no function evaluates s = %d < r = %d yet" % (hit, r)
     raise PoleError(
         "s = %d is a removable point for a nonprincipal character, but the "
-        "series form divides by (s - %d); use Lpq_at_r for the value at s = r"
-        % (hit, hit)
+        "series form divides by (s - %d); %s" % (hit, hit, advice)
     )
 
 
@@ -326,7 +329,6 @@ def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
     terms = [(j, coeff * beta)
              for j, (coeff, beta) in enumerate(zip(coeffs, betas), k)
              if not beta.is_zero]
-    terms = [(j, t) for j, t in terms if not t.is_exact_zero]
     acc = lead() if lead else PadicNumber.exact_zero(ctx.p, wctx.prec)
     lines = [(h, g) for h, (_, _, g) in zip(heads, rows)
              if not h.is_exact_zero]

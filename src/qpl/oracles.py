@@ -30,29 +30,38 @@ __all__ = [
 ]
 
 #: entries kept by each of the two memos below (_carlitz_beta_seq and
-#: _sum_count_row); the whole test suite fills 16 and 2
+#: _sum_count_row); the whole test suite fills 16 and 76
 ORACLE_CACHE_CAP = 128
 
 #: candidate readings resolved by oracle_resolve_conventions
 NORMALIZATIONS = ("n", "n+r")
 SINGLE_CONVENTIONS = ("pure_sum", "carlitz")
+#: the resolution grid runs n = 0..RESOLVE_N_MAX, and a reading survives
+#: when its worst residual on the grid is below RESOLVE_TOL
+RESOLVE_N_MAX = 4
+RESOLVE_TOL = 1e-8
 
 
 def q_bracket_real(q: float, x: float) -> float:
     return (1.0 - q ** x) / (1.0 - q)
 
 
-def _box_counts(M: int, r: int) -> list:
-    """counts[t] = #{(m_1..m_r) in [0,M]^r : sum m_i = t}."""
+@lru_cache(maxsize=ORACLE_CACHE_CAP)
+def _sum_count_row(f: int, r: int) -> tuple:
+    """counts[t] = #{(a_1..a_r) in [1, f]^r : sum a_i = t}."""
     counts = [1]
     for _ in range(r):
-        nxt = [0] * (len(counts) + M)
+        nxt = [0] * (len(counts) + f)
         for i, c in enumerate(counts):
-            if c:
-                for j in range(M + 1):
-                    nxt[i + j] += c
+            for j in range(1, f + 1):
+                nxt[i + j] += c
         counts = nxt
-    return counts
+    return tuple(counts)
+
+
+def _sum_count(f: int, r: int, t: int) -> int:
+    row = _sum_count_row(f, r)
+    return row[t] if 0 <= t < len(row) else 0
 
 
 def _falling(n: int, r: int) -> int:
@@ -101,9 +110,9 @@ def oracle_multi_beta(q: float, n: int, r: int, z: float = 0.0,
         raise TailTooLarge(
             "tail bound %.3g exceeds tolerance %.3g at M=%d" % (bound, tol, M)
         )
-    counts = _box_counts(M, r)
+    # counts over [0, M]^r by sum: shift each m_i up by one into [1, M + 1]
     total = 0.0
-    for t, c in enumerate(counts):
+    for t, c in enumerate(_sum_count_row(M + 1, r)[r:]):
         x = z + t
         total += c * q ** x * q_bracket_real(q, x) ** (n - r)
     return (-1) ** r * _falling(n, r) * total
@@ -130,9 +139,8 @@ def oracle_q_zeta(q: float, s: complex, r: int, z: float,
                 raise TailTooLarge("no affordable M reaches tolerance")
     elif bound_factor * q ** (M + 1) > tol:
         raise TailTooLarge("tail bound exceeds tolerance at M=%d" % M)
-    counts = _box_counts(M, r)
     total = 0.0j
-    for t, c in enumerate(counts):
+    for t, c in enumerate(_sum_count_row(M + 1, r)[r:]):
         x = z + t
         total += c * q ** x * q_bracket_real(q, x) ** (-s)
     return total
@@ -258,25 +266,7 @@ def oracle_multi_gen_beta(q: float, n: int, r: int, chi: DirichletCharacter,
     return q_bracket_real(q, f) ** (n - r) * total
 
 
-@lru_cache(maxsize=ORACLE_CACHE_CAP)
-def _sum_count_row(f: int, r: int) -> tuple:
-    counts = [1]
-    for _ in range(r):
-        nxt = [0] * (len(counts) + f)
-        for i, c in enumerate(counts):
-            for j in range(1, f + 1):
-                nxt[i + j] += c
-        counts = nxt
-    return tuple(counts)
-
-
-def _sum_count(f: int, r: int, t: int) -> int:
-    row = _sum_count_row(f, r)
-    return row[t] if 0 <= t < len(row) else 0
-
-
-def oracle_resolve_conventions(r_max: int = 3, n_max: int = 4,
-                               tol: float = 1e-8) -> dict:
+def oracle_resolve_conventions(r_max: int = 3) -> dict:
     """Decide how the nested-sum identity is to be read.
 
     Two readings of the left side (order n versus order n+r at argument
@@ -298,7 +288,7 @@ def oracle_resolve_conventions(r_max: int = 3, n_max: int = 4,
                 for r in range(1, r_max + 1):
                     z_lists = [(0.0,) * r, shifts[:r] if r <= len(shifts)
                                else (0.1,) * r]
-                    for n in range(0, n_max + 1):
+                    for n in range(0, RESOLVE_N_MAX + 1):
                         for zl in z_lists:
                             rhs = kim_rhs(q, n, r, zl, conv)
                             order = n if norm == "n" else n + r
@@ -310,9 +300,9 @@ def oracle_resolve_conventions(r_max: int = 3, n_max: int = 4,
                 "normalization": norm,
                 "single_beta": conv,
                 "worst_residual_per_q": per_q,
-                "passes": worst < tol,
+                "passes": worst < RESOLVE_TOL,
             })
-            if worst < tol:
+            if worst < RESOLVE_TOL:
                 survivors.append((norm, conv, per_q))
     if len(survivors) != 1:
         raise NoConsistentNormalization(

@@ -636,6 +636,9 @@ class QContext:
 
         The memo and the coefficient tables are shared: their keys name the
         precision, and each beta table keeps the highest target asked of it.
+        The fields are copied one by one: on CPython 3.11, reading __dict__
+        turns an instance's inline attributes into a dict, which slows every
+        later attribute read of the context and of its views.
         """
         clone = object.__new__(QContext)
         clone.p = self.p

@@ -183,10 +183,6 @@ def carlitz_beta_poly(ctx: QContext, n: int, x,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        # beta_0(x) does not depend on x, but x must still lie in the domain
-        # of Q^x, as multi_q_beta_poly checks from n = 1 on
-        ctx.q_power(base_power, x)
     return (multi_q_beta_poly(ctx, n, 1, x, base_power=base_power)
             + _carlitz_term(ctx, n, 1, base_power))
 
@@ -206,10 +202,6 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
         raise ValueError("n must be >= 0")
     f = chi.modulus
     rows = residue_sums(f, 1, chi)
-    if n == 0:
-        # the window sum is 0 at n = 0, but (a + z)/f must still lie in the
-        # domain of Q^x, as in carlitz_beta_poly
-        ctx.q_power(1, z + rows[0][0])
     value = _window_sum(ctx, n, 1, chi, z, f, rows)
     if chi.is_principal:
         # chi(a) = 1 on every row, so the character sum is the row count;
@@ -358,12 +350,14 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
         (-1)^r n!/(n-r)! (1-Q)^(r-n)
             sum_{j=0..n-r} C(n-r,j) (-1)^j Q^((j+1)x) (1-Q^(j+1))^(-r)
 
-    and 0 for n < r (the order-r generating function starts at t^r).
+    and 0 for n < r (the order-r generating function starts at t^r), where
+    x must still lie in the domain of Q^x.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     _require_base(base_power)
     if n < r:
+        ctx.q_power(base_power, x)      # no sum, but x must be in the domain
         return PadicNumber.exact_zero(ctx.p, ctx.prec)
     rel = ctx.prec + _beta_headroom(ctx, n, r, base_power) + 2
     return _family_sum(ctx, _pure_sum_a, n, r, x, base_power, rel)
@@ -446,6 +440,9 @@ def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
         if z.denominator == 1:
             z = z.numerator     # so each exponent z + t is a plain int
     if n < r:
+        # no sum, but (z + t)/F must lie in the domain of Q^x, as in
+        # multi_q_beta_poly; it does for every row if it does for one
+        ctx.q_power(1, z + rows[0][0])
         acc = PadicNumber.exact_zero(ctx.p, work)
     else:
         rel = work + headroom + 2       # multi_q_beta_poly's at wctx
@@ -512,8 +509,9 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
     [y_1 + ... + y_r]_q^N, y_j = z_j + t_j, over r single measures whose
     j = 0 moment is beta_0 (Carlitz) or 0 (pure sum).  So it is
     volkenborn_beta_poly at x = z_1 + ... + z_r under the Carlitz
-    certificate, less its beta_0^r (1-q)^(-N) term under the pure-sum one.
-    Each z_j must lie in the domain of q^(z_j).  Exactly ctx.prec digits.
+    certificate, and its sum over i >= 1 alone, without the beta_0^r
+    (1-q)^(-N) term, under the pure-sum one.  Each z_j must lie in the
+    domain of q^(z_j).  Exactly ctx.prec digits.
     """
     cert = _CERTIFICATE[0]
     if cert is None:
@@ -528,11 +526,15 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
         raise ValueError("need exactly r shift arguments")
     for z in z_list:
         ctx.q_power(1, z)
-    value = volkenborn_beta_poly(ctx, n + r, r, sum(z_list))
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    N, x = n + r, sum(z_list)
     if cert["single_beta"] == "carlitz":
-        return value
-    return _certified(value - _carlitz_term(ctx, n + r, r, 1), ctx.prec,
-                      "sum of products")
+        return volkenborn_beta_poly(ctx, N, r, x)
+    # volkenborn_beta_poly's sum over i >= 1, at its rel and with its label
+    rel = ctx.prec + N * _base_valuation(ctx, 1) + 2
+    return _certified(_family_sum(ctx, _integral_a, N, r, x, 1, rel),
+                      ctx.prec, "r-fold q-Volkenborn integral")
 
 
 def series_beta_floor(ctx: QContext, r: int):

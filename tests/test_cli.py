@@ -42,10 +42,43 @@ def test_bernoulli_exact():
     assert doc["precision"] == "exact"
 
 
-def test_bernoulli_chi_requires_p():
+def usage_error(capsys, argv):
+    """The message of the usage error, exit 2, that argv draws."""
+    capsys.readouterr()
     with pytest.raises(SystemExit) as info:
-        run_cli(["bernoulli", "--n", "2", "--chi", "omega^2"])
-    assert info.value.code == 2
+        run_cli(argv)
+    assert info.value.code == 2, argv
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_bernoulli_chi_requires_p(capsys):
+    assert usage_error(capsys, ["bernoulli", "--n", "2", "--chi", "omega^2"]) \
+        == "qpl: error: --chi requires --p"
+    assert usage_error(capsys, ["bernoulli", "--n", "-1"]) \
+        == "qpl: error: --n must be >= 0"
+
+
+@pytest.mark.parametrize("argv", (
+    ["qbernoulli", "--n", "2"],
+    ["lp", "--chi", "omega", "--s", "-1"],
+    ["lp-at-r", "--chi", "omega"],
+    ["lp-table", "--chi", "omega"],
+    ["kummer-verify", "--theorem", "53", "--grid", "default"],
+), ids=lambda argv: argv[0])
+def test_prec_below_one_is_a_usage_error(capsys, argv):
+    assert usage_error(capsys, argv + ["--p", "5", "--prec", "0"]) \
+        == "qpl: error: --prec must be >= 1"
+
+
+@pytest.mark.parametrize("argv", (
+    ["qbernoulli", "--n", "4"],
+    ["lp-table", "--chi", "omega"],
+    ["kummer-verify", "--theorem", "53", "--grid", "default"],
+), ids=lambda argv: argv[0])
+def test_convention_is_refused_where_nothing_reads_it(capsys, argv):
+    # only lp and lp-at-r evaluate a series, the one layer it selects
+    assert usage_error(capsys, argv + ["--p", "5", "--convention", "carlitz"]) \
+        == "qpl: error: unrecognized arguments: --convention carlitz"
 
 
 def test_qbernoulli_kinds():
@@ -306,13 +339,36 @@ def test_python_m_qpl():
     assert json.loads(proc.stdout)["value"] == "-691/2730"
 
 
-def test_kummer_usage_errors():
-    with pytest.raises(SystemExit) as info:
-        run_cli(["kummer-verify", "--theorem", "53", "--p", "5"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run_cli(["kummer-verify", "--grid", "default", "--p", "5"])
-    assert info.value.code == 2
+def test_kummer_usage_errors(capsys):
+    kv = ["kummer-verify", "--p", "5"]
+    cell = kv + ["--chi", "omega^2", "--c", "4", "--k", "1"]
+    err = "qpl: error: "
+    for argv, message in (
+        (kv + ["--theorem", "53"],
+         err + "need --chi, --c, --k (or --grid default)"),
+        (kv + ["--grid", "default"],
+         "qpl kummer-verify: error: the following arguments are required: "
+         "--theorem"),
+        (kv + ["--theorem", "classical", "--k", "1"],
+         err + "classical verification needs --n and --c"),
+        (kv + ["--theorem", "classical", "--n", "2", "--k", "1"],
+         err + "classical verification needs --n and --c"),
+        (kv + ["--theorem", "classical", "--n", "2", "--c", "4"],
+         err + "classical verification needs --k"),
+        (cell + ["--theorem", "53", "--n-list", "1,2"],
+         err + "need --z (admissible lattice point)"),
+        (cell + ["--theorem", "54", "--z", "5", "--k2", "5"],
+         err + "theorem 54 needs --n and --k2"),
+        (cell + ["--theorem", "54", "--z", "5", "--n", "2"],
+         err + "theorem 54 needs --n and --k2"),
+        (cell + ["--theorem", "53", "--z", "5"],
+         err + "theorems 53/binop need --n-list"),
+        (cell + ["--theorem", "binop", "--z", "5"],
+         err + "theorems 53/binop need --n-list"),
+        (kv + ["--theorem", "53", "--grid", "default", "--jobs", "0"],
+         err + "--jobs must be >= 1"),
+    ):
+        assert usage_error(capsys, argv) == message, argv
 
 
 def test_oracle_certify():

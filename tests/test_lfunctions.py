@@ -201,6 +201,39 @@ def test_eval_rejects_poles(ctx):
     s_close = PadicNumber.from_int(2, 5, 8)
     with pytest.raises(PoleError):
         Lpq_eval(ctx, LParams(r=2, chi=one, F=10, z=0, s=s_close))
+    # Lpq_at_r gives the value at a removable point only at s = r.
+    w = omega_pow(5, 1)
+    with pytest.raises(PoleError, match=r"; use Lpq_at_r for the value at "
+                                        r"s = r = 3$"):
+        Lpq_eval(ctx, LParams(r=3, chi=w, F=5, z=0, s=3))
+    for s in (2, s_close):
+        with pytest.raises(PoleError, match=r"^s = 2 is a removable point "
+                           r"for a nonprincipal character, but the series "
+                           r"form divides by \(s - 2\); no function "
+                           r"evaluates s = 2 < r = 3 yet$"):
+            Lpq_eval(ctx, LParams(r=3, chi=w, F=5, z=0, s=s))
+
+
+def test_evaluation_points_refused(ctx):
+    w = omega_pow(5, 1)
+    with pytest.raises(ValueError, match=r"^order r must be >= 1$"):
+        LParams(r=0, chi=w, F=5)
+    with pytest.raises(ValueError, match=r"^F must be a positive integer$"):
+        LParams(r=1, chi=w, F=0)
+    with pytest.raises(DomainError, match=r"^character belongs to p = 7, "
+                                          r"context has p = 5$"):
+        LParams(r=1, chi=omega_pow(7, 1), F=7).validate(ctx)
+    with pytest.raises(DomainError, match=r"^F = 7 must be a multiple of "
+                                          r"lcm\(modulus, p\*\) = 5$"):
+        LParams(r=1, chi=w, F=7).validate(ctx)
+    with pytest.raises(TypeError, match=r"^s must be an integer or a "
+                                        r"PadicNumber$"):
+        LParams(r=1, chi=w, F=5, s=Fraction(-1)).validate(ctx)
+    with pytest.raises(ValueError, match=r"^order r must be >= 1$"):
+        Lpq_difference_rhs(ctx, -1, 0, w, 0, 5)
+    with pytest.raises(DomainError, match=r"^F = 5 is not a multiple of p "
+                       r"\(p\*\)\^\(-1\) r lcm\(f, p\*\) = 10$"):
+        Lpq_difference_rhs(ctx, -1, 0, w, 2, 5)
 
 
 def test_near_pole_series_carlitz():

@@ -148,6 +148,16 @@ def test_pure_multiple_expansion():
                 assert_agree(lhs, rhs, 12)
 
 
+def test_multi_q_beta_poly_checks_domain_below_order():
+    # the value is 0 for n < r, but x must lie in the domain of Q^x there
+    # too, as from n = r on and in the other families at n = 0
+    ctx = QContext(2, Fraction(5), 6)
+    for n, r in ((0, 1), (1, 2), (2, 2)):
+        with pytest.raises(DomainError, match="not p-adically integral"):
+            multi_q_beta_poly(ctx, n, r, Fraction(1, 2))
+    assert multi_q_beta_poly(ctx, 1, 2, Fraction(1, 3)).is_exact_zero
+
+
 def exact_multi_q_beta_poly(ctx, n, r, x, d):
     """The docstring formula of multi_q_beta_poly with exact-rational
     coefficients, each reduced by PadicNumber.from_fraction, at the
@@ -439,6 +449,8 @@ def test_kim_matches_resolved_normalization():
             kim_sum_of_products(CTX, 2, 2, [0, 0])
         with pytest.raises(ValueError):
             kim_sum_of_products(CTX, 2, 1, [0, 0])
+        with pytest.raises(ValueError, match="need n >= 0 and r >= 1"):
+            kim_sum_of_products(CTX, -1, 1, [0])
     finally:
         set_convention_certificate(saved)
 

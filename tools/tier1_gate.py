@@ -8,7 +8,8 @@ ROADMAP.md.  The tests named in tools/tier1_known_failures.txt, one pytest
 node id a line, fail for reasons ROADMAP.md records; they still run and
 still fail in the suite, but do not fail the gate.  Any other failing or
 erroring test fails it, and so does a pytest run that did not finish.  A
-listed test that no longer fails is printed, so the list can shrink.
+listed test that no longer fails fails it too, so that the list shrinks
+when a test is mended and a later relapse of that test is not let through.
 """
 
 import os
@@ -55,14 +56,16 @@ def main():
         print("tier1 gate: pytest failed but named no failing test")
         return 1
     listed = known_failures()
-    for node in sorted(listed - failed):
+    stale = sorted(listed - failed)
+    for node in stale:
         print("tier1 gate: listed test no longer fails: %s" % node)
     unexpected = sorted(failed - listed)
     for node in unexpected:
         print("tier1 gate: unexpected failure: %s" % node)
-    print("tier1 gate: %d failed, %d of them listed, %d unexpected"
-          % (len(failed), len(failed & listed), len(unexpected)))
-    return 1 if unexpected else 0
+    print("tier1 gate: %d failed, %d of them listed, %d unexpected, "
+          "%d listed but passing"
+          % (len(failed), len(failed & listed), len(unexpected), len(stale)))
+    return 1 if unexpected or stale else 0
 
 
 if __name__ == "__main__":
