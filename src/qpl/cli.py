@@ -19,6 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import InconclusivePrecision, PreconditionViolated, QplError
 from .padic import PadicNumber, QContext
@@ -296,64 +297,64 @@ def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qpl",
-        description="Exact p-adic q-Bernoulli and q-L-function calculator",
-    )
-    default_prec = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION))
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _add_context_args(sp, convention=False):
+    sp.add_argument("--p", type=int, required=True, help="prime p")
+    sp.add_argument("--q", default="1+p",
+                    help='q as "1+p", "1+p^m", "num/den", or integer')
+    # None until _parse reads QPL_PRECISION, so that only a subcommand
+    # with --prec reads it
+    sp.add_argument("--prec", type=int, default=None,
+                    help="working precision in p-adic digits")
+    if convention:
+        sp.add_argument("--convention", choices=("pure_sum", "carlitz"),
+                        default=None,
+                        help="family of the series coefficients")
 
-    def add_context_args(sp, convention=False):
-        sp.add_argument("--p", type=int, required=True, help="prime p")
-        sp.add_argument("--q", default="1+p",
-                        help='q as "1+p", "1+p^m", "num/den", or integer')
-        sp.add_argument("--prec", type=int, default=default_prec,
-                        help="working precision in p-adic digits")
-        if convention:
-            sp.add_argument("--convention", choices=("pure_sum", "carlitz"),
-                            default=None,
-                            help="family of the series coefficients")
 
-    sp = sub.add_parser("bernoulli", help="classical Bernoulli numbers")
+def _bernoulli_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--chi", default=None, help="character spec (generalized)")
     sp.add_argument("--p", type=int, default=None,
                     help="prime (required with --chi)")
 
-    sp = sub.add_parser("qbernoulli", help="q-Bernoulli numbers/polynomials")
-    add_context_args(sp)
+
+def _qbernoulli_args(sp):
+    _add_context_args(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--r", type=int, default=None,
                     help="evaluate the r-fold value instead of the single")
     sp.add_argument("--z", default=None, help="polynomial argument (rational)")
 
-    sp = sub.add_parser("lp", help="series value of the two-variable function")
-    add_context_args(sp, convention=True)
+
+def _lp_args(sp):
+    _add_context_args(sp, convention=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--chi", required=True)
     sp.add_argument("--s", required=True, help="evaluation point (rational)")
     sp.add_argument("--z", default=None)
     sp.add_argument("--F", type=int, default=None)
 
-    sp = sub.add_parser("lp-at-r", help="value at the near-pole point s = r")
-    add_context_args(sp, convention=True)
+
+def _lp_at_r_args(sp):
+    _add_context_args(sp, convention=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--chi", required=True)
     sp.add_argument("--z", default=None)
     sp.add_argument("--F", type=int, default=None)
 
-    sp = sub.add_parser("lp-table", help="CSV of special values over n")
-    add_context_args(sp)
+
+def _lp_table_args(sp):
+    _add_context_args(sp)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--chi", required=True)
     sp.add_argument("--n-max", dest="n_max", type=int, default=6)
     sp.add_argument("--z", default=None)
 
-    sp = sub.add_parser("kummer-verify", help="congruence verification grid")
+
+def _kummer_args(sp):
     sp.add_argument("--theorem", required=True,
                     choices=("53", "54", "binop", "classical"))
-    add_context_args(sp)
+    _add_context_args(sp)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--chi", default=None)
     sp.add_argument("--n", type=int, default=None)
@@ -366,16 +367,72 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", choices=("default",), default=None)
     sp.add_argument("--jobs", type=int, default=1)
 
-    sp = sub.add_parser("oracle-certify",
-                        help="resolve the series conventions numerically")
+
+def _oracle_certify_args(sp):
     sp.add_argument("--r-max", dest="r_max", type=int, default=1)
 
-    sp = sub.add_parser("identity-check", help="run randomized invariant suites")
+
+def _identity_check_args(sp):
     sp.add_argument("--suites", type=lambda t: tuple(t.split(",")),
                     default=None, help=",".join(sorted(SUITES)))
     sp.add_argument("--cases", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
 
+
+class Command(NamedTuple):
+    """One subcommand: its help line, the function that adds its arguments
+    to its parser, and the function that runs it."""
+
+    help: str
+    add_args: Callable
+    run: Callable
+
+
+#: every subcommand, in the order the usage line lists them
+_COMMANDS = {
+    "bernoulli": Command("classical Bernoulli numbers", _bernoulli_args,
+                         _cmd_bernoulli),
+    "qbernoulli": Command("q-Bernoulli numbers/polynomials",
+                          _qbernoulli_args, _cmd_qbernoulli),
+    "lp": Command("series value of the two-variable function", _lp_args,
+                  _cmd_lp),
+    "lp-at-r": Command("value at the near-pole point s = r", _lp_at_r_args,
+                       _cmd_lp_at_r),
+    "lp-table": Command("CSV of special values over n", _lp_table_args,
+                        _cmd_lp_table),
+    "kummer-verify": Command("congruence verification grid", _kummer_args,
+                             _cmd_kummer),
+    "oracle-certify": Command("resolve the series conventions numerically",
+                              _oracle_certify_args, _cmd_oracle_certify),
+    "identity-check": Command("run randomized invariant suites",
+                              _identity_check_args, _cmd_identity_check),
+}
+
+
+class _Refused(Exception):
+    """A usage error met by a parser that lacks some subcommands."""
+
+
+class _NarrowedParser(argparse.ArgumentParser):
+    """A parser that leaves every usage error to the full parser, whose
+    usage line lists every subcommand."""
+
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The qpl parser with the subcommands in names; with all of them it is
+    the full parser, which alone reports usage errors."""
+    full = set(names) == set(_COMMANDS)
+    parser = (argparse.ArgumentParser if full else _NarrowedParser)(
+        prog="qpl",
+        description="Exact p-adic q-Bernoulli and q-L-function calculator",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in names:
+        command = _COMMANDS[name]
+        command.add_args(sub.add_parser(name, help=command.help))
     return parser
 
 
@@ -383,18 +440,6 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     fields = RunSpec.__dataclass_fields__
     data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     return RunSpec(**data)
-
-
-_COMMANDS = {
-    "bernoulli": _cmd_bernoulli,
-    "qbernoulli": _cmd_qbernoulli,
-    "lp": _cmd_lp,
-    "lp-at-r": _cmd_lp_at_r,
-    "lp-table": _cmd_lp_table,
-    "kummer-verify": _cmd_kummer,
-    "oracle-certify": _cmd_oracle_certify,
-    "identity-check": _cmd_identity_check,
-}
 
 
 def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
@@ -424,13 +469,33 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
         parser.error("--jobs must be >= 1")
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:
+    """The run argv asks for; every refusal goes through parser.error."""
     args = parser.parse_args(argv)
+    if "prec" in vars(args) and args.prec is None:
+        text = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
+        try:
+            args.prec = int(text)
+        except ValueError:
+            parser.error("%s must be an integer, got %r"
+                         % (PRECISION_ENV, text))
     spec = _spec_from_args(args)
     _validate(parser, spec)
+    return spec
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # Building all eight subparsers costs most of a cheap query, so a query
+    # that names its subcommand first gets a parser with only that one.
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        return _COMMANDS[spec.subcommand](spec, sys.stdout)
+        spec = _parse(_build_parser(names), argv)
+    except _Refused:
+        spec = _parse(_build_parser(), argv)
+    try:
+        return _COMMANDS[spec.subcommand].run(spec, sys.stdout)
     except QplError as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         residuals = getattr(exc, "residuals", None)

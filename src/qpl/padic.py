@@ -75,11 +75,26 @@ def int_valuation(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    # v = 0 and v = 1 are most calls, so they skip the table of powers
+    if n % p:
+        return 0
+    n //= p
+    if n % p:
+        return 1
+    # Strip p, p^2, p^4, ... while each divides, then step back down
+    # through the same powers: O(log v) divisions, not v.
+    powers = []
+    pk = p
+    while n % pk == 0:
+        n //= pk
+        powers.append(pk)
+        pk *= pk
+    v = 1 << len(powers)
+    while powers:
+        pk = powers.pop()
+        if n % pk == 0:
+            n //= pk
+            v += 1 << len(powers)
     return v
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: document schemas, exit codes, grids, and
 byte-level determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -329,14 +330,26 @@ def test_kummer_grid_uneven_chunks_keep_order(monkeypatch):
     assert chunked == serial
 
 
-def test_python_m_qpl():
+def test_python_m_qpl(monkeypatch):
+    # a real process: main() reads its arguments from sys.argv
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qpl", "bernoulli", "--n", "12"],
-        capture_output=True, text=True, env=env, timeout=120)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
+    env.pop(cli.PRECISION_ENV, None)
+
+    def qpl(*argv):
+        return subprocess.run([sys.executable, "-m", "qpl", *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    proc = qpl("bernoulli", "--n", "12")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["value"] == "-691/2730"
+    argv = ["qbernoulli", "--p", "5", "--n", "2", "--convention", "carlitz"]
+    proc = qpl(*argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    want = exit_outcome(cli._build_parser().parse_args, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) \
+        == (want[0], b"", want[2])
+    assert "{bernoulli,qbernoulli,lp," in want[2]
 
 
 def test_kummer_usage_errors(capsys):
@@ -398,6 +411,135 @@ def test_precision_env(monkeypatch):
     code, doc = run_json(["qbernoulli", "--p", "5", "--n", "1"])
     assert code == 0
     assert doc["params"]["prec"] == 9
+
+
+def test_malformed_precision_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("QPL_PRECISION", "abc")
+    for argv in (["qbernoulli", "--p", "5", "--n", "1"],
+                 ["lp-table", "--p", "5", "--chi", "omega"]):
+        assert usage_error(capsys, argv) \
+            == "qpl: error: QPL_PRECISION must be an integer, got 'abc'"
+    # a subcommand without --prec, or a query that sets it, never reads it
+    assert run_json(["bernoulli", "--n", "2"])[0] == 0
+    code, doc = run_json(["qbernoulli", "--p", "5", "--n", "1", "--prec", "7"])
+    assert code == 0 and doc["params"]["prec"] == 7
+    monkeypatch.setenv("QPL_PRECISION", "0")
+    assert usage_error(capsys, ["qbernoulli", "--p", "5", "--n", "1"]) \
+        == "qpl: error: --prec must be >= 1"
+
+
+def exit_outcome(call, *args):
+    """(exit code, stdout, stderr) of call(*args), which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            call(*args)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+SUBCOMMANDS = ("bernoulli", "qbernoulli", "lp", "lp-at-r", "lp-table",
+               "kummer-verify", "oracle-certify", "identity-check")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--p", "5"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    # a missing required option
+    ["qbernoulli", "--p", "5"],
+    ["kummer-verify", "--p", "5", "--grid", "default"],
+    # a bad type=int value, a bad choices value, a missing value
+    ["qbernoulli", "--p", "five", "--n", "2"],
+    ["kummer-verify", "--theorem", "55", "--p", "5"],
+    ["lp", "--p", "5", "--chi", "omega", "--s", "-1", "--convention", "x"],
+    ["oracle-certify", "--r-max"],
+    # an ambiguous abbreviation
+    ["lp", "--p", "5", "--c", "omega", "--s", "-1"],
+    # unrecognized arguments, which the top-level parser reports
+    ["qbernoulli", "--p", "5", "--n", "2", "--convention", "carlitz"],
+    ["bernoulli", "--n", "2", "extra"],
+    ["lp", "--p", "5", "--chi", "omega", "--s", "-1", "qbernoulli"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_usage_bytes_are_the_full_parsers(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = exit_outcome(cli._build_parser().parse_args, argv)
+    assert exit_outcome(main, argv) == want
+    assert want[0] in (0, 2)
+
+
+REFUSALS = [
+    (["bernoulli", "--n", "2", "--chi", "omega^2"], "--chi requires --p"),
+    (["bernoulli", "--n", "-1"], "--n must be >= 0"),
+    (["qbernoulli", "--p", "5", "--n", "2", "--prec", "0"],
+     "--prec must be >= 1"),
+    (["kummer-verify", "--p", "5", "--theorem", "classical", "--k", "1"],
+     "classical verification needs --n and --c"),
+    (["kummer-verify", "--p", "5", "--theorem", "classical", "--n", "2",
+      "--c", "4"], "classical verification needs --k"),
+    (["kummer-verify", "--p", "5", "--theorem", "53"],
+     "need --chi, --c, --k (or --grid default)"),
+    (["kummer-verify", "--p", "5", "--theorem", "53", "--chi", "omega^2",
+      "--c", "4", "--k", "1"], "need --z (admissible lattice point)"),
+    (["kummer-verify", "--p", "5", "--theorem", "54", "--chi", "omega^2",
+      "--c", "4", "--k", "1", "--z", "5", "--n", "2"],
+     "theorem 54 needs --n and --k2"),
+    (["kummer-verify", "--p", "5", "--theorem", "binop", "--chi", "omega^2",
+      "--c", "4", "--k", "1", "--z", "5"], "theorems 53/binop need --n-list"),
+    (["kummer-verify", "--p", "5", "--theorem", "53", "--grid", "default",
+      "--jobs", "0"], "--jobs must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=[message for _, message in REFUSALS])
+def test_refusal_bytes_are_the_full_parsers(monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._build_parser()
+    full.parse_args(argv)
+    assert exit_outcome(main, argv) == exit_outcome(full.error, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernoulli", "--n", "4"],
+    ["bernoulli", "--n", "2", "--chi", "omega^2", "--p", "5"],
+    ["qbernoulli", "--p", "5", "--n", "3", "--r", "2", "--z", "1/2"],
+    ["lp", "--p", "5", "--chi", "omega", "--s", "-2", "--pre", "20"],
+    ["lp-at-r", "--p", "5", "--chi", "omega^2", "--convention", "carlitz"],
+    ["lp-table", "--p", "7", "--q", "1+p^2", "--chi", "omega", "--n-max", "3"],
+    ["kummer-verify", "--theorem", "53", "--p", "5", "--chi", "omega^2",
+     "--n-list", "1,2,3", "--c", "4", "--k", "1", "--z", "5"],
+    ["kummer-verify", "--theorem", "54", "--grid", "default", "--p", "5",
+     "--jobs", "2"],
+    ["oracle-certify", "--r-max", "2"],
+    ["identity-check", "--suites", "qpow,logexp", "--cases", "5"],
+], ids=" ".join)
+def test_narrowed_parser_reads_what_the_full_parser_reads(monkeypatch, argv):
+    monkeypatch.setenv("QPL_PRECISION", "9")
+    narrowed = cli._build_parser(argv[:1])
+    full = cli._build_parser()
+    assert vars(narrowed.parse_args(argv)) == vars(full.parse_args(argv))
+    spec = cli._parse(narrowed, argv)
+    assert spec == cli._parse(full, argv)
+    assert spec.prec == {"lp": 20, "bernoulli": None, "oracle-certify": None,
+                         "identity-check": None}.get(argv[0], 9)
+
+
+def test_a_query_builds_only_its_subcommands_parser(monkeypatch):
+    built = []
+    real = cli._build_parser
+
+    def recording(names=tuple(cli._COMMANDS)):
+        built.append(list(names))
+        return real(names)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    for _ in range(2):
+        assert run_cli(["bernoulli", "--n", "4"])[0] == 0
+    assert built == [["bernoulli"], ["bernoulli"]]
+    built.clear()
+    with pytest.raises(SystemExit):
+        run_cli(["bernoulli", "--n", "4", "extra"])
+    assert built == [["bernoulli"], list(SUBCOMMANDS)]
+    assert list(cli._COMMANDS) == list(SUBCOMMANDS)
 
 
 def test_readme_examples_run():

@@ -9,6 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from qpl import PadicNumber, QContext, carlitz_beta_poly, fraction_valuation
+from qpl.padic import int_valuation
 
 from helpers import assert_agree
 
@@ -19,6 +20,31 @@ DIGITS = st.integers(1, 30)
 # no example database; hypothesis still caches the constants of local
 # modules in ./.hypothesis, which .gitignore lists
 PROPERTY = settings(database=None, deadline=None)
+
+
+def naive_valuation(n, p):
+    """The p-adic valuation of a nonzero integer, one division at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 600),
+       st.integers(-10 ** 40, 10 ** 40).filter(bool))
+def test_int_valuation_matches_the_naive_loop(p, v, m):
+    n = m * p ** v
+    assert int_valuation(n, p) == naive_valuation(n, p)
+
+
+def test_int_valuation_at_every_exponent_to_600():
+    for p in (2, 3, 5, 7):
+        for unit in (1, -1, p + 1, -(p * p - 1) * (p + 1)):
+            for v in range(601):
+                n = unit * p ** v
+                assert int_valuation(n, p) == naive_valuation(n, p) == v
 
 
 def assert_holds(x, exact):
