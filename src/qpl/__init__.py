@@ -36,17 +36,12 @@ from .padic import (
     binom_padic,
     fraction_valuation,
     in_D,
-    in_R,
     in_Rstar,
     int_valuation,
     iwasawa_log,
     p_star,
-    padic_arith,
     padic_exp,
-    padic_from_rational,
     padic_power,
-    q_bracket,
-    q_pow,
     rstar_threshold,
     teichmuller,
     teichmuller_int,
@@ -54,7 +49,6 @@ from .padic import (
 from .characters import (
     DirichletCharacter,
     char_build,
-    char_eval,
     char_product,
     char_twist_omega,
     euler_phi,

@@ -20,7 +20,6 @@ from .padic import PadicNumber, _teich_lift, p_star
 __all__ = [
     "DirichletCharacter",
     "char_build",
-    "char_eval",
     "char_product",
     "char_twist_omega",
     "euler_phi",
@@ -159,15 +158,12 @@ class DirichletCharacter:
     def is_principal(self) -> bool:
         return self.order == 1
 
-    @property
-    def eta_order(self) -> int:
-        return eta_order(self.p)
-
     def exponent(self, a: int):
         """eta-exponent of chi(a), or None when chi(a) = 0."""
         return self.exp_table[a % self.modulus]
 
     def eval(self, a: int, prec: int = 20) -> PadicNumber:
+        """chi(a) in Z_p: an exact zero off the units, a root of unity on them."""
         e = self.exponent(a)
         if e is None:
             return PadicNumber.exact_zero(self.p, prec)
@@ -364,11 +360,6 @@ def omega_pow(p: int, h: int) -> DirichletCharacter:
 def char_twist_omega(chi: DirichletCharacter, n: int) -> DirichletCharacter:
     """The twist chi_n = chi * omega^(-n), as a primitive character."""
     return char_product(chi, omega_pow(chi.p, -n))
-
-
-def char_eval(chi: DirichletCharacter, a: int, prec: int = 20) -> PadicNumber:
-    """chi(a) in Z_p: an exact zero off the units, a root of unity on them."""
-    return chi.eval(a, prec)
 
 
 def parse_char_spec(spec: str, p: int) -> DirichletCharacter:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import DirichletCharacter, eta_power
+from .characters import DirichletCharacter, eta_order, eta_power
 from .errors import BudgetExceeded
 from .padic import PadicNumber, fraction_valuation
 
@@ -154,10 +154,11 @@ def _grouped_to_value(groups: dict, chi: DirichletCharacter, prec):
     if chi.order <= 2:
         # order <= 2 forces every exponent to 0 or eta_order/2, i.e. +1 or -1
         total = Fraction(0)
-        half = chi.eta_order // 2
+        eta_ord = eta_order(chi.p)
+        half = eta_ord // 2
         for e, coeff in groups.items():
-            total += coeff if e % chi.eta_order == 0 else -coeff
-            assert e % chi.eta_order in (0, half)
+            total += coeff if e % eta_ord == 0 else -coeff
+            assert e % eta_ord in (0, half)
         if prec is None:
             return total
         return PadicNumber.from_fraction(total, chi.p, prec)

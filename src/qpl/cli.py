@@ -84,6 +84,15 @@ class RunSpec:
                 for k, v in asdict(self).items() if v is not None}
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator a ValueError like any other
+    malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def parse_q(text: str, p: int) -> Fraction:
     """q given exactly: "1+p^m" (or "1+p"), "num/den", or an integer."""
     text = text.strip().replace(" ", "")
@@ -94,7 +103,7 @@ def parse_q(text: str, p: int) -> Fraction:
         if rest.startswith("^") and rest[1:].isdigit():
             return Fraction(1 + p ** int(rest[1:]))
         raise ValueError("malformed q spec %r" % text)
-    return Fraction(text)
+    return _fraction(text)
 
 
 def _parse_scalar(text):
@@ -102,7 +111,7 @@ def _parse_scalar(text):
     is None (an omitted --z)."""
     if text is None:
         return 0
-    x = Fraction(text.strip())
+    x = _fraction(text.strip())
     return x.numerator if x.denominator == 1 else x
 
 

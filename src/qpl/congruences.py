@@ -137,13 +137,6 @@ def binom_operator(seq, n: int, c: int, k: int, p_star: int):
 # -- the structure under test ----------------------------------------------
 
 
-def _zkey(z):
-    if isinstance(z, PadicNumber):
-        return ("padic", z.val, z.unit, z.prec)
-    z = Fraction(z)
-    return (z.numerator, z.denominator)
-
-
 def Bnr_structure(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
                   z=0) -> PadicNumber:
     """B_n^r(z, q, chi): the special value Lpq_special(ctx, n, r, chi, z)
@@ -152,7 +145,7 @@ def Bnr_structure(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     """
     if n < 1 or r < 1:
         raise PreconditionViolated("n and r must be >= 1")
-    return ctx._memo(("Bnr", n, r, chi, _zkey(z), ctx.prec),
+    return ctx._memo(("Bnr", n, r, chi, _zdesc(z), ctx.prec),
                      lambda: Lpq_special(ctx, n, r, chi, z))
 
 

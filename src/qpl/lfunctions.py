@@ -445,7 +445,8 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     # an infinite series up to its start (series_beta_floor bounds the rest)
     wctx, target, br_F, rows = _outer_rows(
         ctx, chi, r, F, z, v_prod, r if last is None else last)
-    one = Fraction(1) if isinstance(s, int) else wctx.one(wctx.prec)
+    one = (Fraction(1) if isinstance(s, int)
+           else PadicNumber.from_int(1, wctx.p, wctx.prec))
     heads = [wt * padic_power(angle, r - s) for wt, angle, _ in rows]
     return _k_series(
         ctx, wctx, target, r, F, rows, heads, 0, _binomials(r - s, one),

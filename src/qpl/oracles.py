@@ -12,7 +12,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, eta_order
 from .errors import DomainError, NoConsistentNormalization, TailTooLarge
 
 __all__ = [
@@ -243,7 +243,7 @@ def kim_rhs(q: float, n: int, r: int, z_list, convention: str) -> float:
 def complex_char(chi: DirichletCharacter):
     """chi as a complex-valued function, mapping the eta-exponent e to
     exp(2 pi i e / eta_order)."""
-    root = cmath.exp(2j * cmath.pi / chi.eta_order)
+    root = cmath.exp(2j * cmath.pi / eta_order(chi.p))
     def evaluate(a: int) -> complex:
         e = chi.exponent(a)
         return 0j if e is None else root ** e

@@ -24,18 +24,13 @@ from .errors import (
 __all__ = [
     "PadicNumber",
     "QContext",
-    "padic_from_rational",
-    "padic_arith",
     "teichmuller",
     "teichmuller_int",
     "iwasawa_log",
     "padic_exp",
-    "q_pow",
-    "q_bracket",
     "angle_q",
     "padic_power",
     "binom_padic",
-    "in_R",
     "in_Rstar",
     "in_D",
     "p_star",
@@ -382,32 +377,7 @@ def _normalize(p: int, m: int, base: int, prec: int) -> PadicNumber:
     return PadicNumber(p, val, unit, prec)
 
 
-def padic_from_rational(num: int, den: int, p: int, prec: int) -> PadicNumber:
-    """num/den with exact valuation and prec significant digits."""
-    if den == 0:
-        raise DivisionByZero("zero denominator")
-    return PadicNumber.from_fraction(Fraction(num, den), p, prec)
-
-
-def padic_arith(op: str, x: PadicNumber, y: PadicNumber) -> PadicNumber:
-    """Named dispatch for the four field operations."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError("unknown operation %r" % op)
-
-
 # -- domain predicates -----------------------------------------------------
-
-def in_R(x: PadicNumber) -> bool:
-    """x lies in the valuation ring (v >= 0), provably."""
-    return x.valuation_ge(0)
-
 
 def in_Rstar(x: PadicNumber) -> bool:
     """x is small enough for log/exp territory: v >= 1 (odd p), v >= 2 (p=2)."""
@@ -739,20 +709,6 @@ class QContext:
         vden = self.v_q1 + int_valuation(d, self.p)
         num = 1 - self.q_power(1, e, prec + vden + 1)
         return num / self.one_minus_q_pow(d, max(num.rel, 1))
-
-    def one(self, prec: int = None) -> PadicNumber:
-        prec = self.prec if prec is None else prec
-        return PadicNumber.from_int(1, self.p, prec)
-
-
-def q_pow(ctx: QContext, x) -> PadicNumber:
-    """q^x; for integer x this is plain modular exponentiation."""
-    return ctx.q_power(1, x)
-
-
-def q_bracket(ctx: QContext, base_power: int, x) -> PadicNumber:
-    """[x] in base q^base_power."""
-    return ctx.q_bracket(base_power, x)
 
 
 def angle_q(ctx: QContext, a: int, z=0, prec: int = None) -> PadicNumber:

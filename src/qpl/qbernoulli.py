@@ -179,7 +179,10 @@ def carlitz_beta_poly(ctx: QContext, n: int, x,
     """Carlitz q-Bernoulli polynomial beta_n(x) = int [x + t]_Q^n dmu_Q(t)
     at base Q = q^base_power, as beta^(1)_n(x) + beta_0 (1 - Q)^(-n) with
     the pure-sum single beta^(1)_n (0 at n = 0); see the module docstring.
-    Certified to ctx.prec.
+    Certified to at least ctx.prec digits: both terms keep the padding they
+    are computed with (multi_q_beta_poly's beta headroom, _carlitz_term's
+    guard digits), so the result can carry more (prec 14 at p = 5, q = 6,
+    ctx.prec 12).
     """
     if n < 0:
         raise ValueError("n must be >= 0")

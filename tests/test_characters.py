@@ -12,7 +12,6 @@ from qpl import (
     NotAUnit,
     UnsupportedOrder,
     char_build,
-    char_eval,
     char_product,
     char_twist_omega,
     euler_phi,
@@ -38,18 +37,18 @@ def test_omega_basic_shape():
 def test_omega_values_are_teichmuller():
     w = omega_pow(5, 1)
     for a in (1, 2, 3, 4, 7):
-        v = char_eval(w, a, 6)
+        v = w.eval(a, 6)
         assert residue(v, 6) == teichmuller_int(a, 5, 6)
 
 
 def test_omega_of_minus_one_class():
     w = omega_pow(5, 1)
-    assert residue(char_eval(w, 4, 6) + 1, 6) == 0
+    assert residue(w.eval(4, 6) + 1, 6) == 0
 
 
 def test_char_eval_non_unit_is_zero():
     w = omega_pow(5, 1)
-    v = char_eval(w, 5, 6)
+    v = w.eval(5, 6)
     assert v.is_exact_zero
     assert w.exponent(10) is None
 
@@ -58,7 +57,7 @@ def test_principal_character():
     one = principal_char(5)
     assert one.modulus == 1 and one.conductor == 1 and one.order == 1
     assert one.is_principal
-    assert residue(char_eval(one, 7, 6), 6) == 1
+    assert residue(one.eval(7, 6), 6) == 1
 
 
 def test_product_exponent_arithmetic():
@@ -70,8 +69,8 @@ def test_product_pointwise():
     w1, w2 = omega_pow(5, 1), omega_pow(5, 2)
     prod = char_product(w1, w2)
     for a in range(1, 5):
-        lhs = char_eval(prod, a, 6)
-        rhs = char_eval(w1, a, 6) * char_eval(w2, a, 6)
+        lhs = prod.eval(a, 6)
+        rhs = w1.eval(a, 6) * w2.eval(a, 6)
         assert bound_of(lhs - rhs) >= 6
 
 
@@ -80,8 +79,8 @@ def test_induce_keeps_conductor():
     lifted = induce(w, 25)
     assert lifted.modulus == 25 and lifted.conductor == 5
     for a in (1, 2, 3, 4, 6, 7):
-        assert bound_of(char_eval(lifted, a, 6) - char_eval(w, a, 6)) >= 6
-    assert char_eval(lifted, 10, 6).is_exact_zero
+        assert bound_of(lifted.eval(a, 6) - w.eval(a, 6)) >= 6
+    assert lifted.eval(10, 6).is_exact_zero
 
 
 def test_primitive_recovers_small_modulus():
@@ -132,9 +131,9 @@ def test_euler_phi():
 def test_orthogonality():
     for h in (1, 2, 3):
         w = omega_pow(5, h)
-        total = char_eval(w, 1, 8)
+        total = w.eval(1, 8)
         for a in range(2, 5):
-            total = total + char_eval(w, a, 8)
+            total = total + w.eval(a, 8)
         assert bound_of(total) >= 8
 
 
@@ -150,7 +149,7 @@ def test_char_build_quadratic():
     half = eta_order(5) // 2
     chi3 = char_build(3, {2: half}, 5)
     assert chi3.conductor == 3 and chi3.order == 2
-    assert residue(char_eval(chi3, 2, 6) + 1, 6) == 0
+    assert residue(chi3.eval(2, 6) + 1, 6) == 0
 
 
 def test_parse_char_spec():

@@ -109,6 +109,21 @@ def test_q_spec_parsing():
     assert code == 1 and doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", [
+    "qbernoulli --p 5 --n 2 --q 1/0",
+    "qbernoulli --p 5 --n 2 --z 1/0",
+    "lp --p 5 --chi omega^2 --s 1/0",
+    "lp-table --p 5 --chi omega^2 --z 1/0",
+    "kummer-verify --theorem 53 --p 5 --chi omega^2 --n-list 1,2 --c 4 "
+    "--k 1 --z 1/0",
+])
+def test_zero_denominator_is_an_error_document(argv):
+    code, doc = run_json(argv.split())
+    assert code == 1
+    assert doc["error"] == {"type": "ValueError",
+                            "message": "zero denominator in '1/0'"}
+
+
 def test_lp_takes_a_character_by_generator_images():
     code, doc = run_json(["lp", "--p", "5", "--chi",
                           "mod:15;gens:11->2,7->1", "--s", "-2"])

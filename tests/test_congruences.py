@@ -10,6 +10,7 @@ import pytest
 from qpl import (
     Bnr_structure,
     InconclusivePrecision,
+    PadicNumber,
     PreconditionViolated,
     QContext,
     bernoulli_number,
@@ -235,6 +236,14 @@ def test_Bnr_structure_cached_per_context(ctx, w2):
     b = Bnr_structure(ctx, 2, 1, w2, 5)
     assert a is b
     assert a.prec == ctx.prec
+    # the memo key is the value of z, not its type: 5 and Fraction(5) share
+    # an entry, the p-adic 5 has its own (one digit above ctx.prec, since at
+    # ctx.prec the special value keeps only ctx.prec - 1 digits)
+    assert Bnr_structure(ctx, 2, 1, w2, Fraction(5)) is a
+    padic_z = PadicNumber.from_int(5, 5, ctx.prec + 1)
+    c = Bnr_structure(ctx, 2, 1, w2, padic_z)
+    assert c is not a
+    assert Bnr_structure(ctx, 2, 1, w2, padic_z) is c
     with pytest.raises(PreconditionViolated):
         Bnr_structure(ctx, 0, 1, w2, 5)
 

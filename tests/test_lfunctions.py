@@ -363,7 +363,7 @@ def _k_series_loop(ctx, wctx, target, r, F, rows, heads, k, coeffs,
     work = wctx.prec
     acc = lead() if lead else PadicNumber.exact_zero(ctx.p, work)
     if k == 0:
-        gpow = [wctx.one(work) for _ in rows]
+        gpow = [PadicNumber.from_int(1, ctx.p, work) for _ in rows]
     else:
         gpow = [geom ** k for _, _, geom in rows]
     for coeff, beta in zip(coeffs, betas):

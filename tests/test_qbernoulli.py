@@ -578,6 +578,7 @@ def test_volkenborn_order_one_is_carlitz():
                         with pytest.raises(DomainError):
                             volkenborn_beta_poly(ctx, n, 1, x, d)
                         continue
+                    assert want.prec >= ctx.prec
                     got = volkenborn_beta_poly(ctx, n, 1, x, d)
                     assert got.prec == ctx.prec
                     assert_agree(got, want, ctx.prec)
