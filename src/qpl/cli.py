@@ -12,7 +12,6 @@ strings; there are no bare floating digits.
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .errors import InconclusivePrecision, PreconditionViolated, QplError
 from .padic import PadicNumber, QContext
-from .characters import DirichletCharacter, parse_char_spec
+from .characters import parse_char_spec
 from .classical import bernoulli_number, gen_bernoulli_poly
 from .qbernoulli import carlitz_beta_poly, multi_q_beta_poly
 from .lfunctions import (

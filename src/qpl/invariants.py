@@ -10,7 +10,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import QplError
 from .padic import (

@@ -444,19 +444,99 @@ def teichmuller(a: int, ctx) -> PadicNumber:
 
 # -- log and exp -----------------------------------------------------------
 
-def iwasawa_log(x: PadicNumber) -> PadicNumber:
-    """log(x) for x = 1 + u with u in R*; series sum_{k>=1} (-1)^(k+1) u^k / k.
+#: least precision at which padic_exp splits its argument; below it the
+#: two series cost more than the one (per call, p = 2 to 13, v(x) at the
+#: threshold)
+_EXP_SPLIT_MIN = 40
 
-    Term k = kmax ends the series: k v(u) - v_p(k) never decreases on R*,
-    so the tail lies at or above target = x.prec.  The sum is formed in
-    integers for the representative p^v(u) * unit of u, in Horner form
-    (Brent & Zimmermann, Modern Computer Arithmetic, 4.4): with e =
-    ceil(log_p kmax) >= v_p(k), p^e log x = u H_1, H_kmax+1 = 0 and H_k =
-    (-1)^(k+1) p^e/k + u H_(k+1), where p^e/k is p-integral.  H_k enters
-    u H_1 times u^k, so it is kept modulo p^(target + e - k v(u)), and
-    u H_1 / p^e is exact modulo p^target.  These are the digits a chain of
-    PadicNumber operations gives, since each of its terms is the exact
-    term modulo a power of p at or above target.
+
+def _log_series(p: int, w: int, v: int, target: int) -> int:
+    """An integer congruent to log(1 + w) modulo p^target, for an integer w
+    with v_p(w) = v at or above rstar_threshold(p).
+
+    The series is sum_{k>=1} (-1)^(k+1) w^k / k.  Term k = kmax ends it:
+    k v - v_p(k) never decreases on R*, so the tail lies at or above
+    target.  It is summed in Horner form (Brent & Zimmermann, Modern
+    Computer Arithmetic, 4.4): with e = ceil(log_p kmax) >= v_p(k), p^e
+    log(1 + w) = w H_1, H_kmax+1 = 0 and H_k = (-1)^(k+1) p^e/k + w H_(k+1),
+    where p^e/k is p-integral.  H_k enters w H_1 times w^k, so it is kept
+    modulo p^(target + e - k v), and w H_1 / p^e is exact modulo p^target.
+    """
+    kmax = 1
+    while kmax * v - _ceil_log(p, kmax) < target:
+        kmax += 1
+    e = _ceil_log(p, kmax)
+    scale = _ppow(p, e)
+    acc = 0
+    for k in range(kmax, 0, -1):
+        digits = target + e - k * v
+        if digits <= 0:
+            continue
+        mod = _ppow(p, digits)
+        if k % p:
+            c = scale * pow(k, -1, mod)
+        else:
+            t = _ppow(p, int_valuation(k, p))
+            c = scale // t * pow(k // t, -1, mod)
+        acc = ((c if k % 2 else -c) + w * acc) % mod
+    return w * acc // scale
+
+
+def _exp_series(p: int, w: int, v: int, target: int) -> int:
+    """An integer congruent to exp(w) modulo p^target, for an integer w
+    with v_p(w) >= v, v at or above rstar_threshold(p).
+
+    The series ends at k = n: v_p(k!) <= (k-1)/(p-1), so k v - (k-1)/(p-1)
+    bounds the valuation of term k from below and increases on the exp
+    domain.  With N = n!, N * sum_{k<=n} w^k/k! is summed in Horner form,
+    G_n = 1 and G_k = N/k! + w G_(k+1), in integers modulo p^(target +
+    v_p(N)); G_0 / N is then exact modulo p^target.  Each step multiplies
+    by w, so a w of few digits makes every step cheap whatever target is.
+    """
+    n = 1
+    while (n * v - target) * (p - 1) < n - 1:
+        n += 1
+    vfact = 0       # v_p(n!), by Legendre's formula
+    t = p
+    while t <= n:
+        vfact += n // t
+        t *= p
+    wide = _ppow(p, target + vfact)
+    total = 1
+    ratio = 1
+    for k in range(n, 0, -1):
+        ratio = ratio * k % wide
+        total = (ratio + w * total) % wide
+    shift = _ppow(p, vfact)
+    return total // shift * pow(ratio // shift, -1, _ppow(p, target))
+
+
+def iwasawa_log(x: PadicNumber) -> PadicNumber:
+    """log(x) for x = 1 + u with u in R*.
+
+    The digits are those of log X modulo p^target, target = x.prec, for the
+    integer representative X = 1 + p^v(u) * unit of x.  Past a few digits
+    the argument is reduced first (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.4): log X = p^(-m) log Y with Y = X^(p^m), and Y is taken
+    modulo p^(target + m).  Why that is enough:
+
+    - v(Y - 1) = v(u) + m.  For odd p and v(u) >= 1, (1 + u)^p - 1 is p u
+      plus terms C(p, k) u^k (1 < k < p) and u^p, all of valuation above
+      1 + v(u); for p = 2 and v(u) >= 2, u^2 lies above 1 + v(u) likewise.
+      So each p-th power adds exactly one to v(u) and stays in R*.
+    - Y + d with v(d) >= target + m has log(Y + d) - log Y = log(1 + d/Y),
+      of valuation v(d); so log Y modulo p^(target + m) is fixed by Y modulo
+      p^(target + m), and dividing by p^m leaves log X modulo p^target.  The
+      representative does not matter either: (X + d)^(p^m) - X^(p^m) for
+      v(d) >= target is a sum of C(p^m, k) X^(p^m - k) d^k with
+      v(C(p^m, k)) = m - v_p(k), all at or above target + m.
+
+    The series on Y - 1 then needs about (target + m)/(v(u) + m) terms in
+    place of target/v(u).  m = isqrt(target / bits(p)) - v(u), at least 0,
+    balances the m bits(p) squarings of the power against those terms; at
+    small targets, or when v(u) is already that large, m = 0 and the series
+    runs on u itself.  Either way these are the digits a chain of
+    PadicNumber operations on x gives, one term at a time.
     """
     p = x.p
     u = x - 1
@@ -468,38 +548,30 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
         return PadicNumber.zero_at(p, u.prec)
     target = x.prec
     vu = u.val
-    kmax = 1
-    while kmax * vu - _ceil_log(p, kmax) < target:
-        kmax += 1
-    e = _ceil_log(p, kmax)
-    scale = _ppow(p, e)
-    step = u.unit * _ppow(p, vu)
-    acc = 0
-    for k in range(kmax, 0, -1):
-        digits = target + e - k * vu
-        if digits <= 0:
-            continue
-        mod = _ppow(p, digits)
-        if k % p:
-            c = scale * pow(k, -1, mod)
-        else:
-            t = _ppow(p, int_valuation(k, p))
-            c = scale // t * pow(k // t, -1, mod)
-        acc = ((c if k % 2 else -c) + step * acc) % mod
-    return _normalize(p, step * acc // scale, 0, target)
+    w = u.unit * _ppow(p, vu)
+    m = max(0, math.isqrt(target // p.bit_length()) - vu)
+    if m:
+        w = pow(1 + w, _ppow(p, m), _ppow(p, target + m)) - 1
+    return _normalize(p, _log_series(p, w, vu + m, target + m), -m, target)
 
 
 def padic_exp(x: PadicNumber) -> PadicNumber:
     """exp(x) for v(x) >= 1 (odd p) or >= 2 (p=2).
 
-    The series ends at n = kmax: v_p(k!) <= (k-1)/(p-1), so k v(x) -
-    (k-1)/(p-1) bounds the term valuation from below and increases on the
-    exp domain.  With N = n! and the representative p^v(x) * unit of x,
-    N * sum_{k<=n} x^k/k! is summed in Horner form, G_n = 1 and G_k =
-    N/k! + x G_(k+1), in integers modulo p^(target + v_p(N)), target =
-    x.prec; G_0 / N is then exact modulo p^target.  These are the digits a
-    chain of PadicNumber operations gives, since each of its terms is the
-    exact term modulo a power of p at or above target.
+    The digits are those of exp w modulo p^target, target = x.prec, for the
+    integer representative w = p^v(x) * unit of x: exp(w + d) = exp(w)
+    exp(d) and exp(d) = 1 modulo p^v(d).  From _EXP_SPLIT_MIN digits on, w
+    is split at p^c, c = v(x) + isqrt(target), into w0 = w mod p^c and
+    w1 = w - w0, and exp w = exp(w0) exp(w1) (the series of a sum of
+    commuting arguments in the exp domain multiply; Washington, GTM 83,
+    5.1).  Both factors are units known modulo p^target, so their product
+    is too.  w0 has v(w0) = v(x) and at most c digits, so each of its about
+    target/v(x) Horner steps multiplies by a small integer; v(w1) >= c, so
+    its series has only about target/c full-size steps.  The split is made
+    only while 3 v(x) < isqrt(target): a larger v(x) leaves the single
+    series so few terms that the second series costs more than it saves.
+    Either way these are the digits a chain of PadicNumber operations on x
+    gives, one term at a time.
     """
     p = x.p
     if x.is_exact_zero:
@@ -510,24 +582,16 @@ def padic_exp(x: PadicNumber) -> PadicNumber:
         return PadicNumber(p, 0, 1, x.prec)
     target = x.prec
     vx = x.val
-    n = 1
-    while (n * vx - target) * (p - 1) < n - 1:
-        n += 1
-    vfact = 0       # v_p(n!), by Legendre's formula
-    t = p
-    while t <= n:
-        vfact += n // t
-        t *= p
-    wide = _ppow(p, target + vfact)
-    step = x.unit * _ppow(p, vx)
-    total = 1
-    ratio = 1
-    for k in range(n, 0, -1):
-        ratio = ratio * k % wide
-        total = (ratio + step * total) % wide
-    shift = _ppow(p, vfact)
-    mod = _ppow(p, target)
-    return _normalize(p, total // shift * pow(ratio // shift, -1, mod), 0, target)
+    w = x.unit * _ppow(p, vx)
+    s = math.isqrt(target)
+    if target < _EXP_SPLIT_MIN or 3 * vx >= s:
+        return _normalize(p, _exp_series(p, w, vx, target), 0, target)
+    c = vx + s
+    w1 = w - w % _ppow(p, c)
+    got = _exp_series(p, w - w1, vx, target)
+    if w1:
+        got *= _exp_series(p, w1, c, target)
+    return _normalize(p, got, 0, target)
 
 
 # -- exact exponents ---------------------------------------------------------

@@ -26,7 +26,7 @@ from qpl import (
     teichmuller_int,
 )
 from qpl import characters, oracles, padic
-from qpl.padic import _ceil_log
+from qpl.padic import _ceil_log, _normalize, _ppow
 
 from helpers import (
     assert_agree,
@@ -225,6 +225,72 @@ def _exp_chain(x):
     return acc
 
 
+# The integer kernels as one Horner series on the whole argument, with no
+# argument reduction: the references the reduced kernels must match digit for
+# digit, beside the chains above.
+
+def _log_horner(x):
+    p = x.p
+    u = x - 1
+    if u.is_exact_zero:
+        return u
+    if not in_Rstar(u):
+        raise DomainError("log requires x = 1 (mod R*); got v(x-1) outside range")
+    if u.unit == 0:
+        return PadicNumber.zero_at(p, u.prec)
+    target = x.prec
+    vu = u.val
+    kmax = 1
+    while kmax * vu - _ceil_log(p, kmax) < target:
+        kmax += 1
+    e = _ceil_log(p, kmax)
+    scale = _ppow(p, e)
+    step = u.unit * _ppow(p, vu)
+    acc = 0
+    for k in range(kmax, 0, -1):
+        digits = target + e - k * vu
+        if digits <= 0:
+            continue
+        mod = _ppow(p, digits)
+        if k % p:
+            c = scale * pow(k, -1, mod)
+        else:
+            t = _ppow(p, int_valuation(k, p))
+            c = scale // t * pow(k // t, -1, mod)
+        acc = ((c if k % 2 else -c) + step * acc) % mod
+    return _normalize(p, step * acc // scale, 0, target)
+
+
+def _exp_horner(x):
+    p = x.p
+    if x.is_exact_zero:
+        return PadicNumber.from_int(1, p, x.prec)
+    if not in_Rstar(x):
+        raise DomainError("exp requires v(x) >= %d for p=%d" % (rstar_threshold(p), p))
+    if x.unit == 0:
+        return PadicNumber(p, 0, 1, x.prec)
+    target = x.prec
+    vx = x.val
+    n = 1
+    while (n * vx - target) * (p - 1) < n - 1:
+        n += 1
+    vfact = 0
+    t = p
+    while t <= n:
+        vfact += n // t
+        t *= p
+    wide = _ppow(p, target + vfact)
+    step = x.unit * _ppow(p, vx)
+    total = 1
+    ratio = 1
+    for k in range(n, 0, -1):
+        ratio = ratio * k % wide
+        total = (ratio + step * total) % wide
+    shift = _ppow(p, vfact)
+    mod = _ppow(p, target)
+    return _normalize(p, total // shift * pow(ratio // shift, -1, mod), 0, target)
+
+
 def _outcome(f, x):
     try:
         return digits_of(f(x))
@@ -247,7 +313,7 @@ def _series_inputs(p, prec, v):
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_log_exp_match_padic_chain(p):
     th = rstar_threshold(p)
-    for prec in (1, 2, 3, 12, 40, 100, 300):
+    for prec in (1, 2, 3, 12, 40, 100, 300, 600):
         for v in range(th, th + 4):
             for u in _series_inputs(p, prec, v):
                 at = (p, prec, v, digits_of(u))
@@ -265,6 +331,81 @@ def test_log_exp_match_padic_chain(p):
             assert _outcome(iwasawa_log, x) == _outcome(_log_chain, x), (prec, x)
     assert _outcome(padic_exp, PadicNumber.from_int(1, p, 8))[0] == "DomainError"
     assert _outcome(iwasawa_log, PadicNumber.from_int(3, p, 8))[0] == "DomainError"
+
+
+def _reduced(series, x, monkeypatch):
+    """True when the kernel runs its series above v(x - 1) or v(x), that
+    is, on a reduced or split argument."""
+    seen = []
+    real = getattr(padic, series)
+
+    def spy(p, w, v, target):
+        seen.append(v)
+        return real(p, w, v, target)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(padic, series, spy)
+        if series == "_log_series":
+            iwasawa_log(1 + x)
+        else:
+            padic_exp(x)
+    return max(seen) > x.val
+
+
+def _crossovers(p, v):
+    """The least precision at which the log reduces x - 1 of valuation v
+    (m = isqrt(prec // bits(p)) - v > 0) and the least at which exp splits
+    an x of valuation v (prec >= 40 and isqrt(prec) > 3 v)."""
+    return (p.bit_length() * (v + 1) ** 2,
+            max(padic._EXP_SPLIT_MIN, (3 * v + 1) ** 2))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_log_exp_match_the_single_series(p, monkeypatch):
+    th = rstar_threshold(p)
+    for v in range(th, th + 7):
+        log_at, exp_at = _crossovers(p, v)
+        # _series_inputs takes relative digits: the first two values it
+        # returns have absolute precision v more than that
+        for series, at in (("_log_series", log_at), ("_exp_series", exp_at)):
+            below, above = (_series_inputs(p, at - v + d, v)[1] for d in (-1, 0))
+            assert not _reduced(series, below, monkeypatch), (p, v, series, at)
+            assert _reduced(series, above, monkeypatch), (p, v, series, at)
+        precs = {1, 2, 3, 40, 100, 300, 600}
+        precs.update(c - v + d for c in (log_at, exp_at) for d in (-1, 0, 1))
+        for prec in sorted(precs):
+            for u in _series_inputs(p, prec, v):
+                at = (p, prec, v, digits_of(u))
+                assert _outcome(padic_exp, u) == _outcome(_exp_horner, u), at
+                for x in (1 + u, 1 - u):
+                    assert _outcome(iwasawa_log, x) == _outcome(_log_horner, x), at
+    for prec in (1, 40, 600):
+        edge = (PadicNumber.exact_zero(p, prec), PadicNumber.zero_at(p, prec),
+                PadicNumber.from_int(1, p, prec), PadicNumber.from_int(p, p, prec),
+                PadicNumber.from_int(2 * p + 1, p, prec),
+                PadicNumber.from_fraction(Fraction(1, p), p, prec),
+                PadicNumber.from_int(1 + p ** th, p, prec),
+                PadicNumber.from_int(p ** th, p, prec))
+        for x in edge:
+            assert _outcome(padic_exp, x) == _outcome(_exp_horner, x), (prec, x)
+            assert _outcome(iwasawa_log, x) == _outcome(_log_horner, x), (prec, x)
+
+
+def test_log_and_exp_reenter_neither_public_kernel(monkeypatch):
+    # perfbench/tracing.py counts calls by rebinding these two names; a
+    # kernel that called either through the module would be counted twice
+    log, exp = padic.iwasawa_log, padic.padic_exp
+
+    def refuse(x):
+        raise AssertionError("a public log/exp kernel was re-entered")
+
+    monkeypatch.setattr(padic, "iwasawa_log", refuse)
+    monkeypatch.setattr(padic, "padic_exp", refuse)
+    for p in (2, 5, 13):
+        for prec in (12, 40, 300):
+            u = _series_inputs(p, prec, rstar_threshold(p))[1]
+            assert digits_of(log(1 + u)) == digits_of(_log_horner(1 + u))
+            assert digits_of(exp(u)) == digits_of(_exp_horner(u))
 
 
 def test_teichmuller_int_is_the_root_of_unity_lift():

@@ -8,7 +8,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from qpl import PadicNumber, QContext, carlitz_beta_poly, fraction_valuation
+from qpl import (PadicNumber, QContext, carlitz_beta_poly, fraction_valuation,
+                 iwasawa_log, padic_exp, rstar_threshold)
 from qpl.padic import int_valuation
 
 from helpers import assert_agree
@@ -45,6 +46,35 @@ def test_int_valuation_at_every_exponent_to_600():
             for v in range(601):
                 n = unit * p ** v
                 assert int_valuation(n, p) == naive_valuation(n, p) == v
+
+
+def series_argument(p, v, unit, prec):
+    """p^(threshold + v) * unit known modulo p^prec, exact zero when it is 0
+    there: an argument of exp, and x - 1 for an argument x of log."""
+    v += rstar_threshold(p)
+    n = p ** v * unit % p ** prec
+    if n == 0:
+        return PadicNumber.exact_zero(p, prec)
+    return PadicNumber.from_int(n, p, prec - v)
+
+
+# v above the threshold, unit, absolute precision; below two digits a
+# zero x - 1 is not provably in R* at p = 2
+SERIES_ARG = st.tuples(st.integers(0, 5), st.integers(1, 10 ** 400),
+                       st.integers(2, 400))
+
+
+@PROPERTY
+@given(PRIMES, SERIES_ARG, SERIES_ARG)
+def test_log_is_additive_and_exp_multiplicative(p, a, b):
+    x = series_argument(p, *a)
+    y = series_argument(p, *b)
+    # log(xy) = log x + log y and exp(x + y) = exp x exp y, each to the
+    # precision of the less precise side
+    left, right = iwasawa_log((1 + x) * (1 + y)), iwasawa_log(1 + x) + iwasawa_log(1 + y)
+    assert_agree(left, right, min(left.prec, right.prec))
+    left, right = padic_exp(x + y), padic_exp(x) * padic_exp(y)
+    assert_agree(left, right, min(left.prec, right.prec))
 
 
 def assert_holds(x, exact):
