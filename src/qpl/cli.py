@@ -307,8 +307,10 @@ def _int_list(text: str) -> tuple:
 
 def _add_context_args(sp, convention=False):
     sp.add_argument("--p", type=int, required=True, help="prime p")
-    sp.add_argument("--q", default="1+p",
-                    help='q as "1+p", "1+p^m", "num/den", or integer')
+    # None until _parse fills in 1 + p*, which depends on --p
+    sp.add_argument("--q", default=None,
+                    help='q as "1+p", "1+p^m", "num/den", or integer '
+                         '(default 1 + p*: 1+p, or 1+p^2 = 5 at p = 2)')
     # None until _parse reads QPL_PRECISION, so that only a subcommand
     # with --prec reads it
     sp.add_argument("--prec", type=int, default=None,
@@ -487,6 +489,9 @@ def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:
         except ValueError:
             parser.error("%s must be an integer, got %r"
                          % (PRECISION_ENV, text))
+    if "q" in vars(args) and args.q is None:
+        # 1 + p*: 1 + p fails v(q - 1) >= 2 at p = 2
+        args.q = "1+p^2" if args.p == 2 else "1+p"
     spec = _spec_from_args(args)
     _validate(parser, spec)
     return spec

@@ -8,12 +8,16 @@ The series layer (Lpq_eval, Lpq_at_r) evaluates the two-variable p-adic
 q-L-function as a double sum: a finite outer sum over residue vectors,
 grouped by their sum into rows, and an inner k-series that ends at an index
 proven before the sum starts, from lower bounds on the valuations of its
-factors that hold for every k (see _last_index).  The two sums are swapped
-(_k_series): the series coefficients t_k = c_k beta^(r)_k are formed once,
-and sum_k t_k geom^k is one integer Horner evaluation per row modulo a
-power of p.  The rows are summed in integers and built into one
-PadicNumber at the precision the term-by-term sum keeps, capped at the
-stop target, so the value is that sum's digit for digit.
+factors that hold for every k (see _last_index).  Each row's weight, angle
+and geometric factor (_outer_rows) and each series coefficient t_k =
+c_k beta^(r)_k (_series_terms, with c_k from _int_binomials or
+_padic_binomials) is formed in integers modulo a power of p and built into
+a PadicNumber once, with the (val, unit, prec) that the chain of
+PadicNumber operations for it gives.  The two sums are swapped
+(_k_series): sum_k t_k geom^k is one integer Horner evaluation per row.
+The rows are summed in integers and built into one PadicNumber at the
+precision the term-by-term sum keeps, capped at the stop target, so the
+value is that sum's digit for digit.
 Lpq_difference_rhs is the finite sum that a shift of z by r*F adds to the
 function, used by the congruence machinery.
 
@@ -43,10 +47,10 @@ from .errors import DivergenceDetected, DomainError, PoleError
 from .padic import (
     PadicNumber,
     QContext,
-    _angle_of_bracket,
     _ceil_log,
     _normalize,
     _ppow,
+    _teich_lift,
     _valuation_at_least,
     angle_q,
     in_D,
@@ -58,6 +62,7 @@ from .padic import (
 from .qbernoulli import (
     _beta_headroom,
     _certified,
+    _unit_inverses,
     _window_sum,
     series_beta,
     series_beta_floor,
@@ -252,23 +257,71 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     (multiplicity) chi(A) q^((1-r)(A + p* z)), the principal-unit angle, and
     the geometric factor q^(A + p* z) [F]_q / [A + p* z]_q.  The q-power in
     the weight is the prefactor the order-r expansion carries; it is 1 at
-    r = 1."""
-    vF = int_valuation(F, ctx.p)
+    r = 1.
+
+    The rows are formed in integers, and each value is built once with the
+    (val, unit, prec) that QContext.q_power, q_bracket and angle_q give it:
+
+    - q^E, E = A + p* z, is q^(p* z) q^A modulo p^(work + v(q - 1)).  A
+      Fraction p* z enters as its residue modulo p^work, a PadicNumber one
+      as its integer representative.  Either is as good as the exact
+      exponent, since q^(p^work) = 1 modulo p^(work + v(q - 1)) (lifting
+      the exponent), and q_power's exponential gives the same power of q.
+    - E is prime to p, so 1 - q^E and 1 - q both have valuation v(q - 1),
+      and [E]_q is the quotient of their units.  One batched inverse serves
+      every bracket, and q^(-E) at r >= 2.  The angle is [E]_q w(A^(-1)).
+    - Every value carries work digits, except under a PadicNumber z whose
+      E is known to R < work digits.  Then the angle and geom carry R, and
+      the weight R at r = 1 (q^0 keeps E's precision there) or
+      min(work, v_p(r - 1) + v(q - 1) + R) at r >= 2."""
+    p, pstar, vq = ctx.p, ctx.p_star, ctx.v_q1
+    vF = int_valuation(F, p)
     # pad: r*vF for the 1/[F]^r division, v_div for the prefactor, headroom
     # for the negative beta valuations
     work = ctx.prec + r * vF + v_div + 4 + _beta_headroom(ctx, m, r, F)
     wctx = ctx.with_precision(work)
-    sums = residue_sums(F, r, chi, ctx.p)
+    sums = residue_sums(F, r, chi, p)
     br_F = wctx.q_bracket(1, F, work)
+    mod, wide = _ppow(p, work), _ppow(p, work + vq)
+    q = wctx.q_int(work + vq)
+    if isinstance(z, PadicNumber):
+        zp = z * pstar
+        digits = min(max(zp.prec, 1) if zp.is_exact_zero else zp.prec, work)
+        shift = zp.unit * _ppow(p, zp.val) if zp.unit else 0
+        weight_digits = (digits if r == 1 else
+                         min(work, int_valuation(r - 1, p) + vq + digits))
+    else:
+        z = Fraction(z)
+        digits = weight_digits = work
+        shift = pstar * z.numerator * pow(z.denominator, -1, mod)
+    q_shift = pow(q, shift, wide)
+    powers = [q_shift * pow(q, total, wide) % wide for total, _ in sums]
+    p_vq = _ppow(p, vq)
+    nums = [(1 - qe) % wide // p_vq for qe in powers]
+    den = (1 - q) % wide // p_vq
+    inv = _unit_inverses(nums + [den] + (powers if r > 1 else []), mod)
+    n = len(sums)
+    # [E]_q = num/den, and [F]_q/[E]_q = [F]_q den/num
+    bracket_scale = inv[n]
+    geom_scale = br_F.unit * den % mod
+    vstar = int_valuation(pstar, p)
+    low, dmod, wmod = _ppow(p, vstar), _ppow(p, digits), _ppow(p, weight_digits)
     rows = []
-    for total, count in sums:
-        exponent = z * wctx.p_star + total
-        weight = (count * chi.eval(total, work)
-                  * wctx.q_power(1, exponent * (1 - r), work))
-        bracket = wctx.q_bracket(1, exponent, work)
-        angle = _angle_of_bracket(wctx, total, bracket, work)
-        geom = wctx.q_power(1, exponent, work) * (br_F / bracket)
-        rows.append((weight, angle, geom))
+    for i, (total, count) in enumerate(sums):
+        angle = (nums[i] * bracket_scale
+                 * _teich_lift(p, pow(total, -1, pstar), work) % dmod)
+        # angle_q's check that the angle lies in 1 + p* Z_p, in integers
+        assert digits >= vstar and (angle - 1) % low == 0, \
+            "angle projection left the principal-unit disk"
+        vc = int_valuation(count, p)
+        weight = count // _ppow(p, vc) * chi.lift(total, work)
+        if r > 1:
+            weight *= pow(inv[n + 1 + i], r - 1, wmod)
+        rows.append((
+            PadicNumber(p, vc, weight % wmod, vc + weight_digits),
+            PadicNumber(p, 0, angle, digits),
+            PadicNumber(p, vF, powers[i] * geom_scale * inv[i] % dmod,
+                        vF + digits)))
     return wctx, ctx.prec + r * vF + v_div, br_F, rows
 
 
@@ -315,8 +368,9 @@ def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
     otherwise last is None and _last_index proves it from coeff_floor, a
     lower bound on v(c_j), before any term or lead is computed.
 
-    Each t_j is one PadicNumber product, and a beta zero at its precision
-    is skipped.  The rest is integer arithmetic (_horner_rows): one Horner
+    Each t_j is one integer product built into a PadicNumber
+    (_series_terms), and a beta zero at its precision is skipped.  The
+    rest is integer arithmetic (_horner_rows): one Horner
     evaluation of P per row, built into one value at the precision M that
     the term-by-term PadicNumber sum keeps, capped at target, where the
     value is certified.
@@ -326,9 +380,7 @@ def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
     # top index first, so a Carlitz table is built once for the series
     betas = [series_beta(wctx, j, r, base_power=F)
              for j in range(last, k - 1, -1)][::-1]
-    terms = [(j, coeff * beta)
-             for j, (coeff, beta) in enumerate(zip(coeffs, betas), k)
-             if not beta.is_zero]
+    terms = _series_terms(ctx.p, k, coeffs, betas)
     acc = lead() if lead else PadicNumber.exact_zero(ctx.p, wctx.prec)
     lines = [(h, g) for h, (_, _, g) in zip(heads, rows)
              if not h.is_exact_zero]
@@ -397,13 +449,72 @@ def _horner_rows(p: int, work: int, target: int, terms, lines,
     return _normalize(p, total, b + hb, M)
 
 
-def _binomials(a, one):
-    """C(a, k) for k = 0, 1, 2, ..., starting from one, the unit of the
-    coefficient ring (Fraction or PadicNumber)."""
-    coeff = one
-    for k in itertools.count(1):
+def _series_terms(p: int, k: int, coeffs, betas) -> list:
+    """The pairs (j, t_j), t_j = c_j beta_j, for j from k, of the betas not
+    zero at their precision, each product formed in integers as
+    PadicNumber.__mul__ forms it.
+
+    c_j is an int, a Fraction or a PadicNumber.  An exact c_j = p^v n/d
+    enters as its valuation v and its unit n/d modulo p^rel(beta), the
+    digits PadicNumber._coerce gives it; a PadicNumber c_j keeps its own
+    digits, and one zero at its precision gives a t_j zero at precision.
+    """
+    terms = []
+    for j, (c, beta) in enumerate(zip(coeffs, betas), k):
+        if beta.is_zero:
+            continue
+        if isinstance(c, PadicNumber):
+            if c.unit == 0:
+                terms.append((j, PadicNumber.zero_at(p, c.val + beta.val)))
+                continue
+            v, rel, unit = c.val + beta.val, min(c.rel, beta.rel), c.unit
+        else:
+            num, den = c.numerator, c.denominator
+            a, b = int_valuation(num, p), int_valuation(den, p)
+            v, rel = a - b + beta.val, beta.rel
+            unit = num // _ppow(p, a)
+            if den != 1:
+                unit *= pow(den // _ppow(p, b), -1, _ppow(p, rel))
+        terms.append((j, PadicNumber(p, v, unit * beta.unit % _ppow(p, rel),
+                                     v + rel)))
+    return terms
+
+
+def _int_binomials(a: int):
+    """C(a, j) for j = 0, 1, 2, ... and an integer a, also a negative one:
+    C(a, j) = C(a, j - 1) (a - j + 1) / j, where the division is exact."""
+    coeff = 1
+    for j in itertools.count(1):
         yield coeff
-        coeff = coeff * (a - (k - 1)) / k
+        coeff = coeff * (a - j + 1) // j
+
+
+def _padic_binomials(a: PadicNumber, digits: int):
+    """C(a, j) for j = 0, 1, 2, ..., each with the (val, unit, prec) of the
+    chain C(a, j) = C(a, j - 1) (a - (j - 1)) / j of PadicNumber operations
+    from 1 at digits significant digits.
+
+    The chain is followed in integers.  a - i is known modulo p^prec(a), so
+    it has valuation v_i = min(v(A - i), prec(a)) for the representative A
+    of a, and prec(a) - v_i digits.  So C(a, j) has valuation sum_{i<j} v_i
+    - v_p(j!) and min(digits, min_{i<j} (prec(a) - v_i)) digits, and is zero
+    at its precision from the first a - i that is.
+    """
+    p, top = a.p, a.prec
+    rep = a.unit * _ppow(p, a.val)
+    val, unit, rel = 0, 1, digits
+    for j in itertools.count(1):
+        yield (PadicNumber(p, val, unit, val + rel) if rel
+               else PadicNumber.zero_at(p, val))
+        x = (rep - (j - 1)) % _ppow(p, top)
+        vx = int_valuation(x, p) if x else top
+        vj = int_valuation(j, p)
+        val += vx - vj
+        rel = min(rel, top - vx)
+        if rel:
+            mod = _ppow(p, rel)
+            unit = (unit * (x // _ppow(p, vx))
+                    * pow(j // _ppow(p, vj), -1, mod) % mod)
 
 
 def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
@@ -445,11 +556,11 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     # an infinite series up to its start (series_beta_floor bounds the rest)
     wctx, target, br_F, rows = _outer_rows(
         ctx, chi, r, F, z, v_prod, r if last is None else last)
-    one = (Fraction(1) if isinstance(s, int)
-           else PadicNumber.from_int(1, wctx.p, wctx.prec))
+    coeffs = (_int_binomials(r - s) if isinstance(s, int)
+              else _padic_binomials(r - s, wctx.prec))
     heads = [wt * padic_power(angle, r - s) for wt, angle, _ in rows]
     return _k_series(
-        ctx, wctx, target, r, F, rows, heads, 0, _binomials(r - s, one),
+        ctx, wctx, target, r, F, rows, heads, 0, coeffs,
         lambda k: 0, last, None, br_F ** r * prod)
 
 

@@ -788,17 +788,8 @@ def angle_q(ctx: QContext, a: int, z=0, prec: int = None) -> PadicNumber:
     prec = ctx.prec if prec is None else prec
     if not _valuation_at_least(z, p, 0):
         raise DomainError("z must lie in the valuation ring")
-    return _angle_of_bracket(ctx, a, ctx.q_bracket(1, a + ctx.p_star * z, prec),
-                             prec)
-
-
-def _angle_of_bracket(ctx: QContext, a: int, bracket: PadicNumber,
-                      prec: int) -> PadicNumber:
-    """w(a)^(-1) * bracket for bracket = [a + p* z]_q: angle_q past its
-    checks, for a caller that needs the bracket as well."""
-    p = ctx.p
-    mod = _ppow(p, prec)
-    inv_t = pow(_teich_lift(p, a % ctx.p_star, prec), -1, mod)
+    bracket = ctx.q_bracket(1, a + ctx.p_star * z, prec)
+    inv_t = pow(_teich_lift(p, a % ctx.p_star, prec), -1, _ppow(p, prec))
     result = bracket * PadicNumber(p, 0, inv_t, prec)
     assert (result - 1).valuation_ge(int_valuation(ctx.p_star, p)), \
         "angle projection left the principal-unit disk"

@@ -109,6 +109,35 @@ def test_q_spec_parsing():
     assert code == 1 and doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("bernoulli --n 4 --p 2 --chi omega", 0),
+    ("qbernoulli --p 2 --n 4", 0),
+    ("qbernoulli --p 2 --n 3 --r 2 --z 1/3", 0),
+    ("lp --p 2 --chi omega --s -1", 0),
+    ("lp-at-r --p 2 --chi omega --convention carlitz", 0),
+    ("lp-table --p 2 --chi omega --n-max 2", 0),
+    ("kummer-verify --theorem 53 --p 2 --grid default", 3),
+    ("kummer-verify --theorem 54 --p 2 --grid default", 3),
+    ("kummer-verify --theorem binop --p 2 --grid default", 3),
+    # p - 1 = 1 divides every n: refused by the theorem, not by q
+    ("kummer-verify --theorem classical --p 2 --n 2 --c 3 --k 1", 1),
+])
+def test_default_q_at_p2(argv, code):
+    # q defaults to 1 + p* = 5 at p = 2; 1 + p = 3 has v(q - 1) = 1 < 2
+    got, out = run_cli(argv.split())
+    assert got == code, out
+    assert "q - 1 must have valuation" not in out
+    if "q_exact" in out:
+        assert json.loads(out)["params"]["q_exact"] == "5"
+    if argv.startswith("lp-table"):
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows and all(row[1] == "5" for row in rows)
+    assert cli._parse(cli._build_parser(), argv.split()).q in (None, "1+p^2")
+    # odd p keeps 1 + p, and the echoed q spec with it
+    odd = argv.replace("--p 2", "--p 5")
+    assert cli._parse(cli._build_parser(), odd.split()).q in (None, "1+p")
+
+
 @pytest.mark.parametrize("argv", [
     "qbernoulli --p 5 --n 2 --q 1/0",
     "qbernoulli --p 5 --n 2 --z 1/0",

@@ -35,8 +35,8 @@ from qpl import (
 
 from qpl import QplError, classical, lfunctions
 from qpl.classical import TERM_BUDGET
-from qpl.padic import int_valuation
-from qpl.qbernoulli import _certified
+from qpl.padic import int_valuation, teichmuller_int
+from qpl.qbernoulli import _beta_headroom, _certified
 
 from helpers import assert_agree, bound_of, digits_of, sample_qs
 
@@ -509,3 +509,171 @@ def test_k_series_makes_no_per_row_term_padic_operations(monkeypatch):
     counts["ops"] = 0
     _k_series_loop(*args(heads))
     assert counts["ops"] > rows * terms, counts["ops"]
+
+
+# The outer rows and the series coefficients as chains of PadicNumber
+# operations: the references the integer rows and coefficients must match
+# in (val, unit, prec).
+
+def _outer_rows_loop(ctx, chi, r, F, z, v_div, m):
+    p = ctx.p
+    vF = int_valuation(F, p)
+    work = ctx.prec + r * vF + v_div + 4 + _beta_headroom(ctx, m, r, F)
+    wctx = ctx.with_precision(work)
+    br_F = wctx.q_bracket(1, F, work)
+    rows = []
+    for total, count in classical.residue_sums(F, r, chi, p):
+        exponent = z * wctx.p_star + total
+        weight = (count * chi.eval(total, work)
+                  * wctx.q_power(1, exponent * (1 - r), work))
+        bracket = wctx.q_bracket(1, exponent, work)
+        inv_t = pow(teichmuller_int(total % wctx.p_star, p, work), -1,
+                    p ** work)
+        angle = bracket * PadicNumber(p, 0, inv_t, work)
+        assert (angle - 1).valuation_ge(int_valuation(wctx.p_star, p)), \
+            "angle projection left the principal-unit disk"
+        geom = wctx.q_power(1, exponent, work) * (br_F / bracket)
+        rows.append((weight, angle, geom))
+    return wctx, ctx.prec + r * vF + v_div, br_F, rows
+
+
+def _binomials_chain(a, one):
+    coeff = one
+    for k in itertools.count(1):
+        yield coeff
+        coeff = coeff * (a - (k - 1)) / k
+
+
+def _rows_outcome(f):
+    try:
+        wctx, target, br_F, rows = f()
+    except Exception as exc:
+        # the first line: pytest appends its own report to a bare assert here
+        return (type(exc).__name__, str(exc).split("\n")[0])
+    return (wctx.prec, target, digits_of(br_F),
+            [tuple(digits_of(x) for x in row) for row in rows])
+
+
+def _shifts(p):
+    """z as an int, a Fraction (1/2, or 1/3 at p = 2, where 1/2 is not
+    integral), PadicNumbers with few digits, of positive valuation, zero
+    at precision and exact zero, each in the valuation ring."""
+    half = Fraction(1, 3 if p == 2 else 2)
+    return (0, p + 1, half, Fraction(2 * p, 7),
+            PadicNumber.from_fraction(Fraction(3, 11), p, 2),
+            PadicNumber.from_fraction(Fraction(p + 1, 11), p, 40),
+            PadicNumber(p, 1, 4 % p or 1, 3),
+            PadicNumber.zero_at(p, 1), PadicNumber.exact_zero(p, 2),
+            PadicNumber.exact_zero(p, 1))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_outer_rows_match_padic_loop(p):
+    # each case takes one of the three q and of two paddings in turn
+    ps = 4 if p == 2 else p
+    order = 2 if p == 2 else p - 1
+    ctxs = [QContext(p, q, 6) for q in sample_qs(p)]
+    case = 0
+    for chi in (principal_char(p), omega_pow(p, 1), omega_pow(p, 2 % order)):
+        for F in (ps, 3 * ps, ps * ps):
+            # r F rows: the widest window only at r = 1 at p = 13
+            for r in ((1,) if F > 100 else (1, 2, 3)):
+                for z in _shifts(p):
+                    case += 1
+                    ctx = ctxs[case % 3]
+                    v_div, m = (0, 1) if case % 2 else (2, r + 3)
+                    args = (ctx, chi, r, F, z, v_div, m)
+                    got = _rows_outcome(lambda: lfunctions._outer_rows(*args))
+                    want = _rows_outcome(lambda: _outer_rows_loop(*args))
+                    assert got == want, (ctx.q, chi, F, r, z, v_div, m)
+
+
+def test_outer_rows_make_no_per_row_padic_operations(monkeypatch):
+    # The rows are integers built into PadicNumbers once: a few operations
+    # per call (z * p*, [F]_q), where the loop makes several per row.
+    ctx = QContext(5, Fraction(6), 20)
+    chi = omega_pow(5, 1)
+    counts = {"ops": 0}
+
+    def counted(fn):
+        def wrapper(*a):
+            counts["ops"] += 1
+            return fn(*a)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__"):
+        monkeypatch.setattr(PadicNumber, name,
+                            counted(getattr(PadicNumber, name)))
+    for r, z in ((1, 0), (2, 5), (3, Fraction(1, 2)),
+                 (2, PadicNumber.from_int(3, 5, 9))):
+        counts["ops"] = 0
+        _, _, _, rows = lfunctions._outer_rows(ctx, chi, r, 25, z, 0, 1)
+        assert len(rows) >= 20
+        assert counts["ops"] <= 2, (r, z, counts["ops"])
+    counts["ops"] = 0
+    _outer_rows_loop(ctx, chi, 2, 25, 5, 0, 1)
+    assert counts["ops"] > 2 * len(rows), counts["ops"]
+
+
+def _padic_points(p):
+    """p-adic s in D: few digits, s - j divisible by p^2 for a small j (so a
+    factor r - s - i of the binomial has valuation 2, or is zero at its
+    precision), and a long unit."""
+    return (PadicNumber.from_int(-2 + p ** 3, p, 5),
+            PadicNumber.from_int(-2 + 3 * p ** 2, p, 2),
+            PadicNumber.from_int(-2 + 3 * p ** 2, p, 12),
+            PadicNumber.from_int(5 + p ** 2, p, 3),
+            PadicNumber.from_int(1 + p, p, 12),
+            PadicNumber.from_fraction(Fraction(-3, 11), p, 30))
+
+
+def _betas(p):
+    """Series coefficients beta of assorted valuations and digits, one zero
+    at its precision (skipped by the sum)."""
+    return [PadicNumber.from_fraction(Fraction(5 * j - 2, 7 * j + 3), p, 8 + j)
+            if j % 5 else PadicNumber(p, -j // 5, (3 * j + 1) % p or 1, 4)
+            for j in range(1, 24)] + [PadicNumber.zero_at(p, 3)]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_series_coefficients_match_padic_chain(p):
+    betas = _betas(p)
+    n = len(betas)
+    for r in (1, 2, 3):
+        for digits in (3, 14, 40):
+            for s in _padic_points(p):
+                a = r - s
+                got = list(itertools.islice(
+                    lfunctions._padic_binomials(a, digits), n))
+                one = PadicNumber.from_int(1, p, digits)
+                want = list(itertools.islice(_binomials_chain(a, one), n))
+                assert ([digits_of(c) for c in got]
+                        == [digits_of(c) for c in want]), (r, s, digits)
+                for k in (0, 2):
+                    terms = lfunctions._series_terms(p, k, got, betas)
+                    ref = [(j, c * b) for j, (c, b)
+                           in enumerate(zip(want, betas), k) if not b.is_zero]
+                    assert ([(j, digits_of(t)) for j, t in terms]
+                            == [(j, digits_of(t)) for j, t in ref]), (r, s, k)
+        # integer s: the finite series stops at j = r - s, the last
+        # nonzero C(r - s, j)
+        for s in (-3, 0, r + 1, r + 4):
+            count = n if s > r else r - s + 1
+            got = list(itertools.islice(lfunctions._int_binomials(r - s),
+                                        count))
+            want = list(itertools.islice(
+                _binomials_chain(r - s, Fraction(1)), count))
+            assert got == want, (r, s)
+            terms = lfunctions._series_terms(p, 0, got, betas)
+            ref = [(j, c * b) for j, (c, b) in enumerate(zip(want, betas))
+                   if not b.is_zero]
+            assert ([(j, digits_of(t)) for j, t in terms]
+                    == [(j, digits_of(t)) for j, t in ref]), (r, s)
+    # Lpq_at_r's coefficients (-1)^j/j
+    at_r = [Fraction((-1) ** j, j) for j in range(1, n + 1)]
+    terms = lfunctions._series_terms(p, 1, at_r, betas)
+    ref = [(j, c * b) for j, (c, b) in enumerate(zip(at_r, betas), 1)
+           if not b.is_zero]
+    assert ([(j, digits_of(t)) for j, t in terms]
+            == [(j, digits_of(t)) for j, t in ref])

@@ -301,8 +301,11 @@ def _outcome(f, x):
 def _series_inputs(p, prec, v):
     """Arguments of valuation v at absolute precision prec: from an int,
     from a fraction, and one whose unit carries a third of the digits, as
-    a product with a low-precision factor does."""
-    unit = (7 ** (prec + 3) + 3) % p ** (prec + 2)
+    a product with a low-precision factor does.  The unit is a power of 7
+    (of 11 at p = 7, where a power of 7 leaves only the 3) reduced to full
+    length."""
+    base = 11 if p == 7 else 7
+    unit = (base ** (prec + 3) + 3) % p ** (prec + 2)
     unit += unit % p == 0
     short = max(prec // 3, 1)
     return (PadicNumber.from_int(p ** v * unit, p, prec),
