@@ -71,7 +71,6 @@ from .classical import (
 )
 from .qbernoulli import (
     carlitz_beta,
-    carlitz_beta_poly,
     convention_certificate,
     gen_q_beta_poly,
     kim_sum_of_products,

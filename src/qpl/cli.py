@@ -24,7 +24,7 @@ from .errors import InconclusivePrecision, PreconditionViolated, QplError
 from .padic import PadicNumber, QContext
 from .characters import parse_char_spec
 from .classical import bernoulli_number, gen_bernoulli_poly
-from .qbernoulli import carlitz_beta_poly, multi_q_beta_poly
+from .qbernoulli import multi_q_beta_poly, volkenborn_beta_poly
 from .lfunctions import (
     LParams,
     Lpq_at_r,
@@ -149,7 +149,7 @@ def _cmd_qbernoulli(spec: RunSpec, stream) -> int:
         value = multi_q_beta_poly(ctx, spec.n, spec.r, z)
         kind = "multiple"
     else:
-        value = carlitz_beta_poly(ctx, spec.n, z)
+        value = volkenborn_beta_poly(ctx, spec.n, 1, z)
         kind = "carlitz"
     params = spec.to_dict()
     params["q_exact"] = str(ctx.q)

@@ -60,8 +60,10 @@ from .padic import (
     padic_power,
 )
 from .qbernoulli import (
+    _PURE_SUM,
     _beta_headroom,
     _certified,
+    _exponent,
     _unit_inverses,
     _window_sum,
     series_beta,
@@ -149,7 +151,8 @@ def _special(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
     padded once by v_p((n+1)_r) and certified to ctx.prec."""
     poch = pochhammer(n + 1, r)
     inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
-    return _certified(_window_sum(inner, n + r, r, chi, z, F, rows)
+    return _certified(_window_sum(inner, _PURE_SUM, n + r, r, chi, z, F,
+                                  rows)
                       * Fraction((-1) ** r, poch), ctx.prec, "special value")
 
 
@@ -284,14 +287,14 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     br_F = wctx.q_bracket(1, F, work)
     mod, wide = _ppow(p, work), _ppow(p, work + vq)
     q = wctx.q_int(work + vq)
+    z = _exponent(z)
     if isinstance(z, PadicNumber):
         zp = z * pstar
-        digits = min(max(zp.prec, 1) if zp.is_exact_zero else zp.prec, work)
+        digits = min(zp.prec, work)
         shift = zp.unit * _ppow(p, zp.val) if zp.unit else 0
         weight_digits = (digits if r == 1 else
                          min(work, int_valuation(r - 1, p) + vq + digits))
     else:
-        z = Fraction(z)
         digits = weight_digits = work
         shift = pstar * z.numerator * pow(z.denominator, -1, mod)
     q_shift = pow(q, shift, wide)
@@ -623,6 +626,7 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
             % (F, step)
         )
     chir = char_twist_omega(chi, r)
+    z = _exponent(z)
     work = ctx.prec + 4
     wctx = ctx.with_precision(work)
     acc = PadicNumber.exact_zero(p, work)

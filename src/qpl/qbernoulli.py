@@ -2,32 +2,34 @@
 
 Two families of order-r polynomials at base Q = q^d are kept strictly
 apart.  Both are (1 - Q)^(r-n) sum_i a_i Q^(ix) (1 - Q^i)^(-r) for an
-integer vector a_i, evaluated from one coefficient table (_coeff_table):
+integer vector a_i, evaluated from one coefficient table (_coeff_table),
+and each is one record (_Family) that every sum takes:
 
-* pure-sum, multi_q_beta_poly: the order-r generating-function
+* _PURE_SUM, multi_q_beta_poly: the order-r generating-function
   coefficients, a_i = (-1)^(r+i-1) n!/(n-r)! C(n-r, i-1) for
   i = 1..n-r+1, and 0 for n < r;
-* integral, volkenborn_beta_poly: a_i = (-1)^i C(n, i) i^r for i = 1..n,
-  plus beta_0^r (1 - Q)^(-n).  This is the r-fold q-Volkenborn integral
-  of [x + t_1+...+t_r]_Q^n (T. Kim, Russ. J. Math. Phys. 9, 2002 and 13,
-  2006): expand [y]_Q^n = (1-Q)^(-n) sum_j C(n, j) (-1)^j Q^(jy), and
-  each fold gives int Q^(jt) dmu_Q(t) = j/[j]_Q for j >= 1 and
+* _INTEGRAL, volkenborn_beta_poly: a_i = (-1)^i C(n, i) i^r for
+  i = 1..n, plus beta_0^r (1 - Q)^(-n).  This is the r-fold q-Volkenborn
+  integral of [x + t_1+...+t_r]_Q^n (T. Kim, Russ. J. Math. Phys. 9, 2002
+  and 13, 2006): expand [y]_Q^n = (1-Q)^(-n) sum_j C(n, j) (-1)^j Q^(jy),
+  and each fold gives int Q^(jt) dmu_Q(t) = j/[j]_Q for j >= 1 and
   beta_0 = (Q - 1)/log Q for j = 0.
 
-At r = 1 both vectors are (-1)^i i C(n, i), so the Carlitz single is
-beta_n(x) = beta^(1)_n(x) + beta_0 (1 - Q)^(-n); the pure-sum r = 1 case
-is NOT the Carlitz sequence.  The context convention flag decides which
-family feeds series expansions; see series_beta.  Every closed special
-value is a window sum of beta^(r) values over residue rows, which
-_window_sum forms as one integer Horner sum over the rows, _horner_sum,
-the same kernel that evaluates a single value.
+At r = 1 both vectors are (-1)^i i C(n, i), so the Carlitz polynomial
+beta_n(x) is volkenborn_beta_poly at r = 1, the pure-sum single plus
+beta_0 (1 - Q)^(-n); the pure-sum r = 1 case is NOT the Carlitz sequence,
+whose numbers beta_n(0) have a table of their own (carlitz_beta).  The
+context convention flag decides which family feeds series expansions.
+Every closed special value is a window sum over residue rows
+(_window_sum), one integer Horner sum (_horner_sum), the kernel that also
+evaluates a single value (_family_sum).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .classical import residue_sums
@@ -39,6 +41,7 @@ from .padic import (
     _memoized,
     _normalize,
     _ppow,
+    _scaled_exponent,
     int_valuation,
 )
 
@@ -46,7 +49,6 @@ __all__ = [
     "QBernoulliTable",
     "beta_table",
     "carlitz_beta",
-    "carlitz_beta_poly",
     "gen_q_beta_poly",
     "kim_sum_of_products",
     "multi_q_beta_poly",
@@ -165,29 +167,13 @@ def carlitz_beta(ctx: QContext, n: int, base_power: int = 1) -> PadicNumber:
     return table.entries[n]
 
 
-def _carlitz_term(ctx: QContext, n: int, r: int, d: int) -> PadicNumber:
+def _carlitz_term(ctx: QContext, n: int, r: int, d: int,
+                  digits: int) -> PadicNumber:
     """beta_0^r (1 - Q)^(-n) at base Q = q^d, the x-independent term of the
-    integral family (the j = 0 moment of each fold), to absolute precision
-    at least ctx.prec."""
-    beta_0, ratio = _carlitz_constants(
-        ctx, d, ctx.prec + n * _base_valuation(ctx, d) + 2)
+    integral family (the j = 0 moment of each fold), from beta_0 and
+    1/(1 - Q) each to digits significant digits."""
+    beta_0, ratio = _carlitz_constants(ctx, d, digits)
     return beta_0 ** r * ratio ** n
-
-
-def carlitz_beta_poly(ctx: QContext, n: int, x,
-                      base_power: int = 1) -> PadicNumber:
-    """Carlitz q-Bernoulli polynomial beta_n(x) = int [x + t]_Q^n dmu_Q(t)
-    at base Q = q^base_power, as beta^(1)_n(x) + beta_0 (1 - Q)^(-n) with
-    the pure-sum single beta^(1)_n (0 at n = 0); see the module docstring.
-    Certified to at least ctx.prec digits: both terms keep the padding they
-    are computed with (multi_q_beta_poly's beta headroom, _carlitz_term's
-    guard digits), so the result can carry more (prec 14 at p = 5, q = 6,
-    ctx.prec 12).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return (multi_q_beta_poly(ctx, n, 1, x, base_power=base_power)
-            + _carlitz_term(ctx, n, 1, base_power))
 
 
 def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
@@ -196,24 +182,13 @@ def gen_q_beta_poly(ctx: QContext, n: int, chi: DirichletCharacter,
     at the modulus f of chi and base Q = q^f:
 
         [f]_q^(n-1) sum_{a=1..f} chi(a) beta_{n,Q}((a+z)/f)
-          = (r = 1 window sum) + [f]_q^(n-1) beta_0 (1-Q)^(-n) sum_a chi(a)
 
-    by the closed form of carlitz_beta_poly; the second term is non-zero
-    only for principal chi.  Certified to ctx.prec or PrecisionExhausted.
+    the window sum of the integral family at r = 1.  Certified to ctx.prec
+    or PrecisionExhausted.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     f = chi.modulus
-    rows = residue_sums(f, 1, chi)
-    value = _window_sum(ctx, n, 1, chi, z, f, rows)
-    if chi.is_principal:
-        # chi(a) = 1 on every row, so the character sum is the row count;
-        # v([f]_q) = v_p(f), which [f]_q^(-1) at n = 0 costs
-        wide = ctx.with_precision(ctx.prec + int_valuation(f, ctx.p) + 2)
-        term = _carlitz_term(wide, n, 1, f)
-        bracket = ctx.q_bracket(1, f, term.rel)
-        value = value + len(rows) * bracket ** (n - 1) * term
-    return _certified(value, ctx.prec, "gen_q_beta_poly")
+    return _window_sum(ctx, _INTEGRAL, n, 1, chi, z, f,
+                       residue_sums(f, 1, chi))
 
 
 # Coefficient tables kept per context, in a store of their own beside the
@@ -248,20 +223,45 @@ def _integral_a(n: int, r: int) -> list:
     return [(-1) ** i * math.comb(n, i) * i ** r for i in range(1, n + 1)]
 
 
-def _coeff_table(ctx: QContext, family, n: int, r: int, d: int, rel: int):
+def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:
+    """Certified bound on -v(beta^(r)_{k,q^F}) over k <= m in the pure-sum
+    family; factors that multiply such a beta need this many extra digits
+    to keep target absolute precision."""
+    if m < r:
+        return 0
+    vd = _base_valuation(ctx, F)
+    return (m - r) * vd + r * (vd + _ceil_log(ctx.p, m - r + 1))
+
+
+# A family of order-r polynomials at base Q = q^d: (1-Q)^(r-n) sum_i a_i
+# Q^(ix) (1-Q^i)^(-r) for a = vector(n, r), plus term(ctx, n, r, d, digits)
+# unless that is None.  pad(ctx, n, r, d) bounds -v of each part; floor(r)
+# bounds v of its values at x = 0 from below for every n and base, or is
+# None.  Both vectors are non-empty from n = r on.
+_Family = namedtuple("_Family", "vector term pad floor")
+_PURE_SUM = _Family(_pure_sum_a, None, _beta_headroom, lambda r: None)
+# integral: term i has valuation v_p(C(n, i)) - n v(Q-1), as a_i carries
+# i^r, and so has the beta_0^r term; the floor is series_beta_floor's
+_INTEGRAL = _Family(_integral_a, _carlitz_term,
+                    lambda ctx, n, r, d: n * _base_valuation(ctx, d),
+                    lambda r: -1 if r == 1 else None)
+
+
+def _coeff_table(ctx: QContext, family: _Family, n: int, r: int, d: int,
+                 rel: int):
     """The x-independent part of a family at base Q = q^d, to rel
     significant digits: (base, coeffs, pref) with pref = (1-Q)^(r-n) and
 
         coeffs[i-1] * p^base = a_i (1-Q^i)^(-r)   mod p^(base+rel)
 
-    for the non-empty a = family(n, r).  v(1 - Q^i) = v(Q-1) + v_p(i) by
-    lifting the exponent, so Q^i is formed modulo p^(rel + v(Q-1) +
-    ceil(log_p(len a))).  The key names the family, since at n = r both
-    families ask the same rel."""
+    for the non-empty a = family.vector(n, r).  v(1 - Q^i) = v(Q-1) +
+    v_p(i) by lifting the exponent, so Q^i is formed modulo p^(rel +
+    v(Q-1) + ceil(log_p(len a))).  The key names the vector, since at
+    n = r both families ask the same rel."""
     return _memoized(ctx._coeff_tables, COEFF_TABLE_CAP,
-                     (family.__name__, n, r, d, rel),
-                     lambda: _build_coeff_table(ctx, family(n, r), n, r, d,
-                                                rel))
+                     (family.vector, n, r, d, rel),
+                     lambda: _build_coeff_table(ctx, family.vector(n, r), n,
+                                                r, d, rel))
 
 
 def _unit_vector(ctx: QContext, count: int, d: int, rel: int):
@@ -287,7 +287,7 @@ def _unit_vector(ctx: QContext, count: int, d: int, rel: int):
 
 def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
                        rel: int):
-    """The table of _coeff_table for the vector a = family(n, r)."""
+    """The table of _coeff_table for the vector a = family.vector(n, r)."""
     p = ctx.p
     mod = _ppow(p, rel)
     units, uvals = _unit_vector(ctx, len(a), d, rel)
@@ -337,12 +337,33 @@ def _horner_sum(p: int, table, terms, digits: int = None) -> PadicNumber:
     return pref * _normalize(p, total, base, base + min(reach))
 
 
-def _family_sum(ctx: QContext, family, n: int, r: int, x, d: int,
-                rel: int) -> PadicNumber:
-    """(1-Q)^(r-n) sum_i a_i Q^(ix) (1-Q^i)^(-r) at base Q = q^d, for
-    a = family(n, r), as a Horner sum in u = Q^x modulo p^rel."""
-    return _horner_sum(ctx.p, _coeff_table(ctx, family, n, r, d, rel),
-                       [(1, ctx.q_power(d, x, rel))])
+def _exponent(z):
+    """z as an exact exponent, as _scaled_exponent gives it, with an exact
+    zero PadicNumber as the int 0: z + t would coerce t at its precision."""
+    if isinstance(z, PadicNumber):
+        return 0 if z.is_exact_zero else z
+    return _scaled_exponent(1, z)
+
+
+def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
+                d: int) -> PadicNumber:
+    """The family's value at x and base Q = q^d: a Horner sum in u = Q^x
+    modulo p^rel plus the term, each to rel = ctx.prec + pad + 2 digits.
+    An empty vector sums to 0, but x must still lie in the domain of Q^x."""
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    _require_base(d)
+    x = _exponent(x)
+    rel = ctx.prec + family.pad(ctx, n, r, d) + 2
+    if n < r and not family.vector(n, r):
+        ctx.q_power(d, x)
+        value = PadicNumber.exact_zero(ctx.p, ctx.prec)
+    else:
+        value = _horner_sum(ctx.p, _coeff_table(ctx, family, n, r, d, rel),
+                            [(1, ctx.q_power(d, x, rel))])
+    if family.term:
+        value = value + family.term(ctx, n, r, d, rel)
+    return value
 
 
 def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
@@ -356,14 +377,7 @@ def multi_q_beta_poly(ctx: QContext, n: int, r: int, x,
     and 0 for n < r (the order-r generating function starts at t^r), where
     x must still lie in the domain of Q^x.
     """
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
-    _require_base(base_power)
-    if n < r:
-        ctx.q_power(base_power, x)      # no sum, but x must be in the domain
-        return PadicNumber.exact_zero(ctx.p, ctx.prec)
-    rel = ctx.prec + _beta_headroom(ctx, n, r, base_power) + 2
-    return _family_sum(ctx, _pure_sum_a, n, r, x, base_power, rel)
+    return _family_sum(ctx, _PURE_SUM, n, r, x, base_power)
 
 
 def volkenborn_beta_poly(ctx: QContext, n: int, r: int, x,
@@ -375,31 +389,11 @@ def volkenborn_beta_poly(ctx: QContext, n: int, r: int, x,
           = (1-Q)^(r-n) sum_{i=1..n} (-1)^i C(n,i) i^r Q^(ix) (1-Q^i)^(-r)
             + beta_0^r (1-Q)^(-n),
 
-    with beta_0 = (Q - 1)/log Q; see the module docstring.  At r = 1 it is
-    carlitz_beta_poly.  Exactly ctx.prec digits, or PrecisionExhausted.
+    with beta_0 = (Q - 1)/log Q; at r = 1 the Carlitz polynomial beta_n(x).
+    Exactly ctx.prec digits, or PrecisionExhausted.
     """
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
-    _require_base(base_power)
-    value = _carlitz_term(ctx, n, r, base_power)
-    if n == 0:
-        ctx.q_power(base_power, x)      # no sum, but x must be in the domain
-    else:
-        # term i has valuation v_p(C(n, i)) - n v(Q-1), as a_i carries i^r
-        rel = ctx.prec + n * _base_valuation(ctx, base_power) + 2
-        value = value + _family_sum(ctx, _integral_a, n, r, x, base_power,
-                                    rel)
-    return _certified(value, ctx.prec, "r-fold q-Volkenborn integral")
-
-
-def _beta_headroom(ctx: QContext, m: int, r: int, F: int) -> int:
-    """Certified bound on -v(beta^(r)_{k,q^F}) over k <= m; factors that
-    multiply such a beta need this many extra digits to keep target
-    absolute precision."""
-    if m < r:
-        return 0
-    vd = _base_valuation(ctx, F)
-    return (m - r) * vd + r * (vd + _ceil_log(ctx.p, m - r + 1))
+    return _certified(_family_sum(ctx, _INTEGRAL, n, r, x, base_power),
+                      ctx.prec, "r-fold q-Volkenborn integral")
 
 
 def _certified(x: PadicNumber, prec: int, what: str) -> PadicNumber:
@@ -415,44 +409,47 @@ def _certified(x: PadicNumber, prec: int, what: str) -> PadicNumber:
     return x + PadicNumber.zero_at(x.p, prec)
 
 
-def _window_sum(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
-                F: int, rows) -> PadicNumber:
+def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
+                chi: DirichletCharacter, z, F: int, rows) -> PadicNumber:
     """[F]_q^(n-r) sum_{(t, count) in rows} count chi(t)
                      beta^(r)_{n,q^F}((z+t)/F)
 
-    The one sum over residue rows; rows are (t, count) pairs with count >= 1
-    and chi(t) != 0, such as residue_sums(F, r, chi) for the sum over
-    a_1..a_r = 1..F grouped by t = a_1+...+a_r.  Padded by the beta
-    headroom, so the value is certified to ctx.prec or PrecisionExhausted
-    is raised.
+    for beta^(r) of the family.  The one sum over residue rows; rows are
+    (t, count) pairs with count >= 1 and chi(t) != 0, such as
+    residue_sums(F, r, chi) for the sum over a_1..a_r = 1..F grouped by
+    t = a_1+...+a_r.  Padded by the family's bound, and by the (r - n)
+    v_p(F) digits [F]_q^(n-r) costs at n < r, so the value is certified to
+    ctx.prec or PrecisionExhausted is raised.
 
     All rows share one coefficient table, so this is one _horner_sum over
     u_t = q^(z+t), z + t being the exact exponent F (z+t)/F, with integer
     weights count chi(t), chi(t) lifted to work digits.  It keeps the
-    precision of the per-row PadicNumber sum of count chi(t) beta_t, as
-    lfunctions._horner_rows keeps that of its term-by-term sum: each row
-    is known to its own q-power's digits (at most v(beta_t) + work) above
-    p^v_p(count).  One precision for all rows, or one without v_p(count),
-    loses digits at an exact zero z of few digits or a count divisible by
-    p."""
-    headroom = _beta_headroom(ctx, n, r, F)
-    work = ctx.prec + headroom + 4
+    precision of the per-row PadicNumber sum of count chi(t) beta_t: each
+    row is known to its own q-power's digits above p^v_p(count).
+
+    The term does not depend on x, so it comes times sum_t count chi(t):
+    the row count for a principal chi, and 0 for any other over the full
+    residue sums, where the sum over a_1 alone runs over periods of chi.
+    """
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and r >= 1")
+    pad = family.pad(ctx, n, r, F)
+    work = ctx.prec + pad + max(r - n, 0) * int_valuation(F, ctx.p) + 4
     wctx = ctx.with_precision(work)
-    if not isinstance(z, PadicNumber):
-        z = Fraction(z)
-        if z.denominator == 1:
-            z = z.numerator     # so each exponent z + t is a plain int
-    if n < r:
-        # no sum, but (z + t)/F must lie in the domain of Q^x, as in
-        # multi_q_beta_poly; it does for every row if it does for one
+    z = _exponent(z)
+    rel = work + pad + 2                # _family_sum's at wctx
+    if n < r and not family.vector(n, r):
+        # no sum, but each (z + t)/F must lie in the domain: one row decides
         ctx.q_power(1, z + rows[0][0])
         acc = PadicNumber.exact_zero(ctx.p, work)
     else:
-        rel = work + headroom + 2       # multi_q_beta_poly's at wctx
-        table = _coeff_table(wctx, _pure_sum_a, n, r, F, rel)
+        table = _coeff_table(wctx, family, n, r, F, rel)
         terms = [(count * chi.lift(t, work), wctx.q_power(1, z + t, rel))
                  for t, count in rows]
         acc = _horner_sum(ctx.p, table, terms, work)
+    if family.term and chi.is_principal:
+        acc = acc + (sum(count for _, count in rows)
+                     * family.term(ctx, n, r, F, rel))
     return _certified(wctx.q_bracket(1, F) ** (n - r) * acc, ctx.prec,
                       "special value")
 
@@ -467,10 +464,9 @@ def multi_gen_q_beta_poly(ctx: QContext, n: int, r: int,
 
     certified to ctx.prec or PrecisionExhausted is raised.
     """
-    if n < 0 or r < 1:
-        raise ValueError("need n >= 0 and r >= 1")
     f = chi.modulus
-    return _window_sum(ctx, n, r, chi, z, f, residue_sums(f, r, chi))
+    return _window_sum(ctx, _PURE_SUM, n, r, chi, z, f,
+                       residue_sums(f, r, chi))
 
 
 # -- convention certificate ---------------------------------------------------
@@ -531,43 +527,39 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
         ctx.q_power(1, z)
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    N, x = n + r, sum(z_list)
-    if cert["single_beta"] == "carlitz":
-        return volkenborn_beta_poly(ctx, N, r, x)
-    # volkenborn_beta_poly's sum over i >= 1, at its rel and with its label
-    rel = ctx.prec + N * _base_valuation(ctx, 1) + 2
-    return _certified(_family_sum(ctx, _integral_a, N, r, x, 1, rel),
+    family = (_INTEGRAL if cert["single_beta"] == "carlitz"
+              else _INTEGRAL._replace(term=None))
+    return _certified(_family_sum(ctx, family, n + r, r, sum(z_list), 1),
                       ctx.prec, "r-fold q-Volkenborn integral")
 
 
-def series_beta_floor(ctx: QContext, r: int):
-    """A lower bound on v(series_beta(ctx, k, r, d)) that holds for every k
-    and every base q^d, or None where none is proven.
+def _series_family(ctx: QContext) -> _Family:
+    """The family series expansions consume; the one reading of the
+    context convention flag."""
+    return _INTEGRAL if ctx.convention == "carlitz" else _PURE_SUM
 
-    Carlitz singles: v(beta_k) >= -1.  beta_k at base Q = q^d is the
-    q-Volkenborn integral of [x]_Q^k, which is p-integral on Z_p, and
-    |int f dmu_Q| <= p ||f||_1 (T. Kim, "q-Volkenborn integration", Russ.
-    J. Math. Phys. 9, 2002).  No bound is proven for the pure-sum multiples,
-    which lose about v(Q - 1) of valuation per k, nor yet for the Carlitz
-    convention at r >= 2, whose coefficients are the integral family.
-    """
-    if ctx.convention == "carlitz" and r == 1:
-        return -1
-    return None
+
+def series_beta_floor(ctx: QContext, r: int):
+    """A lower bound on v(series_beta(ctx, k, r, d)) for every k and base
+    q^d, the series family's, or None where none is proven.  Carlitz
+    singles: v(beta_k) >= -1, as beta_k at base Q = q^d is the q-Volkenborn
+    integral of [x]_Q^k, p-integral on Z_p, and |int f dmu_Q| <= p ||f||_1
+    (T. Kim, "q-Volkenborn integration", Russ. J. Math. Phys. 9, 2002).
+    None is proven for the pure-sum multiples, which lose about v(Q - 1)
+    per k, nor yet for the integral family at r >= 2."""
+    return _series_family(ctx).floor(r)
 
 
 def series_beta(ctx: QContext, k: int, r: int,
                 base_power: int = 1) -> PadicNumber:
-    """The coefficient beta^(r)_{k} at base q^base_power that series
-    expansions consume, honoring the context convention flag.
-
-    pure_sum: the order-r generating-function coefficients (0 for k < r).
-    carlitz: for r = 1 the Carlitz sequence, from its table; for r >= 2 the
-    integral family, the r-fold q-Volkenborn integral at x = 0.
+    """The coefficient beta^(r)_{k} at base q^base_power of the series
+    family at x = 0: under pure_sum multi_q_beta_poly's padded values (0
+    for k < r), under carlitz the integral family, at r = 1 from the
+    Carlitz table.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if ctx.convention == "carlitz":
+    if _series_family(ctx) is _INTEGRAL:
         if r == 1:
             return carlitz_beta(ctx, k, base_power)
         return volkenborn_beta_poly(ctx, k, r, 0, base_power)

@@ -2,6 +2,9 @@
 classical baseline, and the three q-theorem checkers with their
 valuation certificates."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 from math import factorial, inf
 
@@ -23,6 +26,7 @@ from qpl import (
     verify_thm54,
 )
 from qpl.characters import eta_order
+from qpl.cli import main
 from qpl.congruences import binom_operator, forward_diff, stirling_expansion
 
 
@@ -201,6 +205,38 @@ def test_thm54_failure_loci(ctx, w2):
     assert not rep.passed and rep.observed_valuation == 1
     rep = verify_thm54(ctx, principal_char(5), 2, 2, 4, 1, 5, 10)
     assert not rep.passed and rep.observed_valuation == -27
+
+
+# failing r = 1 reports of `qpl kummer-verify --grid default --jobs 1` per
+# (p, q) and theorem (53, binop, 54), at prec 14 (16 at p = 2), of 120, 120
+# and 8 reports; none is inconclusive
+GRID_FAILURES = {
+    (3, "1+p"): (0, 0, 4), (3, "1+p^2"): (0, 0, 0),
+    (5, "1+p"): (0, 0, 6), (5, "1+p^2"): (0, 0, 0), (5, "1+p^3"): (0, 0, 0),
+    (7, "1+p"): (0, 0, 6), (7, "1+p^2"): (0, 0, 0), (7, "1+p^3"): (0, 0, 0),
+    (2, "1+p^2"): (22, 48, 6), (2, "1+p^3"): (0, 24, 4),
+    (2, "1+p^4"): (12, 18, 2),
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(GRID_FAILURES))
+def test_default_grid_failures_off_the_acceptance_grid(p, q):
+    # At odd p theorem 54's failures go once v(q - 1) >= 2; at p = 2 the
+    # failures are not monotone in v(q - 1).  A change to any count is a
+    # change to the mathematics or to a verifier requirement.
+    got = []
+    for theorem in ("53", "binop", "54"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(["kummer-verify", "--theorem", theorem, "--grid", "default",
+                  "--jobs", "1", "--p", str(p), "--q", q,
+                  "--prec", str(16 if p == 2 else 14)])
+        reports = [rep for rep in json.loads(buf.getvalue())["reports"]
+                   if rep["point"]["r"] == 1]
+        assert len(reports) == (8 if theorem == "54" else 120)
+        assert not any(rep["inconclusive"] for rep in reports)
+        got.append(sum(not rep["pass"] for rep in reports))
+    assert tuple(got) == GRID_FAILURES[p, q]
 
 
 # -- binomial-operator theorem ----------------------------------------------

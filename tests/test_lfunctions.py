@@ -31,6 +31,7 @@ from qpl import (
     pochhammer,
     principal_char,
     q_zeta_special,
+    volkenborn_beta_poly,
 )
 
 from qpl import QplError, classical, lfunctions
@@ -557,7 +558,8 @@ def _rows_outcome(f):
 def _shifts(p):
     """z as an int, a Fraction (1/2, or 1/3 at p = 2, where 1/2 is not
     integral), PadicNumbers with few digits, of positive valuation, zero
-    at precision and exact zero, each in the valuation ring."""
+    at precision and exact zero, each in the valuation ring.  An exact
+    zero is the int 0, whatever its precision."""
     half = Fraction(1, 3 if p == 2 else 2)
     return (0, p + 1, half, Fraction(2 * p, 7),
             PadicNumber.from_fraction(Fraction(3, 11), p, 2),
@@ -584,7 +586,11 @@ def test_outer_rows_match_padic_loop(p):
                     v_div, m = (0, 1) if case % 2 else (2, r + 3)
                     args = (ctx, chi, r, F, z, v_div, m)
                     got = _rows_outcome(lambda: lfunctions._outer_rows(*args))
-                    want = _rows_outcome(lambda: _outer_rows_loop(*args))
+                    # the loop coerces A at an exact zero's precision
+                    plain = (0 if isinstance(z, PadicNumber)
+                             and z.is_exact_zero else z)
+                    want = _rows_outcome(lambda: _outer_rows_loop(
+                        ctx, chi, r, F, plain, v_div, m))
                     assert got == want, (ctx.q, chi, F, r, z, v_div, m)
 
 
@@ -677,3 +683,48 @@ def test_series_coefficients_match_padic_chain(p):
            if not b.is_zero]
     assert ([(j, digits_of(t)) for j, t in terms]
             == [(j, digits_of(t)) for j, t in ref])
+
+
+def _z_outcome(f, z):
+    try:
+        value = f(z)
+    except Exception as exc:
+        # the first line: pytest appends its own report to a bare assert
+        return (type(exc).__name__, str(exc).split("\n")[0])
+    return digits_of(getattr(value, "value", value))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_exact_zero_z_is_zero(p):
+    # An exact-zero PadicNumber z, of any precision, is the int 0 in every
+    # value function: its precision must not cap the exponents z + t
+    ps = 4 if p == 2 else p
+    ctx = QContext(p, Fraction(1 + ps), 12)
+    carl = QContext(p, Fraction(1 + ps), 12, convention="carlitz")
+    w = omega_pow(p, 1)
+    one = induce(principal_char(p), ps)
+    F = choose_F(w.conductor, p)
+    step = choose_F(w.conductor, p, 1, "difference")
+    functions = {
+        "multi_q_beta_poly": lambda z: multi_q_beta_poly(ctx, 4, 2, z),
+        "volkenborn_beta_poly": lambda z: volkenborn_beta_poly(ctx, 4, 2, z),
+        "gen_q_beta_poly": lambda z: gen_q_beta_poly(ctx, 3, w, z),
+        "gen_q_beta_poly principal": lambda z: gen_q_beta_poly(ctx, 3, one, z),
+        "multi_gen_q_beta_poly": lambda z: multi_gen_q_beta_poly(
+            ctx, 4, 2, w, z),
+        "q_zeta_special": lambda z: q_zeta_special(ctx, 2, 2, z),
+        "partial_q_zeta_special": lambda z: partial_q_zeta_special(
+            ctx, 2, 2, [1, 2], ps, z),
+        "Lq_special": lambda z: Lq_special(ctx, 2, 1, w, z),
+        "Lpq_special": lambda z: Lpq_special(ctx, 2, 1, w, z),
+        "Lpq_eval": lambda z: Lpq_eval(ctx, LParams(1, w, F, z, -1)),
+        "Lpq_at_r": lambda z: Lpq_at_r(carl, 1, w, z),
+        "Lpq_difference_rhs": lambda z: Lpq_difference_rhs(
+            ctx, -1, z, w, 1, step),
+    }
+    for name, f in functions.items():
+        want = _z_outcome(f, 0)
+        assert not isinstance(want[0], str), (name, want)
+        for digits in (1, 3):
+            got = _z_outcome(f, PadicNumber.exact_zero(p, digits))
+            assert got == want, (name, digits)

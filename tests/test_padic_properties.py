@@ -8,8 +8,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from qpl import (PadicNumber, QContext, carlitz_beta_poly, fraction_valuation,
-                 iwasawa_log, padic_exp, rstar_threshold)
+from qpl import (PadicNumber, QContext, fraction_valuation, iwasawa_log,
+                 padic_exp, rstar_threshold, volkenborn_beta_poly)
 from qpl.padic import int_valuation
 
 from helpers import assert_agree
@@ -115,7 +115,8 @@ def test_certified_digits_stable_as_precision_rises(p, a, b, k, extra):
        st.sampled_from((0, 1, 4, Fraction(1, 2))), st.integers(2, 16),
        st.integers(1, 10))
 def test_carlitz_digits_stable_as_precision_rises(p, n, x, k, extra):
-    low = carlitz_beta_poly(QContext(p, Fraction(1 + p), k), n, x)
-    high = carlitz_beta_poly(QContext(p, Fraction(1 + p), k + extra), n, x)
+    low = volkenborn_beta_poly(QContext(p, Fraction(1 + p), k), n, 1, x)
+    high = volkenborn_beta_poly(QContext(p, Fraction(1 + p), k + extra), n,
+                                1, x)
     assert low.prec >= k
     assert_agree(low, high, low.prec)

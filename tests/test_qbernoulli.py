@@ -5,19 +5,20 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from qpl import (
     DomainError,
+    Lpq_special,
     NormalizationUnresolved,
     PadicNumber,
     PrecisionExhausted,
     QContext,
     QplError,
     carlitz_beta,
-    carlitz_beta_poly,
     char_build,
     convention_certificate,
     gen_q_beta_poly,
@@ -117,7 +118,7 @@ def test_carlitz_poly_expansion():
         for d in (1, p):
             for n in range(7):
                 for x in (1, 2, Fraction(1, 2), Fraction(5, 3)):
-                    lhs = carlitz_beta_poly(ctx, n, x, d)
+                    lhs = volkenborn_beta_poly(ctx, n, 1, x, d)
                     rhs = PadicNumber.exact_zero(p, 20)
                     for k in range(n + 1):
                         rhs = rhs + (carlitz_beta(ctx, k, d) * math.comb(n, k)
@@ -129,7 +130,7 @@ def test_carlitz_poly_expansion():
     ctx = QContext(2, Fraction(5), 10)
     for n in (0, 3):
         with pytest.raises(DomainError):
-            carlitz_beta_poly(ctx, n, Fraction(1, 2))
+            volkenborn_beta_poly(ctx, n, 1, Fraction(1, 2))
 
 
 def test_pure_multiple_expansion():
@@ -210,7 +211,7 @@ def test_gen_q_beta_modulus_one():
     for n in range(5):
         for z in (0, 1, 3):
             assert_agree(gen_q_beta_poly(CTX, n, one, z),
-                         carlitz_beta_poly(CTX, n, z + 1), 12)
+                         volkenborn_beta_poly(CTX, n, 1, z + 1), 12)
 
 
 def test_multi_gen_reduces_to_gen():
@@ -230,13 +231,13 @@ def test_gen_q_beta_matches_definition():
                 want = PadicNumber.exact_zero(5, 30)
                 for a in range(1, 6):
                     if chi.exponent(a) is not None:
-                        want = want + chi.eval(a, 30) * carlitz_beta_poly(
-                            wide, n, Fraction(a + z, 5), 5)
+                        want = want + chi.eval(a, 30) * volkenborn_beta_poly(
+                            wide, n, 1, Fraction(a + z, 5), 5)
                 want = want * wide.q_bracket(1, 5) ** (n - 1)
                 got = gen_q_beta_poly(CTX, n, chi, z)
                 assert got.prec == CTX.prec, (chi, n, z)
                 assert_agree(got, want, CTX.prec)
-    # z must lie in the domain of q^z at n = 0 too, as in carlitz_beta_poly
+    # z must lie in the domain of q^z at n = 0 too, as in volkenborn_beta_poly
     ctx = QContext(2, Fraction(5), 10)
     for n in (0, 3):
         with pytest.raises(DomainError):
@@ -462,7 +463,7 @@ def _kim_reference(ctx, n, r, z_list, convention):
 
     def single(m, z):
         if convention == "carlitz":
-            return carlitz_beta_poly(ctx, m, z)
+            return volkenborn_beta_poly(ctx, m, 1, z)
         if m == 0:
             return PadicNumber.exact_zero(p, ctx.prec)
         return multi_q_beta_poly(ctx, m, 1, z)
@@ -573,24 +574,96 @@ def test_volkenborn_order_one_is_carlitz():
                         (1, pstar), (0, 1, Fraction(1, 2), Fraction(5, 3)),
                         range(10)):
                     try:
-                        want = carlitz_beta_poly(ctx, n, x, d)
+                        pure = multi_q_beta_poly(ctx, n, 1, x, base_power=d)
                     except DomainError:
                         with pytest.raises(DomainError):
                             volkenborn_beta_poly(ctx, n, 1, x, d)
                         continue
+                    # the Carlitz closed form: the pure-sum single plus
+                    # beta_0 (1 - Q)^(-n), with two guard digits
+                    vd = ctx.v_q1 + int_valuation(d, p)
+                    term = qbernoulli._carlitz_term(ctx, n, 1, d,
+                                                    ctx.prec + n * vd + 2)
+                    want = pure + term
                     assert want.prec >= ctx.prec
                     got = volkenborn_beta_poly(ctx, n, 1, x, d)
                     assert got.prec == ctx.prec
                     assert_agree(got, want, ctx.prec)
-                    pure = multi_q_beta_poly(ctx, n, 1, x, base_power=d)
-                    assert_agree(got - qbernoulli._carlitz_term(ctx, n, 1, d),
-                                 pure, ctx.prec)
+                    assert_agree(got - term, pure, ctx.prec)
+                    if x == 0:
+                        assert_agree(got, carlitz_beta(ctx, n, d), ctx.prec)
                     if d == 1 and n >= 1:
                         kim = kim_sum_of_products(ctx, n - 1, 1, [x])
                         assert kim.prec == ctx.prec
                         assert_agree(kim, pure, ctx.prec)
     finally:
         set_convention_certificate(saved)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_integral_window_sum_adds_the_beta0_term(p):
+    # The integral family's window sum, whose beta_0^r (1 - Q)^(-n) term is
+    # added for a principal character only, against the sum over residue
+    # vectors of volkenborn_beta_poly values, which carry the term each: it
+    # sums to 0 over the full periods of any other character
+    ps = 4 if p == 2 else p
+    ctx = QContext(p, Fraction(1 + ps), 10)
+    wide = ctx.with_precision(30)
+    w = omega_pow(p, 1)
+    one = principal_char(p)
+    half = Fraction(1, 3 if p == 2 else 2)
+    for chi, r in itertools.product(
+            (one, induce(one, ps), induce(one, 2 * ps), w, induce(w, 2 * ps)),
+            (1, 2, 3)):
+        F = chi.modulus
+        sums = Counter(map(sum, itertools.product(range(1, F + 1), repeat=r)))
+        for n, z in itertools.product(range(6), (0, 2, half)):
+            want = PadicNumber.exact_zero(p, 30)
+            for t, count in sums.items():
+                if chi.exponent(t) is not None:
+                    want = want + count * chi.eval(t, 30) * \
+                        volkenborn_beta_poly(wide, n, r, Fraction(z + t, F), F)
+            want = want * wide.q_bracket(1, F) ** (n - r)
+            got = qbernoulli._window_sum(ctx, qbernoulli._INTEGRAL, n, r, chi,
+                                         z, F, residue_sums(F, r, chi))
+            assert got.prec == ctx.prec, (chi, r, n, z)
+            assert_agree(got, want, ctx.prec)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_no_digit_claimed_beyond_an_approximate_z(p):
+    # z known modulo p^K: every digit a value function claims must hold for
+    # each exact z0 + c p^K its unknown digits allow, taken at precision 40.
+    # One failing perturbation disproves a claim; a refusal claims nothing.
+    ps = 4 if p == 2 else p
+    w = omega_pow(p, 1)
+    functions = (
+        lambda ctx, z: multi_q_beta_poly(ctx, 4, 2, z),
+        lambda ctx, z: volkenborn_beta_poly(ctx, 4, 2, z),
+        lambda ctx, z: volkenborn_beta_poly(ctx, 3, 1, z),
+        lambda ctx, z: gen_q_beta_poly(ctx, 3, w, z),
+        lambda ctx, z: gen_q_beta_poly(ctx, 3, induce(principal_char(p), ps),
+                                       z),
+        lambda ctx, z: multi_gen_q_beta_poly(ctx, 3, 2, w, z),
+        lambda ctx, z: Lpq_special(ctx, 2, 1, w, z),
+        lambda ctx, z: Lpq_special(ctx, 1, 2, w, z),
+    )
+    claimed = refused = 0
+    for q in (1 + ps, 1 + ps * p):
+        ctx, ref = QContext(p, q, 14), QContext(p, q, 40)
+        for z0, K in itertools.product((1, p), (6, 10, 14, 18, 22)):
+            z = PadicNumber.from_fraction(z0, p, K - int_valuation(z0, p))
+            assert z.prec == K
+            for f in functions:
+                try:
+                    got = f(ctx, z)
+                except PrecisionExhausted:
+                    refused += 1
+                    continue
+                claimed += 1
+                for c in (1, 2, -1, 7):
+                    assert_agree(got, f(ref, z0 + c * p ** K), got.prec)
+    assert claimed and refused
 
 
 def test_coeff_tables_keep_families_apart():
@@ -608,9 +681,17 @@ def test_coeff_tables_keep_families_apart():
             digits_of(f(fresh, n, r, x, d)), (f.__name__, n, r, x, d)
 
 
+def _pure_window(ctx, n, r, chi, z, F, rows):
+    return qbernoulli._window_sum(ctx, qbernoulli._PURE_SUM, n, r, chi, z, F,
+                                  rows)
+
+
 def _window_sum_loop(ctx, n, r, chi, z, F, rows):
     """The per-row PadicNumber loop that _window_sum replaced: one
-    multi_q_beta_poly value and two products per row."""
+    multi_q_beta_poly value and two products per row.  An exact zero z
+    is the int 0: the loop would coerce each t at the zero's precision."""
+    if isinstance(z, PadicNumber) and z.is_exact_zero:
+        z = 0
     work = ctx.prec + qbernoulli._beta_headroom(ctx, n, r, F) + 4
     wctx = ctx.with_precision(work)
     if not isinstance(z, PadicNumber):
@@ -632,9 +713,8 @@ def _outcome(f, *args):
 
 def _window_shifts(p, prec, rng):
     """z of every kind _window_sum takes, several with fewer digits than
-    prec.  z + t then carries the precision of z, except at an exact zero
-    z, whose precision only caps the digits of z + t: there rows with p^k
-    dividing t, k >= prec(z), get q-powers with more digits."""
+    prec, z + t then carrying the precision of z, and exact zeros, which
+    are the int 0."""
     den = 3 if p == 2 else 2
     return (rng.randrange(3 * p),
             Fraction(rng.randrange(1, 30, den), den),
@@ -650,9 +730,9 @@ def _window_shifts(p, prec, rng):
 
 
 def _mixed_rows(p, more):
-    """Rows at F = 1 on which every row bounds the precision at an exact
-    zero z of one digit: the q-powers of rows with p | t carry one digit
-    more than the rest, and the rest have counts divisible by p."""
+    """Rows at F = 1 whose counts are divisible by p, beside rows with
+    p | t of count prime to p, so that a sum that drops v_p(count) keeps
+    fewer digits."""
     rows = [(1, p), (p, 1), (2, p)]
     if more:
         rows += ([(t, p * t) for t in range(3, 40)]
@@ -667,7 +747,7 @@ def test_horner_sum_is_the_padic_sum_of_its_rows():
     # so few digits that they bound a row's precision
     p, rng = 5, random.Random(5)
     ctx = QContext(p, Fraction(6), 12)
-    table = qbernoulli._coeff_table(ctx, qbernoulli._pure_sum_a, 6, 2, 5, 20)
+    table = qbernoulli._coeff_table(ctx, qbernoulli._PURE_SUM, 6, 2, 5, 20)
     for _ in range(60):
         terms = [(rng.randrange(1, 200),
                   ctx.q_power(1, rng.randrange(50), rng.randrange(1, 25)))
@@ -705,7 +785,7 @@ def test_window_sum_matches_row_loop(p):
                              (chars[0], 1, _mixed_rows(p, False))):
             for z in _window_shifts(p, prec, rng):
                 args = (ctx, n, r, chi, z, F, rows)
-                got = _outcome(qbernoulli._window_sum, *args)
+                got = _outcome(_pure_window, *args)
                 assert got == _outcome(_window_sum_loop, *args), \
                     (prec, n, r, chi, F, z)
                 certified += not isinstance(got[0], str)
@@ -715,14 +795,15 @@ def test_window_sum_matches_row_loop(p):
 def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
     # At an integral z, a fixed number of PadicNumber operations per window,
     # whatever its row count; the loop makes several per row.  At an exact
-    # zero z, the loop's digits, on the mixed rows.
+    # zero z, the digits at z = 0, on the mixed rows.
     ctx = QContext(5, Fraction(6), 1)
     one = principal_char(5)
     windows = (_mixed_rows(5, False), _mixed_rows(5, True))
     for rows in windows:
         args = (ctx, 2, 2, one, PadicNumber.exact_zero(5, 1), 1, rows)
-        assert digits_of(qbernoulli._window_sum(*args)) == \
-            digits_of(_window_sum_loop(*args))
+        assert digits_of(_pure_window(*args)) == \
+            digits_of(_window_sum_loop(*args)) == \
+            digits_of(_pure_window(ctx, 2, 2, one, 0, 1, rows))
     counts = {"ops": 0}
 
     def counted(fn):
@@ -738,7 +819,7 @@ def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
     ops = []
     for rows in windows:
         counts["ops"] = 0
-        qbernoulli._window_sum(ctx, 2, 2, one, 3, 1, rows)
+        _pure_window(ctx, 2, 2, one, 3, 1, rows)
         ops.append(counts["ops"])
     assert len(windows[1]) > 15 * len(windows[0])
     assert ops[0] == ops[1] <= 6, ops
