@@ -15,7 +15,13 @@ import math
 from functools import lru_cache
 
 from .errors import UnsupportedOrder
-from .padic import PadicNumber, _teich_lift, p_star
+from .padic import (
+    PRIME_CACHE_CAP,
+    PadicNumber,
+    _require_prime,
+    _teich_lift,
+    p_star,
+)
 
 __all__ = [
     "DirichletCharacter",
@@ -54,11 +60,6 @@ def euler_phi(n: int) -> int:
     for q in _factorize(n):
         result = result // q * (q - 1)
     return result
-
-
-#: primes kept by the two prime-keyed caches below; a workload or the whole
-#: test suite asks for at most six primes
-PRIME_CACHE_CAP = 64
 
 
 @lru_cache(maxsize=PRIME_CACHE_CAP)
@@ -242,6 +243,7 @@ def _from_table(p: int, modulus: int, table: tuple) -> DirichletCharacter:
 
 def principal_char(p: int) -> DirichletCharacter:
     """The conductor-1 character: identically 1, including at multiples of p."""
+    _require_prime(p)
     return DirichletCharacter(p, 1, (0,), 1, 1)
 
 
@@ -254,6 +256,7 @@ def char_build(modulus: int, generator_images: dict,
     whose image order cannot divide phi(p*) (cube roots at p = 5, say)
     shows up as such an inconsistency and raises UnsupportedOrder.
     """
+    _require_prime(p)
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     eta_ord = eta_order(p)
@@ -343,6 +346,7 @@ def char_product(chi: DirichletCharacter,
 
 def omega_pow(p: int, h: int) -> DirichletCharacter:
     """The h-th power of the Teichmuller character; principal when h = 0."""
+    _require_prime(p)
     eta_ord = eta_order(p)
     h %= eta_ord
     if h == 0:

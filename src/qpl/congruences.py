@@ -22,6 +22,8 @@ from .errors import InconclusivePrecision, PreconditionViolated
 from .padic import (
     PadicNumber,
     QContext,
+    _require_prime,
+    _scaled_exponent,
     _valuation_at_least,
     fraction_valuation,
     int_valuation,
@@ -141,7 +143,7 @@ def Bnr_structure(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
                   z=0) -> PadicNumber:
     """B_n^r(z, q, chi): the special value Lpq_special(ctx, n, r, chi, z)
     under its structural name, cached per context so grid verifications
-    reuse the z = 0 baselines.
+    reuse the z = 0 baselines, which an exact-zero z shares.
     """
     if n < 1 or r < 1:
         raise PreconditionViolated("n and r must be >= 1")
@@ -184,9 +186,8 @@ def _value_doc(x) -> dict:
 
 
 def _zdesc(z) -> str:
-    if isinstance(z, PadicNumber):
-        return repr(z)
-    return str(Fraction(z)) if not isinstance(z, int) else str(z)
+    z = _scaled_exponent(1, z)
+    return repr(z) if isinstance(z, PadicNumber) else str(z)
 
 
 def _point(ctx: QContext, chi, **kw) -> dict:
@@ -240,17 +241,19 @@ def _sorted_n_list(n_list) -> list:
 class _Cell:
     """The steps the q-verifiers share at one parameter point.
 
-    Construction checks that z lies on the lattice of step
-    choose_F(f_chi, p, lattice_r) (PreconditionViolated otherwise) and
-    that ctx.prec reaches depth + CERT_MARGIN (InconclusivePrecision
-    otherwise).  An operator is a callable op(seq, n) on sequences
-    seq(m) = B_m^r(z0); its witness is the operator at z minus the
-    operator at 0.  c, k and extra go into every report's point.
+    Construction reads z (an exact zero is the lattice point 0), checks
+    that it lies on the lattice of step choose_F(f_chi, p, lattice_r)
+    (PreconditionViolated otherwise) and that ctx.prec reaches depth +
+    CERT_MARGIN (InconclusivePrecision otherwise).  An operator is a
+    callable op(seq, n) on sequences seq(m) = B_m^r(z0); its witness is
+    the operator at z minus the operator at 0.  c, k and extra go into
+    every report's point.
     """
 
     def __init__(self, ctx: QContext, chi: DirichletCharacter, theorem: str,
                  r: int, z, lattice_r: int, depth: int, c: int, k, **extra):
         step = choose_F(chi.conductor, ctx.p, lattice_r, "difference")
+        z = _scaled_exponent(1, z)
         self.notes = _check_z(ctx, z, step)
         if ctx.prec < depth + CERT_MARGIN:
             raise InconclusivePrecision(
@@ -388,6 +391,7 @@ def verify_classical_kummer(p: int, n: int, c: int, k: int,
     of p), the sequence is B_{n,chi}/n instead.  The whole computation is in
     Q, so the verdict is unconditional.
     """
+    _require_prime(p)
     if n < 1 or c < 1 or k < 0:
         raise PreconditionViolated("need n >= 1, c >= 1, k >= 0")
     if chi is None:

@@ -19,7 +19,7 @@ The rows are summed in integers and built into one PadicNumber at the
 precision the term-by-term sum keeps, capped at the stop target, so the
 value is that sum's digit for digit.
 Lpq_difference_rhs is the finite sum that a shift of z by r*F adds to the
-function, used by the congruence machinery.
+function, the right side of the difference equation that test AC2 checks.
 
 Both layers drop the same terms: the residue vectors whose sum is divisible
 by p.  Lpq_special is the residue-sum closed form of Lpq_eval at s = -n; it
@@ -50,6 +50,7 @@ from .padic import (
     _ceil_log,
     _normalize,
     _ppow,
+    _scaled_exponent,
     _teich_lift,
     _valuation_at_least,
     angle_q,
@@ -63,7 +64,6 @@ from .qbernoulli import (
     _PURE_SUM,
     _beta_headroom,
     _certified,
-    _exponent,
     _unit_inverses,
     _window_sum,
     series_beta,
@@ -220,7 +220,8 @@ def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
         raise ValueError("need n >= 0 and r >= 1")
     chim = char_twist_omega(chi, n + r)
     M = math.lcm(chim.conductor, ctx.p_star)
-    return Lq_special(ctx, n, r, induce(chim, M), ctx.p_star * z, F=M)
+    return Lq_special(ctx, n, r, induce(chim, M),
+                      _scaled_exponent(ctx.p_star, z), F=M)
 
 
 # -- the two-variable series -------------------------------------------------
@@ -275,8 +276,8 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
       every bracket, and q^(-E) at r >= 2.  The angle is [E]_q w(A^(-1)).
     - Every value carries work digits, except under a PadicNumber z whose
       E is known to R < work digits.  Then the angle and geom carry R, and
-      the weight R at r = 1 (q^0 keeps E's precision there) or
-      min(work, v_p(r - 1) + v(q - 1) + R) at r >= 2."""
+      the weight at r >= 2 min(work, v_p(r - 1) + v(q - 1) + R); at r = 1
+      it is count chi(A) q^0, whose exponent is the int 0."""
     p, pstar, vq = ctx.p, ctx.p_star, ctx.v_q1
     vF = int_valuation(F, p)
     # pad: r*vF for the 1/[F]^r division, v_div for the prefactor, headroom
@@ -287,16 +288,15 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     br_F = wctx.q_bracket(1, F, work)
     mod, wide = _ppow(p, work), _ppow(p, work + vq)
     q = wctx.q_int(work + vq)
-    z = _exponent(z)
-    if isinstance(z, PadicNumber):
-        zp = z * pstar
-        digits = min(zp.prec, work)
-        shift = zp.unit * _ppow(p, zp.val) if zp.unit else 0
-        weight_digits = (digits if r == 1 else
-                         min(work, int_valuation(r - 1, p) + vq + digits))
+    e = _scaled_exponent(pstar, z)
+    if isinstance(e, PadicNumber):
+        digits = min(e.prec, work)
+        shift = e.unit * _ppow(p, e.val) if e.unit else 0
     else:
-        digits = weight_digits = work
-        shift = pstar * z.numerator * pow(z.denominator, -1, mod)
+        digits = work
+        shift = e.numerator * pow(e.denominator, -1, mod)
+    weight_digits = (work if r == 1 else
+                     min(work, int_valuation(r - 1, p) + vq + digits))
     q_shift = pow(q, shift, wide)
     powers = [q_shift * pow(q, total, wide) % wide for total, _ in sums]
     p_vq = _ppow(p, vq)
@@ -541,7 +541,8 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     the first term at every s, finite series included.
     """
     params.validate(ctx)
-    r, chi, F, z, s = params.r, params.chi, params.F, params.z, params.s
+    r, chi, F, z = params.r, params.chi, params.F, params.z
+    s = _scaled_exponent(1, params.s)
     _pole_guard(r, s, chi)
     if ctx.convention == "carlitz" and r >= 2:
         raise DivergenceDetected(
@@ -626,13 +627,12 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
             % (F, step)
         )
     chir = char_twist_omega(chi, r)
-    z = _exponent(z)
+    shift = _scaled_exponent(pstar, z)
     work = ctx.prec + 4
     wctx = ctx.with_precision(work)
     acc = PadicNumber.exact_zero(p, work)
     for total, count in residue_sums(pstar * F, r, chir, p):
-        exponent = z * pstar + total
         angle = angle_q(wctx, total, z, work)
-        acc = acc + (count * chir.eval(total, work)
-                     * wctx.q_power(1, exponent, work) * padic_power(angle, -s))
+        acc = acc + (count * chir.eval(total, work) * padic_power(angle, -s)
+                     * wctx.q_power(1, shift + total, work))
     return _certified(-acc, ctx.prec, "difference sum")

@@ -47,6 +47,10 @@ __all__ = [
 PPOW_CACHE_CAP = 4096
 TEICH_CACHE_CAP = 1024
 CONTEXT_CACHE_CAP = 1024
+#: primes kept by each prime-keyed cache (the prime check here, primitive
+#: roots and eta in characters); a workload or the whole test suite asks
+#: for at most six primes
+PRIME_CACHE_CAP = 64
 
 
 @lru_cache(maxsize=PPOW_CACHE_CAP)
@@ -597,16 +601,18 @@ def padic_exp(x: PadicNumber) -> PadicNumber:
 # -- exact exponents ---------------------------------------------------------
 
 def _scaled_exponent(d: int, x):
-    """The exact exponent d*x, as an int whenever it is integral, else a
-    Fraction or a PadicNumber."""
+    """The exact exponent d*x, the one reader of exact arguments: an int
+    whenever it is integral, an exact zero included (an int added to it
+    would take its precision), else a Fraction or a PadicNumber."""
     if isinstance(x, PadicNumber):
-        return x * d
-    if not isinstance(x, (int, Fraction)):
+        e = x if d == 1 else x * d
+        return 0 if e.is_exact_zero else e
+    if isinstance(x, int):
+        return d * x
+    if not isinstance(x, Fraction):
         raise TypeError("unsupported exponent %r" % (x,))
     e = d * x
-    if isinstance(e, Fraction) and e.denominator == 1:
-        return e.numerator
-    return e
+    return e.numerator if e.denominator == 1 else e
 
 
 def _valuation_at_least(x, p: int, k: int) -> bool:
@@ -617,19 +623,24 @@ def _valuation_at_least(x, p: int, k: int) -> bool:
     return x == 0 or fraction_valuation(x, p) >= k
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _WITNESSES:
         if n % q == 0:
             return n == q
-    # past trial division n > 37^2 or prime; the witness set below is
-    # deterministic for everything under 3.3e24
+    # past trial division n > 41^2 or prime; Miller-Rabin to the primes up
+    # to 41 is deterministic below 3,317,044,064,679,887,385,961,981, and
+    # to 37 it passes 318665857834031151167461 = 399165290221 * 798330580441
+    # (Sorenson and Webster, Math. Comp. 86, 2017)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -640,6 +651,14 @@ def _is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=PRIME_CACHE_CAP)
+def _require_prime(p: int) -> None:
+    """ValueError unless p is prime: the one primality check of the library,
+    made by QContext and by every character constructor that takes a p."""
+    if not _is_probable_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
 
 
 class QContext:
@@ -655,8 +674,7 @@ class QContext:
     CONVENTIONS = ("pure_sum", "carlitz")
 
     def __init__(self, p: int, q, prec: int, convention: str = "pure_sum"):
-        if not _is_probable_prime(p):
-            raise ValueError("p must be prime, got %d" % p)
+        _require_prime(p)
         if prec < 1:
             raise ValueError("working precision must be >= 1")
         if convention not in self.CONVENTIONS:
@@ -788,7 +806,7 @@ def angle_q(ctx: QContext, a: int, z=0, prec: int = None) -> PadicNumber:
     prec = ctx.prec if prec is None else prec
     if not _valuation_at_least(z, p, 0):
         raise DomainError("z must lie in the valuation ring")
-    bracket = ctx.q_bracket(1, a + ctx.p_star * z, prec)
+    bracket = ctx.q_bracket(1, a + _scaled_exponent(ctx.p_star, z), prec)
     inv_t = pow(_teich_lift(p, a % ctx.p_star, prec), -1, _ppow(p, prec))
     result = bracket * PadicNumber(p, 0, inv_t, prec)
     assert (result - 1).valuation_ge(int_valuation(ctx.p_star, p)), \
@@ -802,6 +820,7 @@ def padic_power(x: PadicNumber, s) -> PadicNumber:
     Integer s falls back to repeated multiplication, which agrees with the
     exp path on the common domain.
     """
+    s = _scaled_exponent(1, s)
     if isinstance(s, int):
         return x ** s
     p = x.p

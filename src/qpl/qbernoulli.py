@@ -337,14 +337,6 @@ def _horner_sum(p: int, table, terms, digits: int = None) -> PadicNumber:
     return pref * _normalize(p, total, base, base + min(reach))
 
 
-def _exponent(z):
-    """z as an exact exponent, as _scaled_exponent gives it, with an exact
-    zero PadicNumber as the int 0: z + t would coerce t at its precision."""
-    if isinstance(z, PadicNumber):
-        return 0 if z.is_exact_zero else z
-    return _scaled_exponent(1, z)
-
-
 def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
                 d: int) -> PadicNumber:
     """The family's value at x and base Q = q^d: a Horner sum in u = Q^x
@@ -353,7 +345,7 @@ def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
     _require_base(d)
-    x = _exponent(x)
+    x = _scaled_exponent(1, x)
     rel = ctx.prec + family.pad(ctx, n, r, d) + 2
     if n < r and not family.vector(n, r):
         ctx.q_power(d, x)
@@ -436,8 +428,8 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
     pad = family.pad(ctx, n, r, F)
     work = ctx.prec + pad + max(r - n, 0) * int_valuation(F, ctx.p) + 4
     wctx = ctx.with_precision(work)
-    z = _exponent(z)
-    rel = work + pad + 2                # _family_sum's at wctx
+    z = _scaled_exponent(1, z)
+    rel = work + 2                      # work holds the family's pad
     if n < r and not family.vector(n, r):
         # no sum, but each (z + t)/F must lie in the domain: one row decides
         ctx.q_power(1, z + rows[0][0])
@@ -523,6 +515,7 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
         )
     if len(z_list) != r:
         raise ValueError("need exactly r shift arguments")
+    z_list = [_scaled_exponent(1, z) for z in z_list]
     for z in z_list:
         ctx.q_power(1, z)
     if n < 0 or r < 1:

@@ -174,6 +174,34 @@ def test_unit_group_generators():
     assert unit_group_generators(15) == ((11, 2), (7, 4))
 
 
+def test_unit_group_generators_generate_with_their_orders():
+    # every modulus below 400, odd prime powers p^e with e >= 2 among them,
+    # where a primitive root modulo p is lifted
+    for m in range(1, 400):
+        gens = unit_group_generators(m)
+        for g, order in gens:
+            assert math.gcd(g, m) == 1, (m, g)
+            powers = {pow(g, i, m) for i in range(1, order + 1)}
+            assert len(powers) == order and pow(g, order, m) == 1, (m, g)
+        group = {1 % m}
+        for g, order in gens:
+            group = {x * pow(g, i, m) % m for x in group for i in range(order)}
+        assert len(group) == math.prod(o for _, o in gens) == euler_phi(m), m
+
+
+@pytest.mark.parametrize("build", (
+    lambda p: principal_char(p),
+    lambda p: omega_pow(p, 1),
+    lambda p: char_build(3, {2: 1}, p),
+    lambda p: parse_char_spec("omega", p),
+), ids=("principal_char", "omega_pow", "char_build", "parse_char_spec"))
+@pytest.mark.parametrize("p", (1, 4, 9, 1763))
+def test_characters_refuse_a_composite_p(build, p):
+    # omega at p = 4 built the table (None, 0, 1, None) with conductor 2
+    with pytest.raises(ValueError, match="p must be prime, got %d" % p):
+        build(p)
+
+
 @pytest.mark.parametrize("p", (2, 5))
 @pytest.mark.parametrize("modulus", (4, 8))
 def test_mod_gens_spec_round_trip_at_two_powers(p, modulus):

@@ -109,6 +109,22 @@ def test_q_spec_parsing():
     assert code == 1 and doc["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv", (
+    # omega at p = 4 gave "3/4" from the table (None, 0, 1, None)
+    "bernoulli --n 3 --chi omega --p 4",
+    # p = 4 reported a failed congruence and exited 3
+    "kummer-verify --theorem classical --p 4 --n 2 --c 3 --k 1",
+    "kummer-verify --theorem classical --p 9 --n 2 --c 3 --k 1 --chi omega",
+    "lp --p 4 --chi omega --s -1",
+))
+def test_composite_p_is_refused(argv):
+    code, doc = run_json(argv.split())
+    p = int(argv.split("--p ")[1].split()[0])
+    assert code == 1, doc
+    assert doc["error"] == {"type": "ValueError",
+                            "message": "p must be prime, got %d" % p}
+
+
 @pytest.mark.parametrize("argv, code", [
     ("bernoulli --n 4 --p 2 --chi omega", 0),
     ("qbernoulli --p 2 --n 4", 0),

@@ -26,6 +26,7 @@ from qpl import (
     verify_thm54,
 )
 from qpl.characters import eta_order
+from qpl import congruences
 from qpl.cli import main
 from qpl.congruences import binom_operator, forward_diff, stirling_expansion
 
@@ -124,6 +125,28 @@ def test_classical_kummer_guards():
         verify_classical_kummer(5, 2, 4, 1, chi=omega_pow(5, 1))
     with pytest.raises(PreconditionViolated):
         verify_classical_kummer(5, 2, 4, 1, chi=omega_pow(5, 2))
+    # p = 4 reported a failed congruence
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError, match="p must be prime, got %d" % p):
+            verify_classical_kummer(p, 2, 3, 1)
+
+
+@pytest.mark.parametrize("witness, required, verdict", (
+    # an exact zero passes at any bound, with valuation infinity
+    (PadicNumber.exact_zero(5, 2), 7, (inf, True, False)),
+    # a nonzero witness below the bound fails, at any precision
+    (PadicNumber(5, 1, 2, 3), 2, (1, False, False)),
+    # at or above the bound it passes only with CERT_MARGIN digits past it
+    (PadicNumber(5, 2, 1, 4), 2, (2, False, True)),
+    (PadicNumber(5, 3, 1, 4), 2, (3, False, True)),
+    (PadicNumber(5, 2, 1, 5), 2, (2, True, False)),
+    # a zero at precision certifies only v >= prec
+    (PadicNumber.zero_at(5, 4), 2, (4, False, True)),
+    (PadicNumber.zero_at(5, 5), 2, (5, True, False)),
+))
+def test_verdict_branches(witness, required, verdict):
+    assert congruences.CERT_MARGIN == 3
+    assert congruences._verdict(witness, required) == verdict
 
 
 # -- theorem 53 --------------------------------------------------------------
@@ -282,6 +305,9 @@ def test_Bnr_structure_cached_per_context(ctx, w2):
     assert Bnr_structure(ctx, 2, 1, w2, padic_z) is c
     with pytest.raises(PreconditionViolated):
         Bnr_structure(ctx, 0, 1, w2, 5)
+    # an exact-zero z is the baseline z = 0, under its memo key
+    zero = Bnr_structure(ctx, 2, 1, w2, 0)
+    assert Bnr_structure(ctx, 2, 1, w2, PadicNumber.exact_zero(5, 1)) is zero
 
 
 def test_reports_serialize(ctx, w2):

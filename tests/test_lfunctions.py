@@ -21,16 +21,22 @@ from qpl import (
     PadicNumber,
     PoleError,
     QContext,
+    angle_q,
     choose_F,
+    convention_certificate,
     gen_q_beta_poly,
     induce,
+    kim_sum_of_products,
     multi_gen_q_beta_poly,
     multi_q_beta_poly,
     omega_pow,
+    padic_power,
     partial_q_zeta_special,
     pochhammer,
     principal_char,
     q_zeta_special,
+    set_convention_certificate,
+    verify_thm53,
     volkenborn_beta_poly,
 )
 
@@ -686,18 +692,33 @@ def test_series_coefficients_match_padic_chain(p):
 
 
 def _z_outcome(f, z):
+    """(val, unit, prec) and terms_used of f(z), the documents of a list of
+    reports, or the error."""
     try:
         value = f(z)
     except Exception as exc:
         # the first line: pytest appends its own report to a bare assert
         return (type(exc).__name__, str(exc).split("\n")[0])
-    return digits_of(getattr(value, "value", value))
+    if isinstance(value, list):
+        return [rep.to_dict() for rep in value]
+    return (digits_of(getattr(value, "value", value)),
+            getattr(value, "terms_used", None))
+
+
+@pytest.fixture
+def carlitz_certificate():
+    saved = convention_certificate()
+    set_convention_certificate(
+        {"normalization": "n", "single_beta": "carlitz", "r_max": 2})
+    yield
+    set_convention_certificate(saved)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_exact_zero_z_is_zero(p):
-    # An exact-zero PadicNumber z, of any precision, is the int 0 in every
-    # value function: its precision must not cap the exponents z + t
+def test_exact_zero_z_is_zero(p, carlitz_certificate):
+    # An exact-zero PadicNumber z, exponent or point s, of any precision, is
+    # the int 0 in every value function and every p-adic entry point: its
+    # precision must not cap the exponents z + t
     ps = 4 if p == 2 else p
     ctx = QContext(p, Fraction(1 + ps), 12)
     carl = QContext(p, Fraction(1 + ps), 12, convention="carlitz")
@@ -705,7 +726,20 @@ def test_exact_zero_z_is_zero(p):
     one = induce(principal_char(p), ps)
     F = choose_F(w.conductor, p)
     step = choose_F(w.conductor, p, 1, "difference")
+    base = PadicNumber.from_int(1 + ps, p, 12)
     functions = {
+        "q_power": lambda z: ctx.q_power(1, z),
+        "q_power at q^3": lambda z: ctx.q_power(3, z),
+        "q_bracket": lambda z: ctx.q_bracket(1, z),
+        "angle_q": lambda z: angle_q(ctx, ps - 1, z),
+        "padic_power at s": lambda s: padic_power(base, s),
+        "Lpq_eval at s": lambda s: Lpq_eval(ctx, LParams(1, w, F, 0, s)),
+        "Lpq_eval carlitz at s": lambda s: Lpq_eval(
+            carl, LParams(1, w, F, 0, s)),
+        "kim_sum_of_products": lambda z: kim_sum_of_products(
+            ctx, 2, 2, [z, 2]),
+        "verify_thm53": lambda z: verify_thm53(
+            ctx, w, 1, [1, 2], p - 1 or 1, 1, z),
         "multi_q_beta_poly": lambda z: multi_q_beta_poly(ctx, 4, 2, z),
         "volkenborn_beta_poly": lambda z: volkenborn_beta_poly(ctx, 4, 2, z),
         "gen_q_beta_poly": lambda z: gen_q_beta_poly(ctx, 3, w, z),

@@ -518,6 +518,21 @@ def test_integral_fraction_exponent_takes_int_path():
                             == digits_of(ctx.q_bracket(d, e, prec)), at
 
 
+def test_scaled_exponent_is_the_one_reader():
+    # an exact zero of any precision is the int 0, and at d = 1 a
+    # PadicNumber comes back as it is, with no arithmetic operation
+    x = PadicNumber.from_int(3, 5, 6)
+    assert padic._scaled_exponent(1, x) is x
+    assert digits_of(padic._scaled_exponent(5, x)) == digits_of(x * 5)
+    for d in (0, 1, 5):
+        for z in (0, x * 0, PadicNumber.exact_zero(5, 1),
+                  PadicNumber.exact_zero(5, 9), Fraction(0)):
+            got = padic._scaled_exponent(d, z)
+            assert type(got) is int and got == 0, (d, z)
+    with pytest.raises(TypeError, match="unsupported exponent 0.5"):
+        padic._scaled_exponent(1, 0.5)
+
+
 def test_q_pow_integer_exact():
     assert bound_of(CTX.q_power(1, 3) - 216) >= 8
 
@@ -656,6 +671,9 @@ def test_context_precision_switch():
      "q - 1 must have valuation >= 2 for p = 2"),
     (5, 2, 4, "carlitz", DomainError,
      "q - 1 must have valuation >= 1 for p = 5"),
+    # the least strong pseudoprime to the prime bases up to 37
+    (318665857834031151167461, 318665857834031151167462, 4, "pure_sum",
+     ValueError, "p must be prime, got 318665857834031151167461"),
 ))
 def test_context_input_checks(p, q, prec, convention, error, message):
     if error is None:
@@ -666,6 +684,26 @@ def test_context_input_checks(p, q, prec, convention, error, message):
         QContext(p, q, prec, convention)
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+def test_primality_agrees_with_trial_division():
+    # Below 2 * 10^5 every composite prime to the witnesses reaches the
+    # Miller-Rabin squaring loop; 561 and 41041 are Carmichael numbers,
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # 318665857834031151167461 = 399165290221 * 798330580441 is the least
+    # strong pseudoprime to every prime base up to 37
+    top = 2 * 10 ** 5
+    sieve = bytearray([1]) * top
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, top, i)))
+    wrong = [n for n in range(top) if padic._is_probable_prime(n) != sieve[n]]
+    assert not wrong, wrong[:10]
+    for n in (561, 41041, 3215031751, 318665857834031151167461):
+        assert not padic._is_probable_prime(n), n
+    for n in (399165290221, 798330580441, 2 ** 61 - 1, 2 ** 89 - 1):
+        assert padic._is_probable_prime(n), n
 
 
 def test_equality_and_powers_of_zeros():
@@ -713,6 +751,7 @@ def test_caches_stay_within_their_caps():
         assert len(ctx._cache) <= cap
     assert padic._ppow.cache_info().maxsize == padic.PPOW_CACHE_CAP
     for memo, cap in ((padic._teich_lift, padic.TEICH_CACHE_CAP),
+                      (padic._require_prime, padic.PRIME_CACHE_CAP),
                       (characters._primitive_root_mod_prime,
                        characters.PRIME_CACHE_CAP),
                       (characters._eta_base, characters.PRIME_CACHE_CAP),
