@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 computation error (with a machine-readable error
 document on stdout), 2 usage error, 3 at least one congruence report has
 pass = false (inconclusive reports alone do not fail the run).
 
-All documents carry "schema": "qpl/1" and are emitted with sorted keys, so
-identical run specs produce byte-identical output.  Numeric payloads are
+All documents carry "schema": "qpl/1" and are emitted with sorted keys, as
+the bytes of json.dumps(doc, sort_keys=True, indent=2), so identical run
+specs produce byte-identical output.  Numeric payloads are
 serialized PadicNumbers (digits plus certified precision) or exact fraction
 strings; there are no bare floating digits.
 """
@@ -120,11 +121,72 @@ def _context(spec: RunSpec) -> QContext:
     return QContext(spec.p, q, spec.prec, convention)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+def _json_chunks(o, out: list, newline: str) -> None:
+    """Append to out the text of json.dumps(o, sort_keys=True, indent=2)
+    for a value whose own line starts with newline ("\n" and its indent).
+
+    The standard library has no C encoder for an indented document, so its
+    pure-Python one spends a call on every token.  This walk tests the
+    types in json's order and formats each token with json's own helpers;
+    a list of ints alone, such as a PadicNumber's digits, is one join.
+    """
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_int_repr(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        # type(x) is int: a bool is an int that json writes as true/false
+        if all(type(x) is int for x in o):
+            out.append("[" + inner + ("," + inner).join(map(_int_repr, o))
+                       + newline + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _json_chunks(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(o, dict) and all(isinstance(k, str) for k in o):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out.append(sep + _encode_str(key) + ": ")
+            _json_chunks(o[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        # floats, dicts with other keys and the types json refuses: json's
+        # own text, re-indented (an encoded string holds no newline)
+        out.append(json.dumps(o, sort_keys=True, indent=2)
+                   .replace("\n", newline))
+
+
 def _emit(doc: dict, stream) -> None:
+    """Write doc with the schema tag as the bytes of json.dumps(doc,
+    sort_keys=True, indent=2) and a newline, in one write."""
     doc = dict(doc)
     doc["schema"] = SCHEMA
-    # one write per document: json.dump would write each token separately
-    stream.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out = []
+    _json_chunks(doc, out, "\n")
+    out.append("\n")
+    stream.write("".join(out))
 
 
 # -- subcommand bodies -------------------------------------------------------

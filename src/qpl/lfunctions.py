@@ -39,6 +39,7 @@ from fractions import Fraction
 from .characters import (
     DirichletCharacter,
     char_twist_omega,
+    eta_order,
     induce,
     principal_char,
 )
@@ -202,6 +203,15 @@ def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     return _special(ctx, n, r, chi, z, F, residue_sums(F, r, chi))
 
 
+def _twisted_window(ctx: QContext, chi: DirichletCharacter, r: int, h: int):
+    """The window of Lpq_special at orders n + r = h mod eta_order(p): chi
+    times omega^(-h) induced to M = lcm(f, p*), M, and its residue rows."""
+    chim = char_twist_omega(chi, h)
+    M = math.lcm(chim.conductor, ctx.p_star)
+    chim = induce(chim, M)
+    return chim, M, residue_sums(M, r, chim)
+
+
 def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
                 z=0) -> PadicNumber:
     """Closed form of the p-adic q-L-function at s = -n: the multiple
@@ -215,13 +225,18 @@ def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     modulus M, at argument p* z and window F = M; the induced character
     vanishes on the sums divisible by p, the terms Lpq_eval drops.  The
     value is certified to ctx.prec or PrecisionExhausted is raised.
+
+    The window (chi_m induced to M, M and its residue rows) depends on n
+    only through the residue class h = n + r mod eta_order(p), so it is
+    built once per (chi, r, h) and kept in the context's memo.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    chim = char_twist_omega(chi, n + r)
-    M = math.lcm(chim.conductor, ctx.p_star)
-    return Lq_special(ctx, n, r, induce(chim, M),
-                      _scaled_exponent(ctx.p_star, z), F=M)
+    z = _scaled_exponent(ctx.p_star, z)
+    h = (n + r) % eta_order(ctx.p)
+    chim, M, rows = ctx._memo(("Lpq_window", chi, r, h),
+                              lambda: _twisted_window(ctx, chi, r, h))
+    return _special(ctx, n, r, chim, z, M, rows)
 
 
 # -- the two-variable series -------------------------------------------------

@@ -42,7 +42,7 @@ __all__ = [
 
 #: entries kept by the power cache, by the Teichmuller lift cache and by
 #: each QContext's memo; about three to four times the peaks of the
-#: perfbench workloads (1,408 powers, 268 lifts, 234 context entries), so
+#: perfbench workloads (1,408 powers, 268 lifts, 241 context entries), so
 #: that none of them evicts
 PPOW_CACHE_CAP = 4096
 TEICH_CACHE_CAP = 1024
@@ -818,11 +818,13 @@ def padic_power(x: PadicNumber, s) -> PadicNumber:
     """x^s = exp(s * log x) for x = 1 (mod p* R) and s in the disk D.
 
     Integer s falls back to repeated multiplication, which agrees with the
-    exp path on the common domain.
+    exp path on the common domain.  Any other s must be a PadicNumber.
     """
     s = _scaled_exponent(1, s)
     if isinstance(s, int):
         return x ** s
+    if not isinstance(s, PadicNumber):
+        raise TypeError("s must be an integer or a PadicNumber")
     p = x.p
     vstar = int_valuation(p_star(p), p)
     if not (x - 1).valuation_ge(vstar):

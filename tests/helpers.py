@@ -1,5 +1,6 @@
 """Shared assertion helpers for the test suite."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -42,3 +43,15 @@ def sample_qs(p):
     ps = 4 if p == 2 else p
     return (Fraction(1 + ps), 1 + Fraction(ps, 3 if p == 2 else 2),
             Fraction(1 - ps * p))
+
+
+class Recording(io.StringIO):
+    """A text stream that keeps each write in writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)

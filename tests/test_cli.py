@@ -18,6 +18,25 @@ from qpl import Lpq_special, QContext, omega_pow
 from qpl import cli
 from qpl.cli import main
 
+from helpers import Recording
+
+
+@pytest.fixture(autouse=True)
+def emitted_as_json_dumps_would(monkeypatch):
+    """Every document a test here emits, each subcommand's and the error
+    document, is first written by cli._emit to a recording stream, where it
+    must be one write of the bytes of json.dumps(sort_keys=True, indent=2)."""
+    emit = cli._emit
+
+    def checked(doc, stream):
+        recording = Recording()
+        emit(doc, recording)
+        assert recording.writes == [json.dumps(
+            dict(doc, schema=cli.SCHEMA), sort_keys=True, indent=2) + "\n"]
+        emit(doc, stream)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+
 
 def run_cli(argv):
     buf = io.StringIO()

@@ -2,6 +2,7 @@
 difference identities, and the near-pole series."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,6 +23,7 @@ from qpl import (
     PoleError,
     QContext,
     angle_q,
+    char_twist_omega,
     choose_F,
     convention_certificate,
     gen_q_beta_poly,
@@ -42,7 +44,8 @@ from qpl import (
 
 from qpl import QplError, classical, lfunctions
 from qpl.classical import TERM_BUDGET
-from qpl.padic import int_valuation, teichmuller_int
+from qpl.characters import eta_order
+from qpl.padic import int_valuation, p_star, teichmuller_int
 from qpl.qbernoulli import _beta_headroom, _certified
 
 from helpers import assert_agree, bound_of, digits_of, sample_qs
@@ -157,6 +160,61 @@ def test_Lpq_special_precision_and_values(ctx):
         assert x.valuation_bound() == (val, True)
         for r in (2, 3):
             assert Lpq_special(ctx, n, r, chi, 5).prec == ctx.prec
+
+
+def _special_outcome(special, *args):
+    """special(*args)'s (val, unit, prec), or its error's type and
+    message."""
+    try:
+        x = special(*args)
+    except QplError as exc:
+        return type(exc).__name__, str(exc)
+    return x.val, x.unit, x.prec
+
+
+def _Lpq_special_by_Lq_special(ctx, n, r, chi, z):
+    """Lpq_special as its docstring defines it: Lq_special for chi
+    omega^(-(n+r)) induced to M = lcm(f, p*), at p* z and F = M."""
+    chim = char_twist_omega(chi, n + r)
+    M = math.lcm(chim.conductor, ctx.p_star)
+    return Lq_special(ctx, n, r, induce(chim, M), ctx.p_star * z, F=M)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_Lpq_special_builds_one_window_per_residue_class(p):
+    # chi omega^(-(n+r)) induced to M = lcm(f, p*) and its residue rows
+    # depend on n only through h = (n + r) mod eta_order(p): a context's
+    # memo holds one window per (chi, r, h), and the order of the calls
+    # that fill it changes no value and no error; each value is the
+    # defining Lq_special's
+    ps, eta = p_star(p), eta_order(p)
+    omega = omega_pow(p, 1)
+    chars = (principal_char(p), induce(principal_char(p), ps), omega,
+             omega_pow(p, 2) if eta > 2 else induce(omega, 2 * ps))
+    zs = (0, ps, Fraction(1, 3 if p == 2 else 2),
+          PadicNumber.from_fraction(Fraction(3, 11), p, 10))
+    ns = range(2 * (p - 1) + 2)
+    q = sample_qs(p)[0]
+    for r in (1, 2, 3):
+        up, down = QContext(p, q, 6), QContext(p, q, 6)
+        for chi, z in itertools.product(chars, zs):
+            ascending = [_special_outcome(Lpq_special, up, n, r, chi, z)
+                         for n in ns]
+            descending = [_special_outcome(Lpq_special, down, n, r, chi, z)
+                          for n in reversed(ns)][::-1]
+            fresh = [_special_outcome(Lpq_special, QContext(p, q, 6), n, r,
+                                      chi, z) for n in ns]
+            defined = [_special_outcome(_Lpq_special_by_Lq_special,
+                                        QContext(p, q, 6), n, r, chi, z)
+                       for n in ns]
+            assert ascending == descending == fresh == defined, \
+                (r, chi.to_dict(), z)
+        classes = {(chi, r, (n + r) % eta) for chi in chars for n in ns}
+        for ctx in (up, down):
+            windows = [key[1:] for key in ctx._cache
+                       if key[0] == "Lpq_window"]
+            assert len(windows) == len(classes) == len(set(windows))
+            assert set(windows) == classes
 
 
 def test_interpolation_identity_order_one(ctx):

@@ -8,6 +8,7 @@ import pytest
 from qpl import (
     DivisionByZero,
     DomainError,
+    Lpq_special,
     NotAUnit,
     PadicNumber,
     QContext,
@@ -589,6 +590,13 @@ def test_padic_power_domain():
         padic_power(x, PadicNumber(5, -1, 1, 7))
     with pytest.raises(DomainError):
         padic_power(PadicNumber.from_int(2, 5, 8), PadicNumber.from_int(1, 5, 8))
+    # a non-integral Fraction s is refused as LParams.validate refuses it;
+    # an integral one is read as its int
+    y = angle_q(QContext(5, 6, 12), 2)
+    with pytest.raises(TypeError,
+                       match="s must be an integer or a PadicNumber"):
+        padic_power(y, Fraction(1, 2))
+    assert digits_of(padic_power(y, Fraction(4, 2))) == digits_of(y * y)
 
 
 def test_binom_padic_negative_one():
@@ -749,6 +757,19 @@ def test_caches_stay_within_their_caps():
     for prec in (1, 2, 3, cap // 2):
         assert ctx.with_precision(prec).q_int() == first[prec]
         assert len(ctx._cache) <= cap
+    # Lpq_special's twisted windows live in the same memo: one is stored in
+    # a full memo, which keeps cap entries, and once evicted it is rebuilt
+    # to the same value
+    chi = characters.omega_pow(p, 1)
+    key = ("Lpq_window", chi, 2, 3)
+    want = digits_of(Lpq_special(QContext(p, q, 5), 1, 2, chi))
+    assert digits_of(Lpq_special(ctx, 1, 2, chi)) == want
+    assert key in ctx._cache and len(ctx._cache) == cap
+    for prec in range(2 * cap, 3 * cap):
+        ctx.with_precision(prec).q_int()
+    assert key not in ctx._cache
+    assert digits_of(Lpq_special(ctx, 1, 2, chi)) == want
+    assert key in ctx._cache and len(ctx._cache) == cap
     assert padic._ppow.cache_info().maxsize == padic.PPOW_CACHE_CAP
     for memo, cap in ((padic._teich_lift, padic.TEICH_CACHE_CAP),
                       (padic._require_prime, padic.PRIME_CACHE_CAP),
