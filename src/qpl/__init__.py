@@ -71,13 +71,11 @@ from .classical import (
 )
 from .qbernoulli import (
     carlitz_beta,
-    convention_certificate,
     gen_q_beta_poly,
     kim_sum_of_products,
     multi_gen_q_beta_poly,
     multi_q_beta_poly,
     series_beta,
-    set_convention_certificate,
     volkenborn_beta_poly,
 )
 from .lfunctions import (

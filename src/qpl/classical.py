@@ -147,25 +147,22 @@ def residue_sums(F: int, r: int, chi: DirichletCharacter, p: int = None) -> list
 def _grouped_to_value(groups: dict, chi: DirichletCharacter, prec):
     """Assemble sum_e coeff_e * eta^e from exact grouped coefficients.
 
-    groups maps eta-exponents to Fractions.  Returns a Fraction when the
-    character values are rational (order <= 2), else a PadicNumber certified
-    to absolute precision prec.
+    groups maps eta-exponents to Fractions.  With prec None, a Fraction,
+    which needs rational character values (order <= 2).  With prec given,
+    a PadicNumber certified to absolute precision prec, whatever the order.
     """
-    if chi.order <= 2:
-        # order <= 2 forces every exponent to 0 or eta_order/2, i.e. +1 or -1
+    if prec is None:
+        if chi.order > 2:
+            raise ValueError("character of order %d has p-adic values; "
+                             "pass prec" % chi.order)
+        # order <= 2 forces every exponent to 0 or eta_order/2: +1 or -1
         total = Fraction(0)
         eta_ord = eta_order(chi.p)
         half = eta_ord // 2
         for e, coeff in groups.items():
             total += coeff if e % eta_ord == 0 else -coeff
             assert e % eta_ord in (0, half)
-        if prec is None:
-            return total
-        return PadicNumber.from_fraction(total, chi.p, prec)
-    if prec is None:
-        raise ValueError(
-            "character of order %d has p-adic values; pass prec" % chi.order
-        )
+        return total
     p = chi.p
     vmin = 0
     for coeff in groups.values():
@@ -176,7 +173,8 @@ def _grouped_to_value(groups: dict, chi: DirichletCharacter, prec):
     for e, coeff in groups.items():
         if coeff != 0:
             acc = acc + eta_power(p, e, work) * coeff
-    return acc
+    # each term holds at least absolute precision prec; report exactly prec
+    return acc if acc.is_exact_zero else acc + PadicNumber.zero_at(p, prec)
 
 
 def gen_bernoulli_poly(n: int, chi: DirichletCharacter, z=0, prec=None):
@@ -199,7 +197,10 @@ def multi_gen_bernoulli_poly(n: int, r: int, chi: DirichletCharacter,
                    B_n^(r)((z+a_1+...+a_r)/f).
 
     The inner sums are grouped by a_1+...+a_r, so the cost is r*f terms,
-    not f^r.
+    not f^r.  With prec None the value is an exact Fraction, for a
+    character of order <= 2 only; with prec given it is a PadicNumber to
+    absolute precision prec (so fewer significant digits at a negative
+    valuation) at every order.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")

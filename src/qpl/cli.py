@@ -234,7 +234,9 @@ def _emit_series(params: dict, ctx: QContext, result, stream) -> int:
 def _cmd_lp(spec: RunSpec, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
-    F = spec.F or choose_F(chi.conductor, spec.p, spec.r, "interpolation")
+    F = spec.F
+    if F is None:
+        F = choose_F(chi.conductor, spec.p, spec.r, "interpolation")
     z = _parse_scalar(spec.z)
     s = _parse_scalar(spec.s)
     if not isinstance(s, int):
@@ -255,11 +257,13 @@ def _cmd_lp_table(spec: RunSpec, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
     z = _parse_scalar(spec.z)
+    # every value first, so that a refusal prints its error document alone
+    values = [Lpq_special(ctx, n, spec.r, chi, z)
+              for n in range(spec.n_max + 1)]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["p", "q", "prec", "r", "chi", "z", "n",
                      "valuation", "digits", "value"])
-    for n in range(spec.n_max + 1):
-        value = Lpq_special(ctx, n, spec.r, chi, z)
+    for n, value in enumerate(values):
         d = value.to_dict()
         writer.writerow([
             spec.p, str(ctx.q), spec.prec, spec.r, spec.chi, str(z), n,
@@ -346,7 +350,7 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
 
 
 def _cmd_oracle_certify(spec: RunSpec, stream) -> int:
-    cert = oracle_resolve_conventions(r_max=spec.r_max or 1)
+    cert = oracle_resolve_conventions(r_max=spec.r_max)
     _emit({"certificate": cert}, stream)
     return 0
 
@@ -535,10 +539,14 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
                 parser.error("theorem 54 needs --n and --k2")
             if spec.theorem in ("53", "binop") and spec.n_list is None:
                 parser.error("theorems 53/binop need --n-list")
-    if spec.prec is not None and spec.prec < 1:
-        parser.error("--prec must be >= 1")
-    if spec.jobs is not None and spec.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    for option, value, least in (("--prec", spec.prec, 1),
+                                 ("--jobs", spec.jobs, 1),
+                                 ("--F", spec.F, 1),
+                                 ("--r-max", spec.r_max, 1),
+                                 ("--n-max", spec.n_max, 0),
+                                 ("--cases", spec.cases, 0)):
+        if value is not None and value < least:
+            parser.error("%s must be >= %d" % (option, least))
 
 
 def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:

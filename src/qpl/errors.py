@@ -46,7 +46,8 @@ class PreconditionViolated(QplError):
 
 
 class NormalizationUnresolved(QplError):
-    """No stored convention certificate; run oracle resolution first."""
+    """The convention certificate does not cover the requested order: the
+    order r exceeds its r_max."""
 
 
 class TailTooLarge(QplError):

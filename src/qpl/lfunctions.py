@@ -51,9 +51,9 @@ from .padic import (
     _ceil_log,
     _normalize,
     _ppow,
+    _require_integral,
     _scaled_exponent,
     _teich_lift,
-    _valuation_at_least,
     angle_q,
     in_D,
     int_valuation,
@@ -116,10 +116,7 @@ class LParams:
                 "F = %d must be a multiple of lcm(modulus, p*) = %d"
                 % (self.F, base)
             )
-        z = self.z
-        if ((isinstance(z, PadicNumber) and z.p != ctx.p)
-                or not _valuation_at_least(z, ctx.p, 0)):
-            raise DomainError("z must lie in the valuation ring")
+        _require_integral(self.z, ctx.p)
         s = self.s
         if isinstance(s, PadicNumber):
             if s.p != ctx.p or not in_D(s):
@@ -223,7 +220,8 @@ def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     running over the sums a_1+...+a_r of residue vectors in [1, M]^r, with
     multiplicities, prime to p.  This is Lq_special for chi_m induced to
     modulus M, at argument p* z and window F = M; the induced character
-    vanishes on the sums divisible by p, the terms Lpq_eval drops.  The
+    vanishes on the sums divisible by p, the terms Lpq_eval drops.  z must
+    lie in the valuation ring (DomainError otherwise), as in Lpq_eval.  The
     value is certified to ctx.prec or PrecisionExhausted is raised.
 
     The window (chi_m induced to M, M and its residue rows) depends on n
@@ -232,6 +230,7 @@ def Lpq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
+    _require_integral(z, ctx.p)
     z = _scaled_exponent(ctx.p_star, z)
     h = (n + r) % eta_order(ctx.p)
     chim, M, rows = ctx._memo(("Lpq_window", chi, r, h),

@@ -623,6 +623,15 @@ def _valuation_at_least(x, p: int, k: int) -> bool:
     return x == 0 or fraction_valuation(x, p) >= k
 
 
+def _require_integral(z, p: int) -> None:
+    """Refuse a shift z outside the valuation ring Z_p, a PadicNumber of
+    another prime included: the library's one check of its convention for
+    z."""
+    if (isinstance(z, PadicNumber) and z.p != p
+            or not _valuation_at_least(z, p, 0)):
+        raise DomainError("z must lie in the valuation ring")
+
+
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -804,8 +813,7 @@ def angle_q(ctx: QContext, a: int, z=0, prec: int = None) -> PadicNumber:
     if math.gcd(a, p) != 1:
         raise NotAUnit("%d is not a unit modulo %d" % (a, p))
     prec = ctx.prec if prec is None else prec
-    if not _valuation_at_least(z, p, 0):
-        raise DomainError("z must lie in the valuation ring")
+    _require_integral(z, p)
     bracket = ctx.q_bracket(1, a + _scaled_exponent(ctx.p_star, z), prec)
     inv_t = pow(_teich_lift(p, a % ctx.p_star, prec), -1, _ppow(p, prec))
     result = bracket * PadicNumber(p, 0, inv_t, prec)

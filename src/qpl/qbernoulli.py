@@ -55,8 +55,6 @@ __all__ = [
     "multi_gen_q_beta_poly",
     "series_beta",
     "series_beta_floor",
-    "set_convention_certificate",
-    "convention_certificate",
     "volkenborn_beta_poly",
 ]
 
@@ -461,58 +459,37 @@ def multi_gen_q_beta_poly(ctx: QContext, n: int, r: int,
                        residue_sums(f, r, chi))
 
 
-# -- convention certificate ---------------------------------------------------
-
-_CERTIFICATE = [None]
-
-
-def set_convention_certificate(cert: dict) -> None:
-    """Install an oracle-produced resolution certificate for this process.
-
-    Passing None clears the stored certificate.
-    """
-    if cert is None:
-        _CERTIFICATE[0] = None
-        return
-    for key in ("normalization", "single_beta", "r_max"):
-        if key not in cert:
-            raise ValueError("certificate lacks %r" % key)
-    if cert["normalization"] not in ("n", "n+r"):
-        raise ValueError("bad normalization %r" % cert["normalization"])
-    if cert["single_beta"] not in ("pure_sum", "carlitz"):
-        raise ValueError("bad single_beta %r" % cert["single_beta"])
-    _CERTIFICATE[0] = dict(cert)
-
-
-def convention_certificate():
-    return _CERTIFICATE[0]
-
-
-def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
+def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list,
+                        certificate: dict) -> PadicNumber:
     """Kim's sums-of-products expansion over compositions of N = n+r,
 
         sum (N; i_1..i_r) prod_{j<r} S_j(N-i_1-...-i_j, i_j) beta_{i_r}(z_r),
         S_j(R, i) = sum_{k<=R} C(R, k) (q-1)^k beta_{k+i}(z_j),
 
-    whose single betas the stored resolution certificate fixes; without one
-    covering order r, NormalizationUnresolved is raised.  [a + b]_q =
-    [a]_q + q^a [b]_q and q^a = 1 + (q-1)[a]_q make it the integral of
-    [y_1 + ... + y_r]_q^N, y_j = z_j + t_j, over r single measures whose
-    j = 0 moment is beta_0 (Carlitz) or 0 (pure sum).  So it is
-    volkenborn_beta_poly at x = z_1 + ... + z_r under the Carlitz
+    whose single betas the resolution certificate fixes: a dict with the
+    keys of oracle_resolve_conventions' result, "normalization" ("n" or
+    "n+r"), "single_beta" ("pure_sum" or "carlitz") and "r_max".  A missing
+    key or a bad value raises ValueError, and an order r above r_max,
+    which the certificate does not cover, NormalizationUnresolved.
+    [a + b]_q = [a]_q + q^a [b]_q and q^a = 1 + (q-1)[a]_q make it the
+    integral of [y_1 + ... + y_r]_q^N, y_j = z_j + t_j, over r single
+    measures whose j = 0 moment is beta_0 (Carlitz) or 0 (pure sum).  So it
+    is volkenborn_beta_poly at x = z_1 + ... + z_r under the Carlitz
     certificate, and its sum over i >= 1 alone, without the beta_0^r
     (1-q)^(-N) term, under the pure-sum one.  Each z_j must lie in the
     domain of q^(z_j).  Exactly ctx.prec digits.
     """
-    cert = _CERTIFICATE[0]
-    if cert is None:
+    for key in ("normalization", "single_beta", "r_max"):
+        if key not in certificate:
+            raise ValueError("certificate lacks %r" % key)
+    if certificate["normalization"] not in ("n", "n+r"):
+        raise ValueError("bad normalization %r" % certificate["normalization"])
+    if certificate["single_beta"] not in ("pure_sum", "carlitz"):
+        raise ValueError("bad single_beta %r" % certificate["single_beta"])
+    if r > certificate["r_max"]:
         raise NormalizationUnresolved(
-            "no convention certificate installed; run the oracle resolution"
-        )
-    if r > cert["r_max"]:
-        raise NormalizationUnresolved(
-            "certificate covers r <= %d, not r = %d" % (cert["r_max"], r)
-        )
+            "certificate covers r <= %d, not r = %d"
+            % (certificate["r_max"], r))
     if len(z_list) != r:
         raise ValueError("need exactly r shift arguments")
     z_list = [_scaled_exponent(1, z) for z in z_list]
@@ -520,7 +497,7 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list) -> PadicNumber:
         ctx.q_power(1, z)
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    family = (_INTEGRAL if cert["single_beta"] == "carlitz"
+    family = (_INTEGRAL if certificate["single_beta"] == "carlitz"
               else _INTEGRAL._replace(term=None))
     return _certified(_family_sum(ctx, family, n + r, r, sum(z_list), 1),
                       ctx.prec, "r-fold q-Volkenborn integral")

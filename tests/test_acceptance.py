@@ -30,7 +30,6 @@ from qpl import (
     carlitz_beta,
     choose_F,
     closed_multi_beta,
-    convention_certificate,
     kim_sum_of_products,
     multi_q_beta_poly,
     omega_pow,
@@ -38,7 +37,6 @@ from qpl import (
     oracle_resolve_conventions,
     principal_char,
     run_suites,
-    set_convention_certificate,
     verify_binom_op_thm,
     verify_classical_kummer,
     verify_thm53,
@@ -129,15 +127,7 @@ def test_ac3_oracle_closed_form_agreement():
 # -- criterion 4: convention certificate and the sum-of-products form --------
 
 
-@pytest.fixture
-def clean_certificate():
-    saved = convention_certificate()
-    set_convention_certificate(None)
-    yield
-    set_convention_certificate(saved)
-
-
-def test_ac4_certificate_residuals(clean_certificate):
+def test_ac4_certificate_residuals():
     cert = oracle_resolve_conventions(r_max=1)
     passing = [row for row in cert["residuals"] if row["passes"]]
     assert len(passing) == 1
@@ -146,15 +136,15 @@ def test_ac4_certificate_residuals(clean_certificate):
 
 
 @pytest.mark.parametrize("r", (1, 2, 3))
-def test_ac4_sum_of_products(clean_certificate, r):
+def test_ac4_sum_of_products(r):
     # The certificate must cover order r before the sum-of-products form
     # is defined; resolution itself fails for r >= 2.
-    set_convention_certificate(oracle_resolve_conventions(r_max=r))
+    cert = oracle_resolve_conventions(r_max=r)
     ctx = QContext(5, Fraction(6), 14)
     bad = []
     for n in range(5):
         for z in (0, 5):
-            got = kim_sum_of_products(ctx, n, r, [z] * r)
+            got = kim_sum_of_products(ctx, n, r, [z] * r, cert)
             want = multi_q_beta_poly(ctx, n + r, r, z)
             if not (got - want).valuation_ge(8):
                 bad.append((n, z, (got - want).valuation_bound()[0]))

@@ -1,12 +1,14 @@
 """Exact rational Bernoulli apparatus: numbers, polynomials, multiple
 orders, generalized variants, Stirling numbers."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from qpl import (
+    PadicNumber,
     bernoulli_number,
     bernoulli_poly,
     char_build,
@@ -25,7 +27,7 @@ from qpl import (
 )
 from qpl.characters import eta_order
 
-from helpers import residue
+from helpers import assert_agree, residue
 
 
 def test_bernoulli_numbers():
@@ -125,6 +127,28 @@ def test_gen_bernoulli_padic_values():
     v = gen_bernoulli_poly(1, w, prec=6)
     x = gen_bernoulli_poly(1, w, prec=10)
     assert residue(x, 6) == residue(v, 6)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_gen_bernoulli_prec_is_absolute_at_every_order(p):
+    # prec is absolute precision whether the character values are rational
+    # (order <= 2, where the value is the exact Fraction's) or p-adic; at
+    # p = 5, B_{2, omega^2} = 4/5 kept 9 digits when prec meant significant
+    # digits for order <= 2
+    if p == 5:
+        value = gen_bernoulli_poly(2, omega_pow(5, 2), 0, prec=10)
+        assert (value.val, value.prec) == (-1, 10)
+    for k in range(max(p - 1, 2)):
+        chi = omega_pow(p, k) if k else principal_char(p)
+        for r, n, z in itertools.product((1, 2), range(7),
+                                         (0, Fraction(1, 2), 3)):
+            for prec in (1, 4, 10):
+                value = multi_gen_bernoulli_poly(n, r, chi, z, prec)
+                assert value.prec == prec, (k, r, n, z, prec)
+                if chi.order <= 2:
+                    exact = multi_gen_bernoulli_poly(n, r, chi, z)
+                    assert_agree(value, PadicNumber.from_fraction(
+                        exact, p, 40), prec)
 
 
 def test_multi_gen_reduces_to_gen():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from qpl import Lpq_special, QContext, omega_pow
+from qpl import Lpq_special, PrecisionExhausted, QContext, omega_pow
 from qpl import cli
 from qpl.cli import main
 
@@ -243,6 +243,30 @@ def test_lp_table_csv():
     again = run_cli(["lp-table", "--p", "5", "--chi", "omega^2",
                      "--n-max", "3"])[1]
     assert again == out
+
+
+@pytest.mark.parametrize("z", ("1/25", "1/5"))
+def test_lp_table_refusal_is_the_error_document_alone(z):
+    # no header may precede the error document
+    code, doc = run_json(["lp-table", "--p", "5", "--chi", "omega",
+                          "--z", z])
+    assert code == 1
+    assert doc["error"] == {"type": "DomainError",
+                            "message": "z must lie in the valuation ring"}
+
+
+def test_lp_table_never_prints_part_of_a_table(monkeypatch):
+    # a refusal at a later n: the rows before it are not printed either
+    def refusing(ctx, n, r, chi, z):
+        if n == 2:
+            raise PrecisionExhausted("refused at n = 2")
+        return Lpq_special(ctx, n, r, chi, z)
+
+    monkeypatch.setattr(cli, "Lpq_special", refusing)
+    code, doc = run_json(["lp-table", "--p", "5", "--chi", "omega"])
+    assert code == 1
+    assert doc["error"] == {"type": "PrecisionExhausted",
+                            "message": "refused at n = 2"}
 
 
 def test_lp_table_digits_read_back():
@@ -565,6 +589,15 @@ REFUSALS = [
       "--c", "4", "--k", "1", "--z", "5"], "theorems 53/binop need --n-list"),
     (["kummer-verify", "--p", "5", "--theorem", "53", "--grid", "default",
       "--jobs", "0"], "--jobs must be >= 1"),
+    (["lp", "--p", "5", "--chi", "omega", "--s", "-2", "--F", "0"],
+     "--F must be >= 1"),
+    (["lp-at-r", "--p", "5", "--chi", "omega", "--F", "-5"],
+     "--F must be >= 1"),
+    (["oracle-certify", "--r-max", "0"], "--r-max must be >= 1"),
+    (["oracle-certify", "--r-max", "-1"], "--r-max must be >= 1"),
+    (["identity-check", "--cases", "-1"], "--cases must be >= 0"),
+    (["lp-table", "--p", "5", "--chi", "omega", "--n-max", "-1"],
+     "--n-max must be >= 0"),
 ]
 
 

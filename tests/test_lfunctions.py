@@ -25,7 +25,6 @@ from qpl import (
     angle_q,
     char_twist_omega,
     choose_F,
-    convention_certificate,
     gen_q_beta_poly,
     induce,
     kim_sum_of_products,
@@ -37,7 +36,6 @@ from qpl import (
     pochhammer,
     principal_char,
     q_zeta_special,
-    set_convention_certificate,
     verify_thm53,
     volkenborn_beta_poly,
 )
@@ -178,6 +176,27 @@ def _Lpq_special_by_Lq_special(ctx, n, r, chi, z):
     chim = char_twist_omega(chi, n + r)
     M = math.lcm(chim.conductor, ctx.p_star)
     return Lq_special(ctx, n, r, induce(chim, M), ctx.p_star * z, F=M)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_z_outside_the_valuation_ring_is_refused(p):
+    # one rule for z in every entry point that reads it: Lpq_special (and
+    # so Bnr_structure and lp-table), Lpq_eval and angle_q
+    ps = 4 if p == 2 else p
+    ctx = QContext(p, Fraction(1 + ps), 10)
+    w = omega_pow(p, 1)
+    F = choose_F(w.conductor, p)
+    other = 3 if p == 2 else 2
+    for z in (Fraction(1, p), Fraction(3, p * p),
+              PadicNumber.from_fraction(Fraction(1, p), p, 5),
+              PadicNumber.from_int(1, other, 5)):
+        for f in (lambda: Lpq_special(ctx, 2, 1, w, z),
+                  lambda: Lpq_special(ctx, 1, 2, w, z),
+                  lambda: Lpq_eval(ctx, LParams(1, w, F, z, -1)),
+                  lambda: angle_q(ctx, 1, z)):
+            with pytest.raises(DomainError,
+                               match="z must lie in the valuation ring"):
+                f()
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -763,17 +782,8 @@ def _z_outcome(f, z):
             getattr(value, "terms_used", None))
 
 
-@pytest.fixture
-def carlitz_certificate():
-    saved = convention_certificate()
-    set_convention_certificate(
-        {"normalization": "n", "single_beta": "carlitz", "r_max": 2})
-    yield
-    set_convention_certificate(saved)
-
-
 @pytest.mark.parametrize("p", (2, 3, 5))
-def test_exact_zero_z_is_zero(p, carlitz_certificate):
+def test_exact_zero_z_is_zero(p):
     # An exact-zero PadicNumber z, exponent or point s, of any precision, is
     # the int 0 in every value function and every p-adic entry point: its
     # precision must not cap the exponents z + t
@@ -795,7 +805,8 @@ def test_exact_zero_z_is_zero(p, carlitz_certificate):
         "Lpq_eval carlitz at s": lambda s: Lpq_eval(
             carl, LParams(1, w, F, 0, s)),
         "kim_sum_of_products": lambda z: kim_sum_of_products(
-            ctx, 2, 2, [z, 2]),
+            ctx, 2, 2, [z, 2],
+            {"normalization": "n", "single_beta": "carlitz", "r_max": 2}),
         "verify_thm53": lambda z: verify_thm53(
             ctx, w, 1, [1, 2], p - 1 or 1, 1, z),
         "multi_q_beta_poly": lambda z: multi_q_beta_poly(ctx, 4, 2, z),

@@ -20,7 +20,6 @@ from qpl import (
     QplError,
     carlitz_beta,
     char_build,
-    convention_certificate,
     gen_q_beta_poly,
     induce,
     iwasawa_log,
@@ -29,7 +28,6 @@ from qpl import (
     multi_q_beta_poly,
     omega_pow,
     principal_char,
-    set_convention_certificate,
     volkenborn_beta_poly,
 )
 from qpl.classical import residue_sums
@@ -48,12 +46,9 @@ from helpers import (
 CTX = QContext(5, Fraction(6), 14)
 
 
-@pytest.fixture
-def no_certificate():
-    saved = convention_certificate()
-    set_convention_certificate(None)
-    yield
-    set_convention_certificate(saved)
+def certificate(single_beta, r_max):
+    return {"normalization": "n+r", "single_beta": single_beta,
+            "r_max": r_max}
 
 
 def qp(x):
@@ -431,29 +426,17 @@ def test_base_power_zero_is_refused():
     assert ctx._cache == memo and not ctx._coeff_tables
 
 
-def test_kim_requires_certificate(no_certificate):
-    with pytest.raises(NormalizationUnresolved):
-        kim_sum_of_products(CTX, 1, 1, [0])
-
-
 def test_kim_matches_resolved_normalization():
-    cert = {"normalization": "n+r", "single_beta": "pure_sum", "r_max": 1}
-    saved = convention_certificate()
-    set_convention_certificate(cert)
-    try:
-        for n in range(4):
-            for z in (0, 1, 2):
-                got = kim_sum_of_products(CTX, n, 1, [z])
-                want = multi_q_beta_poly(CTX, n + 1, 1, z)
-                assert_agree(got, want, 12)
-        with pytest.raises(NormalizationUnresolved):
-            kim_sum_of_products(CTX, 2, 2, [0, 0])
-        with pytest.raises(ValueError):
-            kim_sum_of_products(CTX, 2, 1, [0, 0])
-        with pytest.raises(ValueError, match="need n >= 0 and r >= 1"):
-            kim_sum_of_products(CTX, -1, 1, [0])
-    finally:
-        set_convention_certificate(saved)
+    cert = certificate("pure_sum", 1)
+    for n in range(4):
+        for z in (0, 1, 2):
+            got = kim_sum_of_products(CTX, n, 1, [z], cert)
+            want = multi_q_beta_poly(CTX, n + 1, 1, z)
+            assert_agree(got, want, 12)
+    with pytest.raises(ValueError):
+        kim_sum_of_products(CTX, 2, 1, [0, 0], cert)
+    with pytest.raises(ValueError, match="need n >= 0 and r >= 1"):
+        kim_sum_of_products(CTX, -1, 1, [0], cert)
 
 
 def _kim_reference(ctx, n, r, z_list, convention):
@@ -491,39 +474,29 @@ def _kim_reference(ctx, n, r, z_list, convention):
 
 @pytest.mark.parametrize("convention", ("pure_sum", "carlitz"))
 def test_kim_matches_composition_walk(convention):
-    saved = convention_certificate()
-    set_convention_certificate({"normalization": "n+r",
-                                "single_beta": convention, "r_max": 3})
     wide = CTX.with_precision(40)
-    try:
-        for r in (2, 3):
-            for n in range(4):
-                for z_list in ([0] * r, [1, 2, 3][:r]):
-                    got = kim_sum_of_products(CTX, n, r, z_list)
-                    want = _kim_reference(wide, n, r, z_list, convention)
-                    assert got.prec == CTX.prec, (r, n, z_list)
-                    assert want.prec >= CTX.prec
-                    assert_agree(got, want, CTX.prec)
-    finally:
-        set_convention_certificate(saved)
+    for r in (2, 3):
+        for n in range(4):
+            for z_list in ([0] * r, [1, 2, 3][:r]):
+                got = kim_sum_of_products(CTX, n, r, z_list,
+                                          certificate(convention, 3))
+                want = _kim_reference(wide, n, r, z_list, convention)
+                assert got.prec == CTX.prec, (r, n, z_list)
+                assert want.prec >= CTX.prec
+                assert_agree(got, want, CTX.prec)
 
 
 def test_kim_checks_every_shift():
     # q^(1/2) has no 2-adically integral exponent, so both lists are
     # refused, although their sums 1 and 2 lie in the domain
     ctx = QContext(2, Fraction(5), 10)
-    saved = convention_certificate()
-    try:
-        for convention in ("pure_sum", "carlitz"):
-            set_convention_certificate({"normalization": "n+r",
-                                        "single_beta": convention, "r_max": 2})
-            for z_list in ([Fraction(1, 2)] * 2,
-                           [Fraction(1, 2), Fraction(3, 2)]):
-                with pytest.raises(DomainError):
-                    kim_sum_of_products(ctx, 1, 2, z_list)
-                assert volkenborn_beta_poly(ctx, 3, 2, sum(z_list)).prec == 10
-    finally:
-        set_convention_certificate(saved)
+    for convention in ("pure_sum", "carlitz"):
+        for z_list in ([Fraction(1, 2)] * 2,
+                       [Fraction(1, 2), Fraction(3, 2)]):
+            with pytest.raises(DomainError):
+                kim_sum_of_products(ctx, 1, 2, z_list,
+                                    certificate(convention, 2))
+            assert volkenborn_beta_poly(ctx, 3, 2, sum(z_list)).prec == 10
 
 
 def test_volkenborn_matches_riemann_sums():
@@ -562,42 +535,37 @@ def test_volkenborn_order_one_is_carlitz():
     # At r = 1 the integral vector is the pure-sum one: the family is the
     # Carlitz polynomial, and without beta_0 (the pure-sum certificate's
     # Kim value) it is the pure-sum single.
-    saved = convention_certificate()
-    set_convention_certificate({"normalization": "n+r",
-                                "single_beta": "pure_sum", "r_max": 1})
-    try:
-        for p in (2, 3, 5, 7):
-            pstar = 4 if p == 2 else p
-            for q in sample_qs(p):
-                ctx = QContext(p, q, 12)
-                for d, x, n in itertools.product(
-                        (1, pstar), (0, 1, Fraction(1, 2), Fraction(5, 3)),
-                        range(10)):
-                    try:
-                        pure = multi_q_beta_poly(ctx, n, 1, x, base_power=d)
-                    except DomainError:
-                        with pytest.raises(DomainError):
-                            volkenborn_beta_poly(ctx, n, 1, x, d)
-                        continue
-                    # the Carlitz closed form: the pure-sum single plus
-                    # beta_0 (1 - Q)^(-n), with two guard digits
-                    vd = ctx.v_q1 + int_valuation(d, p)
-                    term = qbernoulli._carlitz_term(ctx, n, 1, d,
-                                                    ctx.prec + n * vd + 2)
-                    want = pure + term
-                    assert want.prec >= ctx.prec
-                    got = volkenborn_beta_poly(ctx, n, 1, x, d)
-                    assert got.prec == ctx.prec
-                    assert_agree(got, want, ctx.prec)
-                    assert_agree(got - term, pure, ctx.prec)
-                    if x == 0:
-                        assert_agree(got, carlitz_beta(ctx, n, d), ctx.prec)
-                    if d == 1 and n >= 1:
-                        kim = kim_sum_of_products(ctx, n - 1, 1, [x])
-                        assert kim.prec == ctx.prec
-                        assert_agree(kim, pure, ctx.prec)
-    finally:
-        set_convention_certificate(saved)
+    for p in (2, 3, 5, 7):
+        pstar = 4 if p == 2 else p
+        for q in sample_qs(p):
+            ctx = QContext(p, q, 12)
+            for d, x, n in itertools.product(
+                    (1, pstar), (0, 1, Fraction(1, 2), Fraction(5, 3)),
+                    range(10)):
+                try:
+                    pure = multi_q_beta_poly(ctx, n, 1, x, base_power=d)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        volkenborn_beta_poly(ctx, n, 1, x, d)
+                    continue
+                # the Carlitz closed form: the pure-sum single plus
+                # beta_0 (1 - Q)^(-n), with two guard digits
+                vd = ctx.v_q1 + int_valuation(d, p)
+                term = qbernoulli._carlitz_term(ctx, n, 1, d,
+                                                ctx.prec + n * vd + 2)
+                want = pure + term
+                assert want.prec >= ctx.prec
+                got = volkenborn_beta_poly(ctx, n, 1, x, d)
+                assert got.prec == ctx.prec
+                assert_agree(got, want, ctx.prec)
+                assert_agree(got - term, pure, ctx.prec)
+                if x == 0:
+                    assert_agree(got, carlitz_beta(ctx, n, d), ctx.prec)
+                if d == 1 and n >= 1:
+                    kim = kim_sum_of_products(ctx, n - 1, 1, [x],
+                                              certificate("pure_sum", 1))
+                    assert kim.prec == ctx.prec
+                    assert_agree(kim, pure, ctx.prec)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -829,11 +797,25 @@ def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
 
 
 def test_certificate_validation():
-    with pytest.raises(ValueError):
-        set_convention_certificate({"normalization": "bad",
-                                    "single_beta": "pure_sum", "r_max": 1})
-    with pytest.raises(ValueError):
-        set_convention_certificate({"single_beta": "pure_sum", "r_max": 1})
+    # kim_sum_of_products reads its certificate afresh at every call: each
+    # refusal below comes from the argument alone, and a good certificate
+    # given after a bad one is read as given
+    good = certificate("carlitz", 2)
+    refusals = [({k: v for k, v in good.items() if k != key}, ValueError,
+                 "certificate lacks '%s'" % key) for key in good]
+    refusals += [
+        (dict(good, normalization="bad"), ValueError,
+         "bad normalization 'bad'"),
+        (dict(good, single_beta="bad"), ValueError, "bad single_beta 'bad'"),
+        (dict(good, r_max=1), NormalizationUnresolved,
+         "certificate covers r <= 1, not r = 2"),
+    ]
+    want = volkenborn_beta_poly(CTX, 4, 2, 0)
+    for cert, error, message in refusals:
+        with pytest.raises(error, match=message):
+            kim_sum_of_products(CTX, 2, 2, [0, 0], cert)
+        assert_agree(kim_sum_of_products(CTX, 2, 2, [0, 0], good), want,
+                     CTX.prec)
 
 
 def test_q_to_one_degeneration_fixture(pytestconfig):

@@ -9,9 +9,11 @@ checkout, one process at a time, the parent first in odd pairs and the
 change first in even ones.  Each run uses its own checkout's sources.
 
 For every end-to-end metric that BENCHMARK.json (of this checkout) names,
-the summary gives each side's median and quartiles over the pairs, and the
-pairs the change won on that metric's better side (ties count for neither).
-It also gives each side's output digests, its share of failed operations,
+the summary gives each side's median and quartiles over the pairs, the
+pairs the change won on that metric's better side (ties count for neither),
+and two verdicts (see ``judge``): whether a claimed gain on the metric
+would hold, and whether the change stays within the metric's bound.  It
+also gives each side's output digests, its share of failed operations,
 and the pairs in which a run's checks did not pass.  Nothing under
 perfbench/ is written, apart from what run.py itself writes.
 """
@@ -48,6 +50,39 @@ def quartiles(values):
     return q2, q1, q3
 
 
+def judge(parent, change, higher: bool, bound: float):
+    """(wins, claim, verdict) for one metric's paired runs, parent[i] and
+    change[i] being pair i's values, higher telling the better side and
+    bound the metric's relative bound in BENCHMARK.json.
+
+    wins counts the pairs the change won; ties count for neither side.
+    claim is True when a gain on the metric holds: the change won at least
+    9 of 10 of the pairs, and its median is better than the parent's by
+    more than the parent's Q3 - Q1.  verdict is "beyond bound" when the
+    change's median is worse than the parent's by more than bound times the
+    parent's median; else "unresolved" when the parent's (Q3 - Q1)/median
+    exceeds bound, unless every change run beats every parent run; else
+    "within bound".
+    """
+    if higher:
+        wins = sum(c > p for p, c in zip(parent, change))
+        beats_all = min(change) > max(parent)
+    else:
+        wins = sum(c < p for p, c in zip(parent, change))
+        beats_all = max(change) < min(parent)
+    par_med, par_q1, par_q3 = quartiles(parent)
+    gain = (quartiles(change)[0] - par_med) * (1 if higher else -1)
+    spread = par_q3 - par_q1
+    claim = 10 * wins >= 9 * len(parent) and gain > spread
+    if -gain > bound * par_med:
+        verdict = "beyond bound"
+    elif spread > bound * par_med and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return wins, claim, verdict
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -76,17 +111,18 @@ def main(argv=None):
     print("\n%s, %d pairs, seed %d, --seconds %g"
           % (args.workload, args.pairs, args.seed, args.seconds))
     print("metric: parent median [q1, q3] -> change median [q1, q3], "
-          "change wins")
+          "change wins; claim verdict; bound verdict")
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+        name = m["name"]
         values = {side: [res["metrics"][name]["value"] for _, res in runs[side]]
                   for side in sides}
-        wins = sum((c > p) if higher else (c < p)
-                   for p, c in zip(values["parent"], values["change"]))
+        wins, claim, verdict = judge(values["parent"], values["change"],
+                                     m["better"] == "higher", m["bound"])
         par, chg = quartiles(values["parent"]), quartiles(values["change"])
         print("%s (%s): %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] (x%.3f), "
-              "%d/%d" % (name, m["unit"], *par, *chg, chg[0] / par[0],
-                         wins, args.pairs))
+              "%d/%d; claim %s; %s"
+              % (name, m["unit"], *par, *chg, chg[0] / par[0], wins,
+                 args.pairs, "met" if claim else "not met", verdict))
     for side in sides:
         records = [rec for rec, _ in runs[side]]
         digests = sorted({rec["output_sha256"] for rec in records})
