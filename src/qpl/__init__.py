@@ -60,7 +60,6 @@ from .characters import (
 )
 from .classical import (
     bernoulli_number,
-    bernoulli_poly,
     gen_bernoulli_poly,
     multi_gen_bernoulli_poly,
     norlund_number,

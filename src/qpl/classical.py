@@ -20,7 +20,6 @@ from .padic import PadicNumber, fraction_valuation
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_poly",
     "norlund_poly",
     "norlund_number",
     "gen_bernoulli_poly",
@@ -51,11 +50,6 @@ def bernoulli_number(n: int) -> Fraction:
             acc += math.comb(m + 1, k) * _BERNOULLI[k]
         _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
-
-
-def bernoulli_poly(n: int, z) -> Fraction:
-    """B_n(z), the order-1 Norlund polynomial."""
-    return norlund_poly(n, 1, z)
 
 
 # The recursive memos _egf_coeff and stirling_first stay unbounded: each

@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 computation error (with a machine-readable error
 document on stdout), 2 usage error, 3 at least one congruence report has
 pass = false (inconclusive reports alone do not fail the run).
 
-All documents carry "schema": "qpl/1" and are emitted with sorted keys, as
+All documents carry "schema": "qpl/2" and are emitted with sorted keys, as
 the bytes of json.dumps(doc, sort_keys=True, indent=2), so identical run
 specs produce byte-identical output.  Numeric payloads are
-serialized PadicNumbers (digits plus certified precision) or exact fraction
-strings; there are no bare floating digits.
+serialized PadicNumbers (PadicNumber.to_dict: digits plus certified
+precision) or exact fraction strings; there are no bare floating digits.
+A document states each fact once (see README.md, "Command line").
 """
 
 import argparse
@@ -34,6 +35,7 @@ from .lfunctions import (
     choose_F,
 )
 from .congruences import (
+    _NOTE_COLLAPSE,
     _value_doc,
     uncertified_report,
     verify_binom_op_thm,
@@ -44,7 +46,7 @@ from .congruences import (
 from .oracles import oracle_resolve_conventions
 from .invariants import SUITES, run_suites
 
-SCHEMA = "qpl/1"
+SCHEMA = "qpl/2"
 PRECISION_ENV = "QPL_PRECISION"
 DEFAULT_PRECISION = 12
 
@@ -224,8 +226,6 @@ def _emit_series(params: dict, ctx: QContext, result, stream) -> int:
         "params": dict(params, q_exact=str(ctx.q)),
         "value": _value_doc(result.value),
         "terms_used": result.terms_used,
-        "tail_valuation_bound": result.tail_valuation_bound,
-        "converged": result.converged,
         "convention": ctx.convention,
     }, stream)
     return 0
@@ -327,7 +327,8 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
         report = verify_classical_kummer(spec.p, spec.n, spec.c, spec.k, chi)
         reports = [report.to_dict()]
     else:
-        cells = _default_grid(spec) if spec.grid == "default" else [spec]
+        cells = (_default_grid(spec) if spec.grid == "default"
+                 else [replace(spec, r=1 if spec.r is None else spec.r)])
         jobs = min(spec.jobs, len(cells), os.cpu_count() or 1)
         size = -(-len(cells) // jobs)
         chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
@@ -345,6 +346,8 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
         "failed": sum(1 for r in reports
                       if not r["pass"] and not r["inconclusive"]),
     }
+    if spec.theorem != "classical":
+        doc["notes"] = [_NOTE_COLLAPSE]
     _emit(doc, stream)
     return 3 if doc["failed"] else 0
 
@@ -431,7 +434,8 @@ def _kummer_args(sp):
     sp.add_argument("--theorem", required=True,
                     choices=("53", "54", "binop", "classical"))
     _add_context_args(sp)
-    sp.add_argument("--r", type=int, default=1)
+    # None until _cmd_kummer reads 1 for a single cell; a grid sets its own
+    sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--chi", default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--n-list", dest="n_list", type=_int_list, default=None)
@@ -539,6 +543,13 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
                 parser.error("theorem 54 needs --n and --k2")
             if spec.theorem in ("53", "binop") and spec.n_list is None:
                 parser.error("theorems 53/binop need --n-list")
+        else:
+            given = ["--" + f.replace("_", "-") for f in
+                     ("r", "chi", "n_list", "n", "c", "k", "k2", "z")
+                     if getattr(spec, f) is not None]
+            if given:
+                parser.error("--grid default sets its own %s"
+                             % ", ".join(given))
     for option, value, least in (("--prec", spec.prec, 1),
                                  ("--jobs", spec.jobs, 1),
                                  ("--F", spec.F, 1),

@@ -7,6 +7,10 @@ valuation of an explicit witness, and a pass verdict that is only issued
 when the witness is certified strictly beyond the required depth.  Nothing
 here proves a theorem; a report is evidence at one parameter point.
 
+Character values lie in Z_p, so the coefficient ring R*[chi] collapses to
+R* and every bound is a plain valuation; a CLI document of theorems 53, 54
+or binop says so once (_NOTE_COLLAPSE), not in each report's notes.
+
 Report theorem tokens match the CLI: "53" (k-th difference membership and
 n-independence), "54" (agreement between two operator powers k = k' mod p-1),
 "binop" (binomial-coefficient operator form), "classical" (exact-rational
@@ -176,12 +180,9 @@ def _verdict(witness: PadicNumber, required: int):
 
 
 def _value_doc(x) -> dict:
-    """The JSON document of a PadicNumber (its digits and repr) or of an
-    exact fraction."""
+    """A PadicNumber's to_dict(), or an exact fraction's document."""
     if isinstance(x, PadicNumber):
-        d = x.to_dict()
-        d["repr"] = repr(x)
-        return d
+        return x.to_dict()
     return {"fraction": str(x)}
 
 
@@ -204,6 +205,7 @@ def _check_z(ctx: QContext, z, step: int):
     The congruence proofs extend from the positive integer points of
     step * Z by continuity, so integer multiples of the step (which have
     unit cofactor) are exactly the anchor points and must be admitted.
+    Off those points the report notes say that z is a sample.
     """
     need = int_valuation(step, ctx.p)
     if not _valuation_at_least(z, ctx.p, need):
@@ -211,10 +213,8 @@ def _check_z(ctx: QContext, z, step: int):
             "z = %s is outside the admissible set %d*Z_p (need v_%d(z) >= %d)"
             % (_zdesc(z), step, ctx.p, need)
         )
-    notes = [_NOTE_COLLAPSE]
-    if not (isinstance(z, int) and z >= 0 and z % step == 0):
-        notes.append(_NOTE_SAMPLED)
-    return tuple(notes)
+    anchor = isinstance(z, int) and z >= 0 and z % step == 0
+    return () if anchor else (_NOTE_SAMPLED,)
 
 
 def uncertified_report(ctx: QContext, chi: DirichletCharacter, theorem: str,

@@ -74,18 +74,12 @@ from .qbernoulli import (
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A series evaluation together with its truncation certificate.
-
-    The series was summed up to an index proven before the sum started (or
-    it was finite), so converged is true and the omitted tail, divided like
-    the sum, has valuation at least tail_valuation_bound, the requested
-    precision at which the value is reported.
-    """
+    """A series value and its number of terms.  The series ended at an index
+    proven before the sum (or was finite), so the omitted tail, divided like
+    the sum, has valuation >= value.prec, the requested precision."""
 
     value: PadicNumber
     terms_used: int
-    tail_valuation_bound: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -405,7 +399,7 @@ def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
         acc = acc + _horner_rows(ctx.p, wctx.prec, target, terms, lines,
                                  int_valuation(F, ctx.p))
     value = _certified(acc / divisor, ctx.prec, "series evaluation")
-    return SeriesValue(value, len(betas), ctx.prec, True)
+    return SeriesValue(value, len(betas))
 
 
 def _horner_rows(p: int, work: int, target: int, terms, lines,

@@ -466,11 +466,13 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list,
         sum (N; i_1..i_r) prod_{j<r} S_j(N-i_1-...-i_j, i_j) beta_{i_r}(z_r),
         S_j(R, i) = sum_{k<=R} C(R, k) (q-1)^k beta_{k+i}(z_j),
 
-    whose single betas the resolution certificate fixes: a dict with the
-    keys of oracle_resolve_conventions' result, "normalization" ("n" or
-    "n+r"), "single_beta" ("pure_sum" or "carlitz") and "r_max".  A missing
-    key or a bad value raises ValueError, and an order r above r_max,
-    which the certificate does not cover, NormalizationUnresolved.
+    whose single betas the resolution certificate fixes: a dict such as
+    oracle_resolve_conventions' result, of which this reads "single_beta"
+    ("pure_sum" or "carlitz") and "r_max".  A missing key or a bad value
+    raises ValueError, and an order r above r_max, which the certificate
+    does not cover, NormalizationUnresolved.  Its "normalization" is not
+    read: it picks the order of the oracle's left side, while this right
+    side is the sum over compositions of N = n+r under either reading.
     [a + b]_q = [a]_q + q^a [b]_q and q^a = 1 + (q-1)[a]_q make it the
     integral of [y_1 + ... + y_r]_q^N, y_j = z_j + t_j, over r single
     measures whose j = 0 moment is beta_0 (Carlitz) or 0 (pure sum).  So it
@@ -479,11 +481,9 @@ def kim_sum_of_products(ctx: QContext, n: int, r: int, z_list,
     (1-q)^(-N) term, under the pure-sum one.  Each z_j must lie in the
     domain of q^(z_j).  Exactly ctx.prec digits.
     """
-    for key in ("normalization", "single_beta", "r_max"):
+    for key in ("single_beta", "r_max"):
         if key not in certificate:
             raise ValueError("certificate lacks %r" % key)
-    if certificate["normalization"] not in ("n", "n+r"):
-        raise ValueError("bad normalization %r" % certificate["normalization"])
     if certificate["single_beta"] not in ("pure_sum", "carlitz"):
         raise ValueError("bad single_beta %r" % certificate["single_beta"])
     if r > certificate["r_max"]:

@@ -10,7 +10,6 @@ import pytest
 from qpl import (
     PadicNumber,
     bernoulli_number,
-    bernoulli_poly,
     char_build,
     forward_diff,
     fraction_valuation,
@@ -49,24 +48,28 @@ def test_bernoulli_numbers_match_sympy():
 
 
 def test_bernoulli_poly_values():
-    assert bernoulli_poly(1, Fraction(1, 2)) == 0
-    assert bernoulli_poly(0, Fraction(7, 3)) == 1
+    # B_n(z) is the order-1 Norlund polynomial
+    assert norlund_poly(1, 1, Fraction(1, 2)) == 0
+    assert norlund_poly(0, 1, Fraction(7, 3)) == 1
     for n in range(9):
-        assert bernoulli_poly(n, 0) == bernoulli_number(n)
+        assert norlund_poly(n, 1, 0) == bernoulli_number(n)
 
 
 def test_bernoulli_poly_difference_equation():
     for n in range(1, 9):
         for x in (Fraction(0), Fraction(1, 2), Fraction(-2), Fraction(5, 3)):
-            assert (bernoulli_poly(n, x + 1) - bernoulli_poly(n, x)
+            assert (norlund_poly(n, 1, x + 1) - norlund_poly(n, 1, x)
                     == n * x ** (n - 1))
 
 
 def test_norlund_reduces_to_classical():
     for n in range(8):
         assert norlund_number(n, 1) == bernoulli_number(n)
-        assert norlund_poly(n, 1, Fraction(1, 3)) == bernoulli_poly(
-            n, Fraction(1, 3))
+        # B_n(x) = sum_k C(n, k) B_k x^(n-k)
+        x = Fraction(1, 3)
+        assert norlund_poly(n, 1, x) == sum(
+            math.comb(n, k) * bernoulli_number(k) * x ** (n - k)
+            for k in range(n + 1))
 
 
 def test_norlund_small_values():
@@ -96,7 +99,7 @@ def test_norlund_convolution():
                     lhs = norlund_poly(n, r, x + y)
                     rhs = sum(math.comb(n, k)
                               * norlund_poly(k, r - 1, x)
-                              * bernoulli_poly(n - k, y)
+                              * norlund_poly(n - k, 1, y)
                               for k in range(n + 1))
                     assert lhs == rhs
 
@@ -107,8 +110,8 @@ def test_gen_bernoulli_principal():
     assert gen_bernoulli_poly(1, one) == Fraction(1, 2)
     for n in range(7):
         for z in (0, 2, Fraction(1, 2)):
-            assert gen_bernoulli_poly(n, one, z) == bernoulli_poly(
-                n, Fraction(z) + 1)
+            assert gen_bernoulli_poly(n, one, z) == norlund_poly(
+                n, 1, Fraction(z) + 1)
 
 
 def test_gen_bernoulli_quadratic():

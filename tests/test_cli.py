@@ -14,28 +14,60 @@ from pathlib import Path
 
 import pytest
 
-from qpl import Lpq_special, PrecisionExhausted, QContext, omega_pow
-from qpl import cli
+from qpl import (Lpq_special, PadicNumber, PrecisionExhausted, QContext,
+                 omega_pow)
+from qpl import cli, congruences
 from qpl.cli import main
 
 from helpers import Recording
+
+
+def stated_once(doc):
+    """doc states each fact once, and the facts it leaves out are rebuilt
+    from what it keeps: a series value's tail bound is the value's
+    precision, the requested --prec, and the coefficient-ring note of
+    theorems 53, 54 and binop is the document's, once."""
+    if "terms_used" in doc:
+        assert not {"converged", "tail_valuation_bound"} & set(doc)
+        assert doc["value"]["prec"] == doc["params"]["prec"]
+    if "reports" in doc:
+        theorems = {rep["theorem"] for rep in doc["reports"]}
+        once = ([] if theorems == {"classical"}
+                else [congruences._NOTE_COLLAPSE])
+        assert doc.get("notes", []) == once
+        assert all(congruences._NOTE_COLLAPSE not in rep["notes"]
+                   for rep in doc["reports"])
 
 
 @pytest.fixture(autouse=True)
 def emitted_as_json_dumps_would(monkeypatch):
     """Every document a test here emits, each subcommand's and the error
     document, is first written by cli._emit to a recording stream, where it
-    must be one write of the bytes of json.dumps(sort_keys=True, indent=2)."""
+    must be one write of the bytes of json.dumps(sort_keys=True, indent=2),
+    and it must state each fact once (stated_once).  Every PadicNumber in
+    it is its to_dict(), from which PadicNumber.from_dict rebuilds its
+    repr."""
     emit = cli._emit
+    value_doc = cli._value_doc
 
     def checked(doc, stream):
         recording = Recording()
         emit(doc, recording)
         assert recording.writes == [json.dumps(
             dict(doc, schema=cli.SCHEMA), sort_keys=True, indent=2) + "\n"]
+        stated_once(doc)
         emit(doc, stream)
 
+    def rebuilt(x):
+        d = value_doc(x)
+        if isinstance(x, PadicNumber):
+            assert d == x.to_dict()
+            assert repr(PadicNumber.from_dict(d)) == repr(x)
+        return d
+
     monkeypatch.setattr(cli, "_emit", checked)
+    monkeypatch.setattr(cli, "_value_doc", rebuilt)
+    monkeypatch.setattr(congruences, "_value_doc", rebuilt)
 
 
 def run_cli(argv):
@@ -57,7 +89,7 @@ def run_json(argv):
 def test_bernoulli_exact():
     code, doc = run_json(["bernoulli", "--n", "4"])
     assert code == 0
-    assert doc["schema"] == "qpl/1"
+    assert doc["schema"] == "qpl/2"
     assert doc["value"] == "-1/30"
     assert doc["precision"] == "exact"
 
@@ -192,7 +224,7 @@ def test_lp_takes_a_character_by_generator_images():
     code, doc = run_json(["lp", "--p", "5", "--chi",
                           "mod:15;gens:11->2,7->1", "--s", "-2"])
     assert code == 0
-    assert doc["converged"] is True
+    assert doc["terms_used"] > 0
     assert doc["params"]["F"] == 15
 
 
@@ -225,7 +257,7 @@ def test_lp_at_r_conventions():
     code, doc = run_json(["lp-at-r", "--p", "5", "--chi", "omega^2",
                           "--convention", "carlitz"])
     assert code == 0
-    assert doc["converged"] is True
+    assert doc["terms_used"] > 0
     # The default convention's series does not converge at s = r.
     code, doc = run_json(["lp-at-r", "--p", "5", "--chi", "omega^2"])
     assert code == 1
@@ -378,9 +410,10 @@ def test_kummer_jobs_clamped(monkeypatch):
     for cpus, want in ((4, 4), (64, 16)):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         seen.clear()
-        assert run_json(argv) == (0, {"failed": 0, "inconclusive": 0,
-                                      "passed": 0, "reports": [],
-                                      "schema": "qpl/1", "total": 0})
+        assert run_json(argv) == (0, {
+            "failed": 0, "inconclusive": 0, "passed": 0, "reports": [],
+            "notes": [congruences._NOTE_COLLAPSE], "schema": "qpl/2",
+            "total": 0})
         assert seen == [want]
     # an unknown CPU count runs the grid in-process
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
@@ -599,6 +632,15 @@ REFUSALS = [
     (["lp-table", "--p", "5", "--chi", "omega", "--n-max", "-1"],
      "--n-max must be >= 0"),
 ]
+# --grid default sets each cell's options itself, and refuses them given
+GRID = ["kummer-verify", "--p", "5", "--theorem", "53", "--grid", "default"]
+REFUSALS += [(GRID + [option, value], "--grid default sets its own " + option)
+             for option, value in (("--r", "1"), ("--chi", "omega^2"),
+                                   ("--n-list", "1,2"), ("--n", "2"),
+                                   ("--c", "4"), ("--k", "1"), ("--k2", "5"),
+                                   ("--z", "5"))]
+REFUSALS.append((GRID + ["--z", "5", "--r", "2"],
+                 "--grid default sets its own --r, --z"))
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS,

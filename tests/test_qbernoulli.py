@@ -802,10 +802,9 @@ def test_certificate_validation():
     # given after a bad one is read as given
     good = certificate("carlitz", 2)
     refusals = [({k: v for k, v in good.items() if k != key}, ValueError,
-                 "certificate lacks '%s'" % key) for key in good]
+                 "certificate lacks '%s'" % key)
+                for key in ("single_beta", "r_max")]
     refusals += [
-        (dict(good, normalization="bad"), ValueError,
-         "bad normalization 'bad'"),
         (dict(good, single_beta="bad"), ValueError, "bad single_beta 'bad'"),
         (dict(good, r_max=1), NormalizationUnresolved,
          "certificate covers r <= 1, not r = 2"),
@@ -816,6 +815,12 @@ def test_certificate_validation():
             kim_sum_of_products(CTX, 2, 2, [0, 0], cert)
         assert_agree(kim_sum_of_products(CTX, 2, 2, [0, 0], good), want,
                      CTX.prec)
+    # "normalization" chooses the oracle's left side; the right side is the
+    # same sum over compositions of n + r under either reading or none
+    without = {k: v for k, v in good.items() if k != "normalization"}
+    for cert in (dict(good, normalization="n"), without):
+        assert digits_of(kim_sum_of_products(CTX, 2, 2, [0, 0], cert)) \
+            == digits_of(kim_sum_of_products(CTX, 2, 2, [0, 0], good))
 
 
 def test_q_to_one_degeneration_fixture(pytestconfig):
