@@ -522,6 +522,13 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     return RunSpec(**data)
 
 
+def _given(spec: RunSpec, fields) -> list:
+    """The options among the RunSpec fields that were given, spelled as on
+    the command line."""
+    return ["--" + f.replace("_", "-") for f in fields
+            if getattr(spec, f) is not None]
+
+
 def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
     if spec.subcommand == "bernoulli":
         if spec.chi is not None and spec.p is None:
@@ -534,6 +541,10 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
                 parser.error("classical verification needs --n and --c")
             if spec.k is None:
                 parser.error("classical verification needs --k")
+            given = _given(spec, ("grid", "r", "n_list", "k2", "z"))
+            if given:
+                parser.error("classical verification does not take %s"
+                             % ", ".join(given))
         elif spec.grid is None:
             if spec.chi is None or spec.c is None or spec.k is None:
                 parser.error("need --chi, --c, --k (or --grid default)")
@@ -544,9 +555,8 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
             if spec.theorem in ("53", "binop") and spec.n_list is None:
                 parser.error("theorems 53/binop need --n-list")
         else:
-            given = ["--" + f.replace("_", "-") for f in
-                     ("r", "chi", "n_list", "n", "c", "k", "k2", "z")
-                     if getattr(spec, f) is not None]
+            given = _given(spec, ("r", "chi", "n_list", "n", "c", "k", "k2",
+                                  "z"))
             if given:
                 parser.error("--grid default sets its own %s"
                              % ", ".join(given))

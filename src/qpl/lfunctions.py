@@ -140,12 +140,9 @@ def choose_F(f: int, p: int, r: int = 1, purpose: str = "interpolation") -> int:
 def _special(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
              F: int, rows) -> PadicNumber:
     """(-1)^r/(n+1)_r times the window sum of order n + r over rows,
-    padded once by v_p((n+1)_r) and certified to ctx.prec."""
-    poch = pochhammer(n + 1, r)
-    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
-    return _certified(_window_sum(inner, _PURE_SUM, n + r, r, chi, z, F,
-                                  rows)
-                      * Fraction((-1) ** r, poch), ctx.prec, "special value")
+    certified to ctx.prec."""
+    return _window_sum(ctx, _PURE_SUM, n + r, r, chi, z, F, rows,
+                       Fraction((-1) ** r, pochhammer(n + 1, r)))
 
 
 def q_zeta_special(ctx: QContext, n: int, r: int, x) -> PadicNumber:

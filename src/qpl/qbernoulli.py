@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .classical import residue_sums
@@ -304,15 +305,15 @@ def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
             PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
 
 
-def _horner_sum(p: int, table, terms, digits: int = None) -> PadicNumber:
-    """pref sum_{(w, u) in terms} w sum_i coeffs[i-1] u^i for a table
-    (base, coeffs, pref) of _coeff_table: each u a unit PadicNumber, each
-    w a nonzero integer, exact or, with digits given, known to that many
-    significant digits.
+def _horner_sum(p: int, table, rows, digits: int = None) -> PadicNumber:
+    """pref sum_{(w, u, k) in rows} w sum_i coeffs[i-1] u^i for a table
+    (base, coeffs, pref) of _coeff_table: each u the integer unit of a
+    q-power known modulo p^k, each w a nonzero integer, exact or, with
+    digits given, known to that many significant digits.
 
     The module's one Horner loop, in integers modulo p^d for each row, d =
-    min(rel, u.rel) with rel = pref.rel (Brent & Zimmermann, Modern
-    Computer Arithmetic, 4.4).  One value is built, at the precision of the
+    min(rel, k) with rel = pref.rel (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.4).  One value is built, at the precision of the
     PadicNumber sum of the products w * pref m p^base: each is known
     modulo p^(v(pref) + base + v_p(w) + min(d, v(m) + digits)), reading
     v(m) as d where m = 0 modulo p^d.
@@ -320,12 +321,12 @@ def _horner_sum(p: int, table, terms, digits: int = None) -> PadicNumber:
     base, coeffs, pref = table
     rel = pref.rel
     total, reach = 0, []
-    for w, u in terms:
-        d = min(rel, u.rel)
+    for w, u, k in rows:
+        d = min(rel, k)
         mod = _ppow(p, d)
         m = 0
         for a in reversed(coeffs):
-            m = (m + a) * u.unit % mod
+            m = (m + a) * u % mod
         if digits is not None and m:
             d = min(d, int_valuation(m, p) + digits)
         reach.append(d + int_valuation(w, p))
@@ -349,8 +350,9 @@ def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
         ctx.q_power(d, x)
         value = PadicNumber.exact_zero(ctx.p, ctx.prec)
     else:
+        u = ctx.q_power(d, x, rel)
         value = _horner_sum(ctx.p, _coeff_table(ctx, family, n, r, d, rel),
-                            [(1, ctx.q_power(d, x, rel))])
+                            [(1, u.unit, u.rel)])
     if family.term:
         value = value + family.term(ctx, n, r, d, rel)
     return value
@@ -400,48 +402,78 @@ def _certified(x: PadicNumber, prec: int, what: str) -> PadicNumber:
 
 
 def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
-                chi: DirichletCharacter, z, F: int, rows) -> PadicNumber:
-    """[F]_q^(n-r) sum_{(t, count) in rows} count chi(t)
-                     beta^(r)_{n,q^F}((z+t)/F)
+                chi: DirichletCharacter, z, F: int, rows,
+                scale: Fraction = Fraction(1)) -> PadicNumber:
+    """scale [F]_q^(n-r) sum_{(t, count) in rows} count chi(t)
+                           beta^(r)_{n,q^F}((z+t)/F)
 
-    for beta^(r) of the family.  The one sum over residue rows; rows are
-    (t, count) pairs with count >= 1 and chi(t) != 0, such as
-    residue_sums(F, r, chi) for the sum over a_1..a_r = 1..F grouped by
-    t = a_1+...+a_r.  Padded by the family's bound, and by the (r - n)
-    v_p(F) digits [F]_q^(n-r) costs at n < r, so the value is certified to
-    ctx.prec or PrecisionExhausted is raised.
+    for beta^(r) of the family and an exact nonzero scale.  The one sum
+    over residue rows; rows are (t, count) pairs with count >= 1 and
+    chi(t) != 0, t ascending, such as residue_sums(F, r, chi) for the sum
+    over a_1..a_r = 1..F grouped by t = a_1+...+a_r.  The window sum is
+    certified to ctx.prec - v_p(scale), padded by the family's bound and by
+    the (r - n) v_p(F) digits [F]_q^(n-r) costs at n < r, so the value is
+    certified to ctx.prec or PrecisionExhausted is raised.
 
     All rows share one coefficient table, so this is one _horner_sum over
     u_t = q^(z+t), z + t being the exact exponent F (z+t)/F, with integer
-    weights count chi(t), chi(t) lifted to work digits.  It keeps the
-    precision of the per-row PadicNumber sum of count chi(t) beta_t: each
-    row is known to its own q-power's digits above p^v_p(count).
+    weights count chi(t), chi(t) lifted to work digits.  One q_power, at
+    the first row, refuses a z outside the domain and gives u_t0; every
+    other row is u_t0 q^(t-t0) in integers modulo p^min(rel, u_t0.rel),
+    the digits each row's own q_power keeps of the sum (a shift by an
+    integer moves no digit of z).  It keeps the precision of the per-row
+    PadicNumber sum of count chi(t) beta_t: each row is known to its
+    q-power's digits above p^v_p(count).
 
     The term does not depend on x, so it comes times sum_t count chi(t):
     the row count for a principal chi, and 0 for any other over the full
     residue sums, where the sum over a_1 alone runs over periods of chi.
+    [F]_q^(n-r) and scale multiply the sum's unit in integers and the
+    result is truncated once, to the digits of the PadicNumber chain
+    scale * certified([F]_q^(n-r) * sum).
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    pad = family.pad(ctx, n, r, F)
-    work = ctx.prec + pad + max(r - n, 0) * int_valuation(F, ctx.p) + 4
-    wctx = ctx.with_precision(work)
-    z = _scaled_exponent(1, z)
+    p = ctx.p
+    vnum = int_valuation(scale.numerator, p)
+    vden = int_valuation(scale.denominator, p)
+    prec = ctx.prec + vden - vnum
+    vF = int_valuation(F, p)
+    work = prec + family.pad(ctx, n, r, F) + max(r - n, 0) * vF + 4
     rel = work + 2                      # work holds the family's pad
+    z = _scaled_exponent(1, z)
+    t0 = rows[0][0]
+    first = ctx.q_power(1, z + t0, rel)
     if n < r and not family.vector(n, r):
-        # no sum, but each (z + t)/F must lie in the domain: one row decides
-        ctx.q_power(1, z + rows[0][0])
-        acc = PadicNumber.exact_zero(ctx.p, work)
+        acc = PadicNumber.exact_zero(p, work)
     else:
-        table = _coeff_table(wctx, family, n, r, F, rel)
-        terms = [(count * chi.lift(t, work), wctx.q_power(1, z + t, rel))
-                 for t, count in rows]
-        acc = _horner_sum(ctx.p, table, terms, work)
+        d = min(rel, first.rel)
+        mod, q = _ppow(p, d), ctx.q_int(d)
+        acc = _horner_sum(p, _coeff_table(ctx, family, n, r, F, rel),
+                          [(count * chi.lift(t, work),
+                            first.unit * pow(q, t - t0, mod) % mod, d)
+                           for t, count in rows], work)
     if family.term and chi.is_principal:
         acc = acc + (sum(count for _, count in rows)
                      * family.term(ctx, n, r, F, rel))
-    return _certified(wctx.q_bracket(1, F) ** (n - r) * acc, ctx.prec,
-                      "special value")
+    # [F]_q = p^v_p(F) b, b a unit known modulo p^work, so the product
+    # [F]_q^(n-r) acc keeps min(work, acc.rel) digits
+    val = vF * (n - r)
+    if acc.is_exact_zero:
+        return PadicNumber.exact_zero(p, min(val + work, acc.prec, ctx.prec))
+    val += acc.val
+    kept = val + min(work, acc.rel)
+    if kept < prec:
+        raise PrecisionExhausted("special value retains %d digits, %d "
+                                 "requested" % (kept, prec))
+    if acc.unit == 0 or val >= prec:
+        return PadicNumber.zero_at(p, ctx.prec)
+    mod = _ppow(p, prec - val)
+    b = (ctx.one_minus_q_pow(F, work).unit
+         * pow(ctx.one_minus_q_pow(1, work).unit, -1, mod))
+    unit = (acc.unit * pow(b, n - r, mod) * (scale.numerator // _ppow(p, vnum))
+            * pow(scale.denominator // _ppow(p, vden), -1, mod))
+    return PadicNumber(p, val + vnum - vden, unit % mod, ctx.prec)
 
 
 def multi_gen_q_beta_poly(ctx: QContext, n: int, r: int,

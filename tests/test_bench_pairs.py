@@ -57,3 +57,66 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
         10, True, "within bound")
     # a worse median beyond the bound is reported as such first
     assert _judge([40.0] * 10, parent=parent)[2] == "beyond bound"
+
+
+METRICS = [{"name": "ops_per_s", "unit": "ops/s", "better": "higher",
+            "bound": 0.25},
+           {"name": "latency_p90_ms", "unit": "ms", "better": "lower",
+            "bound": 0.25}]
+
+
+def _run(side, i):
+    """A synthetic run.py record and result: the change is 5 % faster and
+    fails one of 50 operations where the parent fails two."""
+    ops = PARENT[i] * (1.05 if side == "change" else 1)
+    record = {"git_sha": side * 5, "python": "3.11.7", "nproc": 2,
+              "output_sha256": "abc", "attempted": 100,
+              "failed": 2 if side == "change" else 4}
+    result = {"correct": not (side == "parent" and i == 3), "metrics": {
+        "ops_per_s": {"value": ops, "unit": "ops/s"},
+        "latency_p90_ms": {"value": 1000 / ops, "unit": "ms"}}}
+    return record, result
+
+
+def test_record_appends_the_printed_summary(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        bench_pairs.json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        side = checkout.name
+        calls.append(side)
+        return _run(side, (calls.count(side) - 1) % 10)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+            "w", "--pairs", "10", "--seconds", "4", "--seed", "3"]
+    assert bench_pairs.main(argv) == 0
+    assert not (tmp_path / "BENCH_w.json").exists()
+    for _ in range(2):
+        assert bench_pairs.main(argv + ["--record"]) == 0
+    history = bench_pairs.json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert len(history) == 2 and history[0] == history[1]
+    got = history[0]
+    assert {k: got[k] for k in ("workload", "seed", "seconds", "pairs",
+                                "python", "nproc")} == {
+        "workload": "w", "seed": 3, "seconds": 4.0, "pairs": 10,
+        "python": "3.11.7", "nproc": 2}
+    ops = got["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"median": 100.0, "q1": 99.25, "q3": 100.75}
+    assert ops["change"]["median"] == pytest.approx(105.0)
+    assert (ops["wins"], ops["claim"], ops["verdict"]) == (
+        10, True, "within bound")
+    assert got["metrics"]["latency_p90_ms"]["wins"] == 10
+    assert got["parent"] == {"git_sha": ["parentparentparentparentparent"],
+                             "output_sha256": ["abc"], "failed_share": [0.04],
+                             "runs_with_failed_checks": [4]}
+    assert got["change"]["failed_share"] == [0.02]
+    assert got["change"]["runs_with_failed_checks"] == []
+    # what is printed is read from the same summary
+    out = capsys.readouterr().out
+    assert "ops_per_s (ops/s): 100 [99.25, 100.8] -> 105" in out
+    assert "10/10; claim met; within bound" in out
+    assert "parent: output_sha256 abc; failed share 0.0400; runs with " \
+        "failed checks: [4]" in out

@@ -641,6 +641,18 @@ REFUSALS += [(GRID + [option, value], "--grid default sets its own " + option)
                                    ("--z", "5"))]
 REFUSALS.append((GRID + ["--z", "5", "--r", "2"],
                  "--grid default sets its own --r, --z"))
+# classical verification reads --n, --c, --k and --chi, and refuses the
+# options of the other theorems; --jobs, --prec and --q have defaults
+# before the check, so a given one cannot be told from an omitted one
+CLASSICAL = ["kummer-verify", "--p", "5", "--theorem", "classical", "--n", "2",
+             "--c", "4", "--k", "1"]
+REFUSALS += [(CLASSICAL + [option, value],
+              "classical verification does not take " + option)
+             for option, value in (("--grid", "default"), ("--r", "3"),
+                                   ("--n-list", "1,2"), ("--k2", "5"),
+                                   ("--z", "5"))]
+REFUSALS.append((CLASSICAL + ["--z", "5", "--grid", "default", "--r", "3"],
+                 "classical verification does not take --grid, --r, --z"))
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS,

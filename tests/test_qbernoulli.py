@@ -13,6 +13,7 @@ import pytest
 from qpl import (
     DomainError,
     Lpq_special,
+    Lq_special,
     NormalizationUnresolved,
     PadicNumber,
     PrecisionExhausted,
@@ -30,9 +31,15 @@ from qpl import (
     principal_char,
     volkenborn_beta_poly,
 )
-from qpl.classical import residue_sums
-from qpl.padic import _ceil_log, int_valuation
-from qpl import qbernoulli
+from qpl.characters import eta_order
+from qpl.classical import pochhammer, residue_sums
+from qpl.padic import (
+    _ceil_log,
+    _require_integral,
+    _scaled_exponent,
+    int_valuation,
+)
+from qpl import lfunctions, padic, qbernoulli
 from qpl.qbernoulli import beta_table, series_beta, series_beta_floor
 
 from helpers import (
@@ -717,18 +724,19 @@ def test_horner_sum_is_the_padic_sum_of_its_rows():
     ctx = QContext(p, Fraction(6), 12)
     table = qbernoulli._coeff_table(ctx, qbernoulli._PURE_SUM, 6, 2, 5, 20)
     for _ in range(60):
-        terms = [(rng.randrange(1, 200),
-                  ctx.q_power(1, rng.randrange(50), rng.randrange(1, 25)))
-                 for _ in range(rng.randrange(1, 6))]
+        rows = []
+        for _ in range(rng.randrange(1, 6)):
+            u = ctx.q_power(1, rng.randrange(50), rng.randrange(1, 25))
+            rows.append((rng.randrange(1, 200), u.unit, u.rel))
         for digits in (None, 1, 3, 30):
             want = PadicNumber.exact_zero(p, 100)
-            for w, u in terms:
+            for w, u, k in rows:
                 weight = w if digits is None else PadicNumber.from_int(
                     w, p, digits)
                 want = want + weight * qbernoulli._horner_sum(p, table,
-                                                              [(1, u)])
-            assert digits_of(qbernoulli._horner_sum(p, table, terms, digits)) \
-                == digits_of(want), (terms, digits)
+                                                              [(1, u, k)])
+            assert digits_of(qbernoulli._horner_sum(p, table, rows, digits)) \
+                == digits_of(want), (rows, digits)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
@@ -760,9 +768,78 @@ def test_window_sum_matches_row_loop(p):
     assert multiple_counts > 0 and certified > 0
 
 
+def _special_chain(ctx, n, r, chi, z, F, rows):
+    """The closed form as a chain of PadicNumber operations, the reference
+    for its one integer pass: a q_power per row, then [F]_q^(n-r), the
+    certification at ctx.prec + v_p((n+1)_r), the Pochhammer scale and the
+    certification at ctx.prec."""
+    poch = pochhammer(n + 1, r)
+    inner = ctx.with_precision(ctx.prec + int_valuation(poch, ctx.p))
+    n += r
+    work = inner.prec + qbernoulli._beta_headroom(ctx, n, r, F) + 4
+    wctx = ctx.with_precision(work)
+    z = _scaled_exponent(1, z)
+    rel = work + 2
+    table = qbernoulli._coeff_table(wctx, qbernoulli._PURE_SUM, n, r, F, rel)
+    terms = []
+    for t, count in rows:
+        u = wctx.q_power(1, z + t, rel)
+        terms.append((count * chi.lift(t, work), u.unit, u.rel))
+    acc = qbernoulli._horner_sum(ctx.p, table, terms, work)
+    window = qbernoulli._certified(wctx.q_bracket(1, F) ** (n - r) * acc,
+                                  inner.prec, "special value")
+    return qbernoulli._certified(window * Fraction((-1) ** r, poch),
+                                 ctx.prec, "special value")
+
+
+def _Lpq_chain(ctx, n, r, chi, z):
+    _require_integral(z, ctx.p)
+    h = (n + r) % eta_order(ctx.p)
+    chim, M, rows = lfunctions._twisted_window(ctx, chi, r, h)
+    return _special_chain(ctx, n, r, chim, _scaled_exponent(ctx.p_star, z), M,
+                          rows)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_special_values_match_padic_chain(p):
+    # Lq_special and Lpq_special, digit for digit and refusal for
+    # refusal, against the PadicNumber chain: at every kind of z and
+    # precision 1-30, and on a grid at precision 1-3, where values that
+    # are zero at their precision occur
+    rng = random.Random(100 + p)
+    omega = omega_pow(p, 1)
+    chars = (principal_char(p), omega, omega_pow(p, 2),
+             induce(omega, omega.modulus * 3))
+    points = []
+    for prec in range(1, 31):
+        ctx = QContext(p, rng.choice(sample_qs(p)), prec)
+        n, r, chi = rng.randrange(9), rng.randrange(1, 4), rng.choice(chars)
+        F = chi.modulus * rng.choice((1, 2, p))
+        points += [(ctx, n, r, chi, z, F)
+                   for z in _window_shifts(p, prec, rng)]
+    for prec, n, r, chi, z in itertools.product(
+            (1, 2, 3), range(6), (1, 2), chars, (0, 1, p)):
+        points.append((QContext(p, sample_qs(p)[0], prec), n, r, chi, z,
+                       chi.modulus))
+    seen = Counter()
+    for ctx, n, r, chi, z, F in points:
+        for got, want in (
+                ((Lq_special, ctx, n, r, chi, z, F),
+                 (_special_chain, ctx, n, r, chi, z, F,
+                  residue_sums(F, r, chi))),
+                ((Lpq_special, ctx, n, r, chi, z),
+                 (_Lpq_chain, ctx, n, r, chi, z))):
+            got = _outcome(*got)
+            assert got == _outcome(*want), (ctx.prec, n, r, chi, F, z)
+            seen[got[0] if isinstance(got[0], str)
+                 else "zero" if got[1] == 0 else "value"] += 1
+    assert all(seen[kind] for kind in ("value", "zero", "PrecisionExhausted",
+                                       "DomainError")), seen
+
+
 def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
-    # At an integral z, a fixed number of PadicNumber operations per window,
-    # whatever its row count; the loop makes several per row.  At an exact
+    # At an integral z, one PadicNumber operation per window, whatever its
+    # row count; the loop makes several per row.  At an exact
     # zero z, the digits at z = 0, on the mixed rows.
     ctx = QContext(5, Fraction(6), 1)
     one = principal_char(5)
@@ -790,10 +867,18 @@ def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
         _pure_window(ctx, 2, 2, one, 3, 1, rows)
         ops.append(counts["ops"])
     assert len(windows[1]) > 15 * len(windows[0])
-    assert ops[0] == ops[1] <= 6, ops
+    assert ops == [1, 1], ops
     counts["ops"] = 0
     _window_sum_loop(ctx, 2, 2, one, 3, 1, windows[1])
     assert counts["ops"] > 2 * len(windows[1]), counts["ops"]
+    # at a non-integral z, one exponential per window, not one per row
+    exps = []
+    monkeypatch.setattr(padic, "padic_exp",
+                        lambda x, exp=padic.padic_exp: exps.append(x)
+                        or exp(x))
+    _pure_window(ctx, 2, 2, one, Fraction(1, 2), 1,
+                 [(t, 1) for t in range(1, 41)])
+    assert len(exps) == 1, len(exps)
 
 
 def test_certificate_validation():

@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and summarize them.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \
-        --pairs N --seconds S [--seed K]
+        --pairs N --seconds S [--seed K] [--record]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each pair
 runs ``perfbench/run.py --workload W --seed K --seconds S`` once in each
@@ -14,8 +14,11 @@ pairs the change won on that metric's better side (ties count for neither),
 and two verdicts (see ``judge``): whether a claimed gain on the metric
 would hold, and whether the change stays within the metric's bound.  It
 also gives each side's output digests, its share of failed operations,
-and the pairs in which a run's checks did not pass.  Nothing under
-perfbench/ is written, apart from what run.py itself writes.
+and the pairs in which a run's checks did not pass.  With --record, the
+summary, with both sides' git SHAs, Python, nproc, seed, seconds and
+pairs, is appended to the JSON list in BENCH_<workload>.json at the root
+of this checkout.  Nothing under perfbench/ is written, apart from what
+run.py itself writes.
 """
 
 import argparse
@@ -83,6 +86,50 @@ def judge(parent, change, higher: bool, bound: float):
     return wins, claim, verdict
 
 
+def summarize(workload, seed, seconds, metrics, runs):
+    """The summary of paired runs: runs maps "parent" and "change" to
+    their (record, result) pairs in pair order, metrics is BENCHMARK.json's
+    end_to_end list."""
+    pairs = len(runs["change"])
+    first = runs["change"][0][0]
+    summary = {"workload": workload, "seed": seed, "seconds": seconds,
+               "pairs": pairs, "python": first["python"],
+               "nproc": first["nproc"], "metrics": {}}
+    for m in metrics:
+        name = m["name"]
+        values = {side: [res["metrics"][name]["value"] for _, res in got]
+                  for side, got in runs.items()}
+        wins, claim, verdict = judge(values["parent"], values["change"],
+                                     m["better"] == "higher", m["bound"])
+        entry = {"unit": m["unit"], "better": m["better"],
+                 "bound": m["bound"], "wins": wins, "claim": claim,
+                 "verdict": verdict}
+        for side in runs:
+            entry[side] = dict(zip(("median", "q1", "q3"),
+                                   quartiles(values[side])))
+        summary["metrics"][name] = entry
+    for side, got in runs.items():
+        records = [rec for rec, _ in got]
+        summary[side] = {
+            "git_sha": sorted({rec["git_sha"] for rec in records}),
+            "output_sha256": sorted({rec["output_sha256"]
+                                     for rec in records}),
+            "failed_share": sorted({rec["failed"] / rec["attempted"]
+                                    for rec in records}),
+            "runs_with_failed_checks": [i + 1 for i, (_, res)
+                                        in enumerate(got)
+                                        if not res["correct"]],
+        }
+    return summary
+
+
+def append_record(path: Path, summary) -> None:
+    """Append summary to the JSON list in path, which is made if absent."""
+    history = json.loads(path.read_text()) if path.exists() else []
+    history.append(summary)
+    path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
@@ -91,6 +138,8 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--record", action="store_true",
+                        help="append the summary to BENCH_<workload>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -108,33 +157,28 @@ def main(argv=None):
                 "%s=%.4g" % (m["name"], result["metrics"][m["name"]]["value"])
                 for m in metrics)), flush=True)
 
+    summary = summarize(args.workload, args.seed, args.seconds, metrics, runs)
     print("\n%s, %d pairs, seed %d, --seconds %g"
           % (args.workload, args.pairs, args.seed, args.seconds))
     print("metric: parent median [q1, q3] -> change median [q1, q3], "
           "change wins; claim verdict; bound verdict")
-    for m in metrics:
-        name = m["name"]
-        values = {side: [res["metrics"][name]["value"] for _, res in runs[side]]
-                  for side in sides}
-        wins, claim, verdict = judge(values["parent"], values["change"],
-                                     m["better"] == "higher", m["bound"])
-        par, chg = quartiles(values["parent"]), quartiles(values["change"])
+    for name, m in summary["metrics"].items():
+        par, chg = m["parent"], m["change"]
         print("%s (%s): %.4g [%.4g, %.4g] -> %.4g [%.4g, %.4g] (x%.3f), "
               "%d/%d; claim %s; %s"
-              % (name, m["unit"], *par, *chg, chg[0] / par[0], wins,
-                 args.pairs, "met" if claim else "not met", verdict))
+              % (name, m["unit"], par["median"], par["q1"], par["q3"],
+                 chg["median"], chg["q1"], chg["q3"],
+                 chg["median"] / par["median"], m["wins"], args.pairs,
+                 "met" if m["claim"] else "not met", m["verdict"]))
     for side in sides:
-        records = [rec for rec, _ in runs[side]]
-        digests = sorted({rec["output_sha256"] for rec in records})
-        bad = [i + 1 for i, (_, res) in enumerate(runs[side])
-               if not res["correct"]]
-        shares = sorted({rec["failed"] / rec["attempted"]
-                         for rec in records})
+        got = summary[side]
         print("%s: output_sha256 %s; failed share %s; "
               "runs with failed checks: %s"
-              % (side, ", ".join(digests),
-                 ", ".join("%.4f" % share for share in shares),
-                 bad or "none"))
+              % (side, ", ".join(got["output_sha256"]),
+                 ", ".join("%.4f" % share for share in got["failed_share"]),
+                 got["runs_with_failed_checks"] or "none"))
+    if args.record:
+        append_record(ROOT / ("BENCH_%s.json" % args.workload), summary)
     return 0
 
 
