@@ -33,7 +33,6 @@ from .padic import (
     PadicNumber,
     QContext,
     angle_q,
-    binom_padic,
     fraction_valuation,
     in_D,
     in_Rstar,

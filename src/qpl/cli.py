@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import InconclusivePrecision, PreconditionViolated, QplError
@@ -78,8 +79,7 @@ class RunSpec:
     cases: int = None
     seed: int = None
     r_max: int = None
-    output: str = "json"
-    jobs: int = 1
+    jobs: int = None
 
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -489,29 +489,17 @@ _COMMANDS = {
 }
 
 
-class _Refused(Exception):
-    """A usage error met by a parser that lacks some subcommands."""
-
-
-class _NarrowedParser(argparse.ArgumentParser):
-    """A parser that leaves every usage error to the full parser, whose
-    usage line lists every subcommand."""
-
-    def error(self, message):
-        raise _Refused(message)
-
-
-def _build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The qpl parser with the subcommands in names; with all of them it is
-    the full parser, which alone reports usage errors."""
-    full = set(names) == set(_COMMANDS)
-    parser = (argparse.ArgumentParser if full else _NarrowedParser)(
+@lru_cache(maxsize=1)
+def _build_parser() -> argparse.ArgumentParser:
+    """The qpl parser, built on its first use and shared by every query of
+    the process: parse_args leaves it as it is, and what a query's defaults
+    depend on (QPL_PRECISION, --p) _parse reads at parse time."""
+    parser = argparse.ArgumentParser(
         prog="qpl",
         description="Exact p-adic q-Bernoulli and q-L-function calculator",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in names:
-        command = _COMMANDS[name]
+    for name, command in _COMMANDS.items():
         command.add_args(sub.add_parser(name, help=command.help))
     return parser
 
@@ -533,8 +521,6 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
     if spec.subcommand == "bernoulli":
         if spec.chi is not None and spec.p is None:
             parser.error("--chi requires --p")
-        if spec.n < 0:
-            parser.error("--n must be >= 0")
     if spec.subcommand == "kummer-verify":
         if spec.theorem == "classical":
             if None in (spec.n, spec.c):
@@ -561,6 +547,8 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
                 parser.error("--grid default sets its own %s"
                              % ", ".join(given))
     for option, value, least in (("--prec", spec.prec, 1),
+                                 ("--r", spec.r, 1),
+                                 ("--n", spec.n, 0),
                                  ("--jobs", spec.jobs, 1),
                                  ("--F", spec.F, 1),
                                  ("--r-max", spec.r_max, 1),
@@ -591,13 +579,7 @@ def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Building all eight subparsers costs most of a cheap query, so a query
-    # that names its subcommand first gets a parser with only that one.
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    try:
-        spec = _parse(_build_parser(names), argv)
-    except _Refused:
-        spec = _parse(_build_parser(), argv)
+    spec = _parse(_build_parser(), argv)
     try:
         return _COMMANDS[spec.subcommand].run(spec, sys.stdout)
     except QplError as exc:

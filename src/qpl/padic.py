@@ -18,7 +18,6 @@ from .errors import (
     DivisionByZero,
     DomainError,
     NotAUnit,
-    PrecisionExhausted,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "padic_exp",
     "angle_q",
     "padic_power",
-    "binom_padic",
     "in_Rstar",
     "in_D",
     "p_star",
@@ -672,7 +670,8 @@ def _require_prime(p: int) -> None:
 
 class QContext:
     """Shared evaluation context: the prime, the exact rational q, the working
-    precision, and the convention flag for the k=0 multiple-beta entry.
+    precision, and the convention flag, which picks the family of every
+    series coefficient (qbernoulli._series_family).
 
     q must satisfy q = 1 (mod R*), i.e. v_p(q-1) >= 1 for odd p and >= 2 for
     p = 2; this is the condition every congruence result below relies on.
@@ -840,20 +839,3 @@ def padic_power(x: PadicNumber, s) -> PadicNumber:
     if not in_D(s):
         raise DomainError("exponent outside the convergence disk D")
     return padic_exp(s * iwasawa_log(x))
-
-
-def binom_padic(t, k: int) -> PadicNumber:
-    """Binomial coefficient C(t, k) = t(t-1)...(t-k+1)/k! for p-adic t."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not isinstance(t, PadicNumber):
-        raise TypeError("t must be a PadicNumber; coerce integers explicitly")
-    if k == 0:
-        return PadicNumber.from_int(1, t.p, max(t.rel, 1))
-    acc = t
-    for i in range(1, k):
-        acc = acc * (t - i)
-    acc = acc / math.factorial(k)
-    if not acc.is_exact_zero and acc.unit != 0 and acc.rel < 1:
-        raise PrecisionExhausted("binomial coefficient lost all digits")
-    return acc

@@ -1,6 +1,7 @@
 """The verdicts tools/bench_pairs.py prints, on synthetic paired runs; no
 benchmark runs here."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -78,20 +79,39 @@ def _run(side, i):
     return record, result
 
 
-def test_record_appends_the_printed_summary(tmp_path, monkeypatch, capsys):
-    (tmp_path / "BENCHMARK.json").write_text(
+def _checkouts(root):
+    """Two checkouts under root, parent and change, whose src/ files differ
+    in one line of one file; each also holds a compiled cache."""
+    for side in ("parent", "change"):
+        pkg = root / side / "src" / "pkg"
+        (pkg / "__pycache__").mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "core.py").write_text("X = %d\n" % (side == "change"))
+        (pkg / "__pycache__" / "core.pyc").write_bytes(side.encode())
+    return [str(root / "parent"), str(root / "change")]
+
+
+def _bench(root, monkeypatch, git_sha=None):
+    """The argv of a 10-pair bench_pairs run in root's two checkouts, whose
+    runs are _run's, all with git_sha when it is given."""
+    (root / "BENCHMARK.json").write_text(
         bench_pairs.json.dumps({"end_to_end": METRICS}))
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
         side = checkout.name
         calls.append(side)
-        return _run(side, (calls.count(side) - 1) % 10)
+        record, result = _run(side, (calls.count(side) - 1) % 10)
+        return dict(record, git_sha=git_sha or record["git_sha"]), result
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
-            "w", "--pairs", "10", "--seconds", "4", "--seed", "3"]
+    return _checkouts(root) + ["--workload", "w", "--pairs", "10",
+                               "--seconds", "4", "--seed", "3"]
+
+
+def test_record_appends_the_printed_summary(tmp_path, monkeypatch, capsys):
+    argv = _bench(tmp_path, monkeypatch)
     assert bench_pairs.main(argv) == 0
     assert not (tmp_path / "BENCH_w.json").exists()
     for _ in range(2):
@@ -110,6 +130,8 @@ def test_record_appends_the_printed_summary(tmp_path, monkeypatch, capsys):
         10, True, "within bound")
     assert got["metrics"]["latency_p90_ms"]["wins"] == 10
     assert got["parent"] == {"git_sha": ["parentparentparentparentparent"],
+                             "src_sha256": bench_pairs.src_sha256(
+                                 tmp_path / "parent"),
                              "output_sha256": ["abc"], "failed_share": [0.04],
                              "runs_with_failed_checks": [4]}
     assert got["change"]["failed_share"] == [0.02]
@@ -120,3 +142,32 @@ def test_record_appends_the_printed_summary(tmp_path, monkeypatch, capsys):
     assert "10/10; claim met; within bound" in out
     assert "parent: output_sha256 abc; failed share 0.0400; runs with " \
         "failed checks: [4]" in out
+
+
+def test_each_side_is_named_by_its_src_files(tmp_path, monkeypatch, capsys):
+    # both sides' runs report one git SHA, as a change checkout whose edits
+    # are not committed does; their src/ files tell them apart
+    argv = _bench(tmp_path, monkeypatch, git_sha="f00")
+    assert bench_pairs.main(argv + ["--record"]) == 0
+    got = bench_pairs.json.loads((tmp_path / "BENCH_w.json").read_text())[0]
+    assert got["parent"]["git_sha"] == got["change"]["git_sha"] == ["f00"]
+
+    def listed(side):
+        # sha256sum's lines for the side's src/ files; no compiled cache
+        files = (("pkg/__init__.py", ""),
+                 ("pkg/core.py", "X = %d\n" % (side == "change")))
+        lines = "".join("%s  %s\n" % (hashlib.sha256(text.encode())
+                                       .hexdigest(), name)
+                        for name, text in files)
+        return hashlib.sha256(lines.encode()).hexdigest()
+
+    for side in ("parent", "change"):
+        assert got[side]["src_sha256"] == listed(side)
+    assert listed("parent") != listed("change")
+    out = capsys.readouterr().out
+    assert "parent: git_sha f00; src_sha256 %s" % listed("parent") in out
+    assert "change: git_sha f00; src_sha256 %s" % listed("change") in out
+    # a change of a compiled cache alone leaves the name as it was
+    (tmp_path / "change" / "src" / "pkg" / "__pycache__" / "core.pyc"
+     ).write_bytes(b"other")
+    assert bench_pairs.src_sha256(tmp_path / "change") == listed("change")

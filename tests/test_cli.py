@@ -1,6 +1,7 @@
 """Command-line interface: document schemas, exit codes, grids, and
 byte-level determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -143,6 +144,22 @@ def test_qbernoulli_kinds():
         ["qbernoulli", "--p", "5", "--n", "3", "--r", "2", "--z", "1/2"])
     assert code == 0
     assert doc["kind"] == "multiple"
+
+
+@pytest.mark.parametrize("argv", (
+    ["qbernoulli", "--p", "5", "--n", "2", "--r", "2"],
+    ["lp", "--p", "5", "--chi", "omega", "--s", "-1"],
+    ["lp-at-r", "--p", "5", "--chi", "omega^2", "--convention", "carlitz"],
+), ids=lambda argv: argv[0])
+def test_params_echo_only_the_subcommands_options(argv):
+    # no "output" or "jobs": no option of these subcommands sets them
+    code, doc = run_json(argv)
+    assert code == 0
+    own = argparse.ArgumentParser()
+    cli._COMMANDS[argv[0]].add_args(own)
+    options = set(vars(own.parse_args(argv[1:])))
+    assert set(doc["params"]) - {"subcommand", "q_exact"} <= options
+    assert doc["params"]["subcommand"] == argv[0]
 
 
 def test_q_spec_parsing():
@@ -653,10 +670,30 @@ REFUSALS += [(CLASSICAL + [option, value],
                                    ("--z", "5"))]
 REFUSALS.append((CLASSICAL + ["--z", "5", "--grid", "default", "--r", "3"],
                  "classical verification does not take --grid, --r, --z"))
+IDS = [message for _, message in REFUSALS]
+# --r below 1 and --n below 0 in each subcommand that takes them, named
+# by subcommand and message
+CELL = ["kummer-verify", "--p", "5", "--chi", "omega^2", "--c", "4", "--k",
+        "1", "--z", "5"]
+RANGES = [
+    (["qbernoulli", "--p", "5", "--n", "-1"], "--n must be >= 0"),
+    (["qbernoulli", "--p", "5", "--n", "2", "--r", "0"], "--r must be >= 1"),
+    (["lp", "--p", "5", "--chi", "omega", "--s", "-1", "--r", "0"],
+     "--r must be >= 1"),
+    (["lp-at-r", "--p", "5", "--chi", "omega", "--r", "-1"],
+     "--r must be >= 1"),
+    (["lp-table", "--p", "5", "--chi", "omega", "--r", "0"],
+     "--r must be >= 1"),
+    (CELL + ["--theorem", "53", "--n-list", "1,2", "--r", "0"],
+     "--r must be >= 1"),
+    (CELL + ["--theorem", "54", "--n", "-1", "--k2", "5"],
+     "--n must be >= 0"),
+]
+REFUSALS += RANGES
+IDS += [argv[0] + " " + message for argv, message in RANGES]
 
 
-@pytest.mark.parametrize("argv, message", REFUSALS,
-                         ids=[message for _, message in REFUSALS])
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=IDS)
 def test_refusal_bytes_are_the_full_parsers(monkeypatch, argv, message):
     monkeypatch.setenv("COLUMNS", "80")
     full = cli._build_parser()
@@ -664,47 +701,28 @@ def test_refusal_bytes_are_the_full_parsers(monkeypatch, argv, message):
     assert exit_outcome(main, argv) == exit_outcome(full.error, message)
 
 
-@pytest.mark.parametrize("argv", [
-    ["bernoulli", "--n", "4"],
-    ["bernoulli", "--n", "2", "--chi", "omega^2", "--p", "5"],
-    ["qbernoulli", "--p", "5", "--n", "3", "--r", "2", "--z", "1/2"],
-    ["lp", "--p", "5", "--chi", "omega", "--s", "-2", "--pre", "20"],
-    ["lp-at-r", "--p", "5", "--chi", "omega^2", "--convention", "carlitz"],
-    ["lp-table", "--p", "7", "--q", "1+p^2", "--chi", "omega", "--n-max", "3"],
-    ["kummer-verify", "--theorem", "53", "--p", "5", "--chi", "omega^2",
-     "--n-list", "1,2,3", "--c", "4", "--k", "1", "--z", "5"],
-    ["kummer-verify", "--theorem", "54", "--grid", "default", "--p", "5",
-     "--jobs", "2"],
-    ["oracle-certify", "--r-max", "2"],
-    ["identity-check", "--suites", "qpow,logexp", "--cases", "5"],
-], ids=" ".join)
-def test_narrowed_parser_reads_what_the_full_parser_reads(monkeypatch, argv):
-    monkeypatch.setenv("QPL_PRECISION", "9")
-    narrowed = cli._build_parser(argv[:1])
-    full = cli._build_parser()
-    assert vars(narrowed.parse_args(argv)) == vars(full.parse_args(argv))
-    spec = cli._parse(narrowed, argv)
-    assert spec == cli._parse(full, argv)
-    assert spec.prec == {"lp": 20, "bernoulli": None, "oracle-certify": None,
-                         "identity-check": None}.get(argv[0], 9)
-
-
-def test_a_query_builds_only_its_subcommands_parser(monkeypatch):
+def test_one_process_builds_the_parser_once(monkeypatch):
     built = []
-    real = cli._build_parser
-
-    def recording(names=tuple(cli._COMMANDS)):
-        built.append(list(names))
-        return real(names)
-
-    monkeypatch.setattr(cli, "_build_parser", recording)
-    for _ in range(2):
-        assert run_cli(["bernoulli", "--n", "4"])[0] == 0
-    assert built == [["bernoulli"], ["bernoulli"]]
-    built.clear()
-    with pytest.raises(SystemExit):
-        run_cli(["bernoulli", "--n", "4", "extra"])
-    assert built == [["bernoulli"], list(SUBCOMMANDS)]
+    for name, command in cli._COMMANDS.items():
+        def recording(sp, name=name, add_args=command.add_args):
+            built.append(name)
+            add_args(sp)
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            command._replace(add_args=recording))
+    cli._build_parser.cache_clear()
+    try:
+        for argv in (["bernoulli", "--n", "4"],
+                     ["qbernoulli", "--p", "5", "--n", "2"],
+                     ["bernoulli", "--n", "4"]):
+            assert run_cli(argv)[0] == 0
+        with pytest.raises(SystemExit):
+            run_cli(["bernoulli", "--n", "4", "extra"])
+        assert run_cli(["lp-table", "--p", "5", "--chi", "omega",
+                        "--n-max", "1"])[0] == 0
+    finally:
+        # the next query builds the parser from the unwrapped commands
+        cli._build_parser.cache_clear()
+    assert built == list(SUBCOMMANDS)
     assert list(cli._COMMANDS) == list(SUBCOMMANDS)
 
 

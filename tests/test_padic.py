@@ -13,7 +13,6 @@ from qpl import (
     PadicNumber,
     QContext,
     angle_q,
-    binom_padic,
     fraction_valuation,
     in_D,
     in_Rstar,
@@ -597,23 +596,6 @@ def test_padic_power_domain():
                        match="s must be an integer or a PadicNumber"):
         padic_power(y, Fraction(1, 2))
     assert digits_of(padic_power(y, Fraction(4, 2))) == digits_of(y * y)
-
-
-def test_binom_padic_negative_one():
-    m1 = PadicNumber.from_int(-1, 5, 8)
-    for k in range(6):
-        assert residue(binom_padic(m1, k) - (-1) ** k, 7) == 0
-
-
-def test_binom_padic_integers():
-    t = PadicNumber.from_int(7, 5, 10)
-    assert bound_of(binom_padic(t, 3) - math.comb(7, 3)) >= 8
-    assert bound_of(binom_padic(t, 0) - 1) >= 1
-
-
-def test_binom_padic_type_guard():
-    with pytest.raises(TypeError):
-        binom_padic(3, 2)
 
 
 def test_region_predicates():

@@ -14,14 +14,17 @@ pairs the change won on that metric's better side (ties count for neither),
 and two verdicts (see ``judge``): whether a claimed gain on the metric
 would hold, and whether the change stays within the metric's bound.  It
 also gives each side's output digests, its share of failed operations,
-and the pairs in which a run's checks did not pass.  With --record, the
-summary, with both sides' git SHAs, Python, nproc, seed, seconds and
-pairs, is appended to the JSON list in BENCH_<workload>.json at the root
-of this checkout.  Nothing under perfbench/ is written, apart from what
-run.py itself writes.
+and the pairs in which a run's checks did not pass.  Each side is named by
+the git SHA its runs report and by a sha256 of its src/ files (see
+``src_sha256``), which also covers edits not yet committed.  With
+--record, the summary, with both sides' names, Python, nproc, seed,
+seconds and pairs, is appended to the JSON list in BENCH_<workload>.json
+at the root of this checkout.  Nothing under perfbench/ is written, apart
+from what run.py itself writes.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -43,6 +46,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
         sys.exit("bench_pairs: run in %s failed (exit %d):\n%s"
                  % (checkout, proc.returncode, proc.stderr))
     return json.loads(lines[-2])["record"], json.loads(lines[-1])
+
+
+def src_sha256(checkout: Path) -> str:
+    """The sha256 of the lines "<sha256 of the file>  <path under src>",
+    one a file under checkout/src in path order, as sha256sum prints them;
+    __pycache__ directories are left out."""
+    src = checkout / "src"
+    lines = []
+    for path in sorted(src.rglob("*")):
+        rel = path.relative_to(src)
+        if path.is_file() and "__pycache__" not in rel.parts:
+            lines.append("%s  %s\n" % (
+                hashlib.sha256(path.read_bytes()).hexdigest(),
+                rel.as_posix()))
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def quartiles(values):
@@ -86,10 +104,10 @@ def judge(parent, change, higher: bool, bound: float):
     return wins, claim, verdict
 
 
-def summarize(workload, seed, seconds, metrics, runs):
+def summarize(workload, seed, seconds, metrics, runs, trees):
     """The summary of paired runs: runs maps "parent" and "change" to
-    their (record, result) pairs in pair order, metrics is BENCHMARK.json's
-    end_to_end list."""
+    their (record, result) pairs in pair order, trees maps them to their
+    src_sha256, metrics is BENCHMARK.json's end_to_end list."""
     pairs = len(runs["change"])
     first = runs["change"][0][0]
     summary = {"workload": workload, "seed": seed, "seconds": seconds,
@@ -112,6 +130,7 @@ def summarize(workload, seed, seconds, metrics, runs):
         records = [rec for rec, _ in got]
         summary[side] = {
             "git_sha": sorted({rec["git_sha"] for rec in records}),
+            "src_sha256": trees[side],
             "output_sha256": sorted({rec["output_sha256"]
                                      for rec in records}),
             "failed_share": sorted({rec["failed"] / rec["attempted"]
@@ -146,6 +165,7 @@ def main(argv=None):
 
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
+    trees = {side: src_sha256(path) for side, path in sides.items()}
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -157,7 +177,8 @@ def main(argv=None):
                 "%s=%.4g" % (m["name"], result["metrics"][m["name"]]["value"])
                 for m in metrics)), flush=True)
 
-    summary = summarize(args.workload, args.seed, args.seconds, metrics, runs)
+    summary = summarize(args.workload, args.seed, args.seconds, metrics, runs,
+                        trees)
     print("\n%s, %d pairs, seed %d, --seconds %g"
           % (args.workload, args.pairs, args.seed, args.seconds))
     print("metric: parent median [q1, q3] -> change median [q1, q3], "
@@ -172,6 +193,8 @@ def main(argv=None):
                  "met" if m["claim"] else "not met", m["verdict"]))
     for side in sides:
         got = summary[side]
+        print("%s: git_sha %s; src_sha256 %s"
+              % (side, ", ".join(got["git_sha"]), got["src_sha256"]))
         print("%s: output_sha256 %s; failed share %s; "
               "runs with failed checks: %s"
               % (side, ", ".join(got["output_sha256"]),
