@@ -32,7 +32,11 @@ __all__ = [
 
 #: ceiling on the r*F rows of a grouped sum over residue vectors in [1,F]^r
 TERM_BUDGET = 10 ** 7
+#: entries of the sum_counts cache, one per (window, order) pair
+COUNTS_CACHE_CAP = 16
 
+# Unbounded on purpose, like the recursive memos _egf_coeff and
+# stirling_first below: B_m is built from every B_k below it.
 _BERNOULLI = [Fraction(1)]
 
 
@@ -108,9 +112,10 @@ def pochhammer(x, r: int):
     return result
 
 
-# Unbounded: a run asks for a few (window, order) pairs, at most five on
-# any perfbench workload, and every character on a window reuses its table.
-@lru_cache(maxsize=None)
+# Not recursive, so an eviction costs one rebuild; a run asks for a few
+# (window, order) pairs, at most five on any perfbench workload, and every
+# character on a window reuses its table, so the cap evicts nothing.
+@lru_cache(maxsize=COUNTS_CACHE_CAP)
 def sum_counts(f: int, r: int) -> tuple:
     """counts[t] = #{(a_1..a_r) in [1,f]^r : sum a_i = t}, t = 0..r*f."""
     counts = [1]

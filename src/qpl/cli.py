@@ -5,8 +5,9 @@ document on stdout), 2 usage error, 3 at least one congruence report has
 pass = false (inconclusive reports alone do not fail the run).
 
 All documents carry "schema": "qpl/2" and are emitted with sorted keys, as
-the bytes of json.dumps(doc, sort_keys=True, indent=2), so identical run
-specs produce byte-identical output.  Numeric payloads are
+the compact bytes of json.dumps(doc, sort_keys=True) and a newline, so
+identical run specs produce byte-identical output; pipe them through
+python -m json.tool to read them one key a line.  Numeric payloads are
 serialized PadicNumbers (PadicNumber.to_dict: digits plus certified
 precision) or exact fraction strings; there are no bare floating digits.
 A document states each fact once (see README.md, "Command line").
@@ -123,72 +124,10 @@ def _context(spec: RunSpec) -> QContext:
     return QContext(spec.p, q, spec.prec, convention)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_int_repr = int.__repr__
-
-
-def _json_chunks(o, out: list, newline: str) -> None:
-    """Append to out the text of json.dumps(o, sort_keys=True, indent=2)
-    for a value whose own line starts with newline ("\n" and its indent).
-
-    The standard library has no C encoder for an indented document, so its
-    pure-Python one spends a call on every token.  This walk tests the
-    types in json's order and formats each token with json's own helpers;
-    a list of ints alone, such as a PadicNumber's digits, is one join.
-    """
-    if isinstance(o, str):
-        out.append(_encode_str(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(_int_repr(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        # type(x) is int: a bool is an int that json writes as true/false
-        if all(type(x) is int for x in o):
-            out.append("[" + inner + ("," + inner).join(map(_int_repr, o))
-                       + newline + "]")
-            return
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            _json_chunks(x, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(o, dict) and all(isinstance(k, str) for k in o):
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(o):
-            out.append(sep + _encode_str(key) + ": ")
-            _json_chunks(o[key], out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        # floats, dicts with other keys and the types json refuses: json's
-        # own text, re-indented (an encoded string holds no newline)
-        out.append(json.dumps(o, sort_keys=True, indent=2)
-                   .replace("\n", newline))
-
-
 def _emit(doc: dict, stream) -> None:
-    """Write doc with the schema tag as the bytes of json.dumps(doc,
-    sort_keys=True, indent=2) and a newline, in one write."""
-    doc = dict(doc)
-    doc["schema"] = SCHEMA
-    out = []
-    _json_chunks(doc, out, "\n")
-    out.append("\n")
-    stream.write("".join(out))
+    """Write doc with the schema tag as json.dumps(doc, sort_keys=True) and
+    a newline, in one write."""
+    stream.write(json.dumps(dict(doc, schema=SCHEMA), sort_keys=True) + "\n")
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -329,7 +268,7 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
     else:
         cells = (_default_grid(spec) if spec.grid == "default"
                  else [replace(spec, r=1 if spec.r is None else spec.r)])
-        jobs = min(spec.jobs, len(cells), os.cpu_count() or 1)
+        jobs = min(spec.jobs or 1, len(cells), os.cpu_count() or 1)
         size = -(-len(cells) // jobs)
         chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
         if len(chunks) > 1:
@@ -445,7 +384,8 @@ def _kummer_args(sp):
                     help="second operator power (theorem 54)")
     sp.add_argument("--z", default=None)
     sp.add_argument("--grid", choices=("default",), default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    # None until _cmd_kummer reads 1, so that a given one can be refused
+    sp.add_argument("--jobs", type=int, default=None)
 
 
 def _oracle_certify_args(sp):
@@ -510,14 +450,15 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     return RunSpec(**data)
 
 
-def _given(spec: RunSpec, fields) -> list:
-    """The options among the RunSpec fields that were given, spelled as on
-    the command line."""
-    return ["--" + f.replace("_", "-") for f in fields
-            if getattr(spec, f) is not None]
+def _given(given: set, fields) -> list:
+    """The options among the RunSpec fields in given, spelled as on the
+    command line."""
+    return ["--" + f.replace("_", "-") for f in fields if f in given]
 
 
-def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
+def _validate(parser: argparse.ArgumentParser, spec: RunSpec,
+              given: set) -> None:
+    """Refuse spec, whose fields in given are the options argv gave."""
     if spec.subcommand == "bernoulli":
         if spec.chi is not None and spec.p is None:
             parser.error("--chi requires --p")
@@ -527,10 +468,11 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
                 parser.error("classical verification needs --n and --c")
             if spec.k is None:
                 parser.error("classical verification needs --k")
-            given = _given(spec, ("grid", "r", "n_list", "k2", "z"))
-            if given:
+            extra = _given(given, ("grid", "r", "n_list", "k2", "z", "prec",
+                                   "q", "jobs"))
+            if extra:
                 parser.error("classical verification does not take %s"
-                             % ", ".join(given))
+                             % ", ".join(extra))
         elif spec.grid is None:
             if spec.chi is None or spec.c is None or spec.k is None:
                 parser.error("need --chi, --c, --k (or --grid default)")
@@ -541,14 +483,19 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
             if spec.theorem in ("53", "binop") and spec.n_list is None:
                 parser.error("theorems 53/binop need --n-list")
         else:
-            given = _given(spec, ("r", "chi", "n_list", "n", "c", "k", "k2",
-                                  "z"))
-            if given:
+            extra = _given(given, ("r", "chi", "n_list", "n", "c", "k", "k2",
+                                   "z"))
+            if extra:
                 parser.error("--grid default sets its own %s"
-                             % ", ".join(given))
+                             % ", ".join(extra))
+    n_list_min = min(spec.n_list) if spec.n_list else None
     for option, value, least in (("--prec", spec.prec, 1),
                                  ("--r", spec.r, 1),
                                  ("--n", spec.n, 0),
+                                 ("--n-list", n_list_min, 1),
+                                 ("--c", spec.c, 1),
+                                 ("--k", spec.k, 0),
+                                 ("--k2", spec.k2, 1),
                                  ("--jobs", spec.jobs, 1),
                                  ("--F", spec.F, 1),
                                  ("--r-max", spec.r_max, 1),
@@ -561,6 +508,9 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec) -> None:
 def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:
     """The run argv asks for; every refusal goes through parser.error."""
     args = parser.parse_args(argv)
+    # the options argv gave, read before --prec and --q get their defaults
+    # below (kummer-verify's other options all default to None)
+    given = {k for k, v in vars(args).items() if v is not None}
     if "prec" in vars(args) and args.prec is None:
         text = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
         try:
@@ -572,7 +522,7 @@ def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:
         # 1 + p*: 1 + p fails v(q - 1) >= 2 at p = 2
         args.q = "1+p^2" if args.p == 2 else "1+p"
     spec = _spec_from_args(args)
-    _validate(parser, spec)
+    _validate(parser, spec, given)
     return spec
 
 

@@ -44,10 +44,10 @@ def stated_once(doc):
 def emitted_as_json_dumps_would(monkeypatch):
     """Every document a test here emits, each subcommand's and the error
     document, is first written by cli._emit to a recording stream, where it
-    must be one write of the bytes of json.dumps(sort_keys=True, indent=2),
-    and it must state each fact once (stated_once).  Every PadicNumber in
-    it is its to_dict(), from which PadicNumber.from_dict rebuilds its
-    repr."""
+    must be one write of the bytes of json.dumps(sort_keys=True) and a
+    newline, and it must state each fact once (stated_once).  Every
+    PadicNumber in it is its to_dict(), from which PadicNumber.from_dict
+    rebuilds its repr."""
     emit = cli._emit
     value_doc = cli._value_doc
 
@@ -55,7 +55,7 @@ def emitted_as_json_dumps_would(monkeypatch):
         recording = Recording()
         emit(doc, recording)
         assert recording.writes == [json.dumps(
-            dict(doc, schema=cli.SCHEMA), sort_keys=True, indent=2) + "\n"]
+            dict(doc, schema=cli.SCHEMA), sort_keys=True) + "\n"]
         stated_once(doc)
         emit(doc, stream)
 
@@ -368,17 +368,10 @@ def test_emit_writes_a_grid_document_once_as_json_dump_would():
                          "default", "--p", "5"])
     doc = json.loads(out)
     assert code == 3 and doc["reports"]
-    want = io.StringIO()
-    json.dump(doc, want, sort_keys=True, indent=2)
-    writes = []
-
-    class Recording(io.StringIO):
-        def write(self, text):
-            writes.append(text)
-            return super().write(text)
-
-    cli._emit(doc, Recording())
-    assert writes == [want.getvalue() + "\n"] == [out]
+    recording = Recording()
+    cli._emit(doc, recording)
+    assert recording.writes == [json.dumps(doc, sort_keys=True) + "\n"] \
+        == [out]
 
 
 def test_kummer_grid_parallel_identical():
@@ -659,20 +652,25 @@ REFUSALS += [(GRID + [option, value], "--grid default sets its own " + option)
 REFUSALS.append((GRID + ["--z", "5", "--r", "2"],
                  "--grid default sets its own --r, --z"))
 # classical verification reads --n, --c, --k and --chi, and refuses the
-# options of the other theorems; --jobs, --prec and --q have defaults
-# before the check, so a given one cannot be told from an omitted one
+# options of the other theorems and of the p-adic context (--prec, --q,
+# --jobs); a QPL_PRECISION in the environment is not an option given
 CLASSICAL = ["kummer-verify", "--p", "5", "--theorem", "classical", "--n", "2",
              "--c", "4", "--k", "1"]
 REFUSALS += [(CLASSICAL + [option, value],
               "classical verification does not take " + option)
              for option, value in (("--grid", "default"), ("--r", "3"),
                                    ("--n-list", "1,2"), ("--k2", "5"),
-                                   ("--z", "5"))]
+                                   ("--z", "5"), ("--prec", "3"),
+                                   ("--q", "7"), ("--jobs", "4"))]
 REFUSALS.append((CLASSICAL + ["--z", "5", "--grid", "default", "--r", "3"],
                  "classical verification does not take --grid, --r, --z"))
+REFUSALS.append((CLASSICAL + ["--prec", "3", "--q", "7", "--jobs", "4"],
+                 "classical verification does not take --prec, --q, --jobs"))
+REFUSALS.append((CLASSICAL + ["--c", "0"], "--c must be >= 1"))
 IDS = [message for _, message in REFUSALS]
-# --r below 1 and --n below 0 in each subcommand that takes them, named
-# by subcommand and message
+# --r below 1 and --n below 0 in each subcommand that takes them, and a
+# kummer-verify cell's other options out of range, named by subcommand
+# and message
 CELL = ["kummer-verify", "--p", "5", "--chi", "omega^2", "--c", "4", "--k",
         "1", "--z", "5"]
 RANGES = [
@@ -688,6 +686,13 @@ RANGES = [
      "--r must be >= 1"),
     (CELL + ["--theorem", "54", "--n", "-1", "--k2", "5"],
      "--n must be >= 0"),
+    (CELL + ["--theorem", "53", "--n-list", "1,2", "--c", "0"],
+     "--c must be >= 1"),
+    (CELL + ["--theorem", "binop", "--n-list", "1,2", "--k", "-1"],
+     "--k must be >= 0"),
+    (CELL + ["--theorem", "53", "--n-list", "0,1"], "--n-list must be >= 1"),
+    (CELL + ["--theorem", "54", "--n", "2", "--k2", "0"],
+     "--k2 must be >= 1"),
 ]
 REFUSALS += RANGES
 IDS += [argv[0] + " " + message for argv, message in RANGES]
