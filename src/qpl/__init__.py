@@ -59,7 +59,6 @@ from .characters import (
 )
 from .classical import (
     bernoulli_number,
-    gen_bernoulli_poly,
     multi_gen_bernoulli_poly,
     norlund_number,
     norlund_poly,

@@ -22,7 +22,6 @@ __all__ = [
     "bernoulli_number",
     "norlund_poly",
     "norlund_number",
-    "gen_bernoulli_poly",
     "multi_gen_bernoulli_poly",
     "stirling_first",
     "pochhammer",
@@ -176,18 +175,6 @@ def _grouped_to_value(groups: dict, chi: DirichletCharacter, prec):
     return acc if acc.is_exact_zero else acc + PadicNumber.zero_at(p, prec)
 
 
-def gen_bernoulli_poly(n: int, chi: DirichletCharacter, z=0, prec=None):
-    """Generalized Bernoulli polynomial attached to chi at its modulus f:
-
-        f^(n-1) * sum_{a=1..f} chi(a) B_n((a+z)/f),
-
-    the order-1 case of multi_gen_bernoulli_poly.  For the modulus-1
-    principal character this is B_n(z+1), matching B_{n,principal} = B_n
-    for n != 1 and B_{1,principal} = +1/2.
-    """
-    return multi_gen_bernoulli_poly(n, 1, chi, z, prec)
-
-
 def multi_gen_bernoulli_poly(n: int, r: int, chi: DirichletCharacter,
                              z=0, prec=None):
     """Multiple generalized Bernoulli polynomial at the modulus f of chi:
@@ -199,7 +186,9 @@ def multi_gen_bernoulli_poly(n: int, r: int, chi: DirichletCharacter,
     not f^r.  With prec None the value is an exact Fraction, for a
     character of order <= 2 only; with prec given it is a PadicNumber to
     absolute precision prec (so fewer significant digits at a negative
-    valuation) at every order.
+    valuation) at every order.  At r = 1 this is the generalized Bernoulli
+    polynomial f^(n-1) * sum_{a=1..f} chi(a) B_n((a+z)/f); for the modulus-1
+    principal character it is B_n(z+1), so B_{1,principal} = +1/2.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")

@@ -11,6 +11,13 @@ python -m json.tool to read them one key a line.  Numeric payloads are
 serialized PadicNumbers (PadicNumber.to_dict: digits plus certified
 precision) or exact fraction strings; there are no bare floating digits.
 A document states each fact once (see README.md, "Command line").
+
+The run spec is the argparse.Namespace that _parse returns: each option is
+declared once, in its subcommand's parser, and a handler reads it from the
+namespace; params echo the options a query sets (_params).  _parse fills in
+the defaults that depend on QPL_PRECISION and --p, and _validate refuses
+what argparse cannot check (missing or conflicting kummer-verify options,
+values out of range) as a usage error.
 """
 
 import argparse
@@ -19,7 +26,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -27,7 +33,7 @@ from typing import Callable, NamedTuple
 from .errors import InconclusivePrecision, PreconditionViolated, QplError
 from .padic import PadicNumber, QContext
 from .characters import parse_char_spec
-from .classical import bernoulli_number, gen_bernoulli_poly
+from .classical import bernoulli_number, multi_gen_bernoulli_poly
 from .qbernoulli import multi_q_beta_poly, volkenborn_beta_poly
 from .lfunctions import (
     LParams,
@@ -51,40 +57,6 @@ from .invariants import SUITES, run_suites
 SCHEMA = "qpl/2"
 PRECISION_ENV = "QPL_PRECISION"
 DEFAULT_PRECISION = 12
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Fully parsed run description; to_dict gives the parameters echoed
-    in the JSON output."""
-
-    subcommand: str
-    p: int = None
-    q: str = None
-    prec: int = None
-    r: int = None
-    chi: str = None
-    n: int = None
-    n_list: tuple = None
-    n_max: int = None
-    s: str = None
-    z: str = None
-    F: int = None
-    c: int = None
-    k: int = None
-    k2: int = None
-    theorem: str = None
-    convention: str = None
-    grid: str = None
-    suites: tuple = None
-    cases: int = None
-    seed: int = None
-    r_max: int = None
-    jobs: int = None
-
-    def to_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self).items() if v is not None}
 
 
 def _fraction(text: str) -> Fraction:
@@ -118,10 +90,16 @@ def _parse_scalar(text):
     return x.numerator if x.denominator == 1 else x
 
 
-def _context(spec: RunSpec) -> QContext:
+def _context(spec: argparse.Namespace) -> QContext:
     q = parse_q(spec.q, spec.p)
-    convention = spec.convention or "pure_sum"
+    convention = vars(spec).get("convention") or "pure_sum"
     return QContext(spec.p, q, spec.prec, convention)
+
+
+def _params(spec: argparse.Namespace) -> dict:
+    """The options spec sets, as a document's params echo them."""
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in vars(spec).items() if v is not None}
 
 
 def _emit(doc: dict, stream) -> None:
@@ -133,10 +111,10 @@ def _emit(doc: dict, stream) -> None:
 # -- subcommand bodies -------------------------------------------------------
 
 
-def _cmd_bernoulli(spec: RunSpec, stream) -> int:
+def _cmd_bernoulli(spec: argparse.Namespace, stream) -> int:
     if spec.chi is not None:
         chi = parse_char_spec(spec.chi, spec.p)
-        value = gen_bernoulli_poly(spec.n, chi)
+        value = multi_gen_bernoulli_poly(spec.n, 1, chi)
         desc = {"n": spec.n, "chi": chi.to_dict(), "p": spec.p}
     else:
         value = bernoulli_number(spec.n)
@@ -145,7 +123,7 @@ def _cmd_bernoulli(spec: RunSpec, stream) -> int:
     return 0
 
 
-def _cmd_qbernoulli(spec: RunSpec, stream) -> int:
+def _cmd_qbernoulli(spec: argparse.Namespace, stream) -> int:
     ctx = _context(spec)
     z = _parse_scalar(spec.z)
     if spec.r is not None:
@@ -154,7 +132,7 @@ def _cmd_qbernoulli(spec: RunSpec, stream) -> int:
     else:
         value = volkenborn_beta_poly(ctx, spec.n, 1, z)
         kind = "carlitz"
-    params = spec.to_dict()
+    params = _params(spec)
     params["q_exact"] = str(ctx.q)
     _emit({"params": params, "kind": kind, "value": _value_doc(value)}, stream)
     return 0
@@ -170,7 +148,7 @@ def _emit_series(params: dict, ctx: QContext, result, stream) -> int:
     return 0
 
 
-def _cmd_lp(spec: RunSpec, stream) -> int:
+def _cmd_lp(spec: argparse.Namespace, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
     F = spec.F
@@ -181,18 +159,18 @@ def _cmd_lp(spec: RunSpec, stream) -> int:
     if not isinstance(s, int):
         s = PadicNumber.from_fraction(s, spec.p, ctx.prec)
     result = Lpq_eval(ctx, LParams(r=spec.r, chi=chi, F=F, z=z, s=s))
-    return _emit_series(dict(spec.to_dict(), F=F), ctx, result, stream)
+    return _emit_series(dict(_params(spec), F=F), ctx, result, stream)
 
 
-def _cmd_lp_at_r(spec: RunSpec, stream) -> int:
+def _cmd_lp_at_r(spec: argparse.Namespace, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
     z = _parse_scalar(spec.z)
     result = Lpq_at_r(ctx, spec.r, chi, z, spec.F)
-    return _emit_series(spec.to_dict(), ctx, result, stream)
+    return _emit_series(_params(spec), ctx, result, stream)
 
 
-def _cmd_lp_table(spec: RunSpec, stream) -> int:
+def _cmd_lp_table(spec: argparse.Namespace, stream) -> int:
     ctx = _context(spec)
     chi = parse_char_spec(spec.chi, spec.p)
     z = _parse_scalar(spec.z)
@@ -214,8 +192,8 @@ def _cmd_lp_table(spec: RunSpec, stream) -> int:
 def _grid_worker(cells: list) -> list:
     """The report documents of a run of kummer-verify cells, in order.
 
-    The cells are RunSpecs that differ only in chi, r, n_list, n, c, k, k2
-    and z, so they share one QContext and its Bnr_structure values.  A
+    The cells are run specs that differ only in chi, r, n_list, n, c, k,
+    k2 and z, so they share one QContext and its Bnr_structure values.  A
     cell the verifier cannot certify becomes one inconclusive report
     instead of aborting the run.
     """
@@ -243,7 +221,7 @@ def _grid_worker(cells: list) -> list:
     return docs
 
 
-def _default_grid(spec: RunSpec) -> list:
+def _default_grid(spec: argparse.Namespace) -> list:
     """The stock verification grid at one prime: both characters used by the
     worked examples, r in {1,2}, k in {1,2}, two z samples per point."""
     cells = []
@@ -253,21 +231,22 @@ def _default_grid(spec: RunSpec) -> list:
             step = choose_F(chi.conductor, spec.p, r, "difference")
             for k in (1, 2):
                 for z in (step, 2 * step):
-                    cells.append(replace(
-                        spec, chi=chi_spec, r=r, n_list=(1, 2, 3, 4, 5), n=2,
-                        c=spec.p - 1, k=k, k2=k + (spec.p - 1), z=str(z),
-                    ))
+                    cells.append(argparse.Namespace(**dict(
+                        vars(spec), chi=chi_spec, r=r, n_list=(1, 2, 3, 4, 5),
+                        n=2, c=spec.p - 1, k=k, k2=k + (spec.p - 1), z=str(z),
+                    )))
     return cells
 
 
-def _cmd_kummer(spec: RunSpec, stream) -> int:
+def _cmd_kummer(spec: argparse.Namespace, stream) -> int:
     if spec.theorem == "classical":
         chi = parse_char_spec(spec.chi, spec.p) if spec.chi else None
         report = verify_classical_kummer(spec.p, spec.n, spec.c, spec.k, chi)
         reports = [report.to_dict()]
     else:
         cells = (_default_grid(spec) if spec.grid == "default"
-                 else [replace(spec, r=1 if spec.r is None else spec.r)])
+                 else [argparse.Namespace(**dict(
+                     vars(spec), r=1 if spec.r is None else spec.r))])
         jobs = min(spec.jobs or 1, len(cells), os.cpu_count() or 1)
         size = -(-len(cells) // jobs)
         chunks = [cells[i:i + size] for i in range(0, len(cells), size)]
@@ -291,13 +270,13 @@ def _cmd_kummer(spec: RunSpec, stream) -> int:
     return 3 if doc["failed"] else 0
 
 
-def _cmd_oracle_certify(spec: RunSpec, stream) -> int:
+def _cmd_oracle_certify(spec: argparse.Namespace, stream) -> int:
     cert = oracle_resolve_conventions(r_max=spec.r_max)
     _emit({"certificate": cert}, stream)
     return 0
 
 
-def _cmd_identity_check(spec: RunSpec, stream) -> int:
+def _cmd_identity_check(spec: argparse.Namespace, stream) -> int:
     names = list(spec.suites) if spec.suites else None
     results = run_suites(names, cases=spec.cases, seed=spec.seed)
     doc = {"suites": [r.to_dict() for r in results],
@@ -444,21 +423,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    fields = RunSpec.__dataclass_fields__
-    data = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunSpec(**data)
+def _option(dest: str) -> str:
+    """The option of destination dest, spelled as on the command line."""
+    return "--" + dest.replace("_", "-")
 
 
-def _given(given: set, fields) -> list:
-    """The options among the RunSpec fields in given, spelled as on the
-    command line."""
-    return ["--" + f.replace("_", "-") for f in fields if f in given]
+def _given(given: set, dests) -> list:
+    """The options among dests that are in given."""
+    return [_option(d) for d in dests if d in given]
 
 
-def _validate(parser: argparse.ArgumentParser, spec: RunSpec,
+#: the least value of each integer option, by destination, in the order
+#: _validate checks them; --n-list is checked by its least entry
+_LEAST = {"prec": 1, "r": 1, "n": 0, "n_list": 1, "c": 1, "k": 0, "k2": 1,
+          "jobs": 1, "F": 1, "r_max": 1, "n_max": 0, "cases": 0}
+#: tighter bounds of two kummer-verify theorems, checked after _LEAST
+_THEOREM_LEAST = {"54": ("theorem 54", {"n": 1, "k": 1}),
+                  "classical": ("classical verification", {"n": 1})}
+
+
+def _validate(parser: argparse.ArgumentParser, spec: argparse.Namespace,
               given: set) -> None:
-    """Refuse spec, whose fields in given are the options argv gave."""
+    """Refuse spec, whose destinations in given are the options argv gave;
+    an option spec's subcommand lacks reads as absent."""
     if spec.subcommand == "bernoulli":
         if spec.chi is not None and spec.p is None:
             parser.error("--chi requires --p")
@@ -480,7 +467,8 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec,
                 parser.error("need --z (admissible lattice point)")
             if spec.theorem == "54" and (spec.n is None or spec.k2 is None):
                 parser.error("theorem 54 needs --n and --k2")
-            if spec.theorem in ("53", "binop") and spec.n_list is None:
+            # an empty --n-list (",") names no n either
+            if spec.theorem in ("53", "binop") and not spec.n_list:
                 parser.error("theorems 53/binop need --n-list")
         else:
             extra = _given(given, ("r", "chi", "n_list", "n", "c", "k", "k2",
@@ -488,40 +476,39 @@ def _validate(parser: argparse.ArgumentParser, spec: RunSpec,
             if extra:
                 parser.error("--grid default sets its own %s"
                              % ", ".join(extra))
-    n_list_min = min(spec.n_list) if spec.n_list else None
-    for option, value, least in (("--prec", spec.prec, 1),
-                                 ("--r", spec.r, 1),
-                                 ("--n", spec.n, 0),
-                                 ("--n-list", n_list_min, 1),
-                                 ("--c", spec.c, 1),
-                                 ("--k", spec.k, 0),
-                                 ("--k2", spec.k2, 1),
-                                 ("--jobs", spec.jobs, 1),
-                                 ("--F", spec.F, 1),
-                                 ("--r-max", spec.r_max, 1),
-                                 ("--n-max", spec.n_max, 0),
-                                 ("--cases", spec.cases, 0)):
+    values = vars(spec)
+    for dest, least in _LEAST.items():
+        value = values.get(dest)
+        if isinstance(value, tuple):
+            value = min(value, default=None)
         if value is not None and value < least:
-            parser.error("%s must be >= %d" % (option, least))
+            parser.error("%s must be >= %d" % (_option(dest), least))
+    name, bounds = _THEOREM_LEAST.get(values.get("theorem"), (None, {}))
+    for dest, least in bounds.items():
+        if values[dest] is not None and values[dest] < least:
+            parser.error("%s needs %s >= %d" % (name, _option(dest), least))
 
 
-def _parse(parser: argparse.ArgumentParser, argv) -> RunSpec:
-    """The run argv asks for; every refusal goes through parser.error."""
-    args = parser.parse_args(argv)
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """The run spec argv asks for: the namespace parse_args gives, with the
+    defaults that depend on the environment and on --p filled in.  Every
+    refusal goes through parser.error."""
+    spec = parser.parse_args(argv)
     # the options argv gave, read before --prec and --q get their defaults
     # below (kummer-verify's other options all default to None)
-    given = {k for k, v in vars(args).items() if v is not None}
-    if "prec" in vars(args) and args.prec is None:
+    given = {k for k, v in vars(spec).items() if v is not None}
+    # the classical congruence reads no precision, and so no QPL_PRECISION
+    if ("prec" in vars(spec) and spec.prec is None
+            and vars(spec).get("theorem") != "classical"):
         text = os.environ.get(PRECISION_ENV, str(DEFAULT_PRECISION))
         try:
-            args.prec = int(text)
+            spec.prec = int(text)
         except ValueError:
             parser.error("%s must be an integer, got %r"
                          % (PRECISION_ENV, text))
-    if "q" in vars(args) and args.q is None:
+    if "q" in vars(spec) and spec.q is None:
         # 1 + p*: 1 + p fails v(q - 1) >= 2 at p = 2
-        args.q = "1+p^2" if args.p == 2 else "1+p"
-    spec = _spec_from_args(args)
+        spec.q = "1+p^2" if spec.p == 2 else "1+p"
     _validate(parser, spec, given)
     return spec
 

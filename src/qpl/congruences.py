@@ -34,7 +34,11 @@ from .padic import (
     rstar_threshold,
 )
 from .characters import DirichletCharacter
-from .classical import bernoulli_number, gen_bernoulli_poly, stirling_first
+from .classical import (
+    bernoulli_number,
+    multi_gen_bernoulli_poly,
+    stirling_first,
+)
 from .lfunctions import Lpq_special, choose_F
 
 # every pass verdict must be certified this many digits past the bound
@@ -417,7 +421,7 @@ def verify_classical_kummer(p: int, n: int, c: int, k: int,
             )
 
         def seq(m):
-            return gen_bernoulli_poly(m, chi) / m
+            return multi_gen_bernoulli_poly(m, 1, chi) / m
 
     w = forward_diff(seq, n, c, k) / Fraction(p**k)
     if w == 0:

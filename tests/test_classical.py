@@ -13,7 +13,6 @@ from qpl import (
     char_build,
     forward_diff,
     fraction_valuation,
-    gen_bernoulli_poly,
     multi_gen_bernoulli_poly,
     norlund_number,
     norlund_poly,
@@ -107,28 +106,28 @@ def test_norlund_convolution():
 def test_gen_bernoulli_principal():
     one = principal_char(5)
     # modulus-1 sum runs over a = 1, shifting the argument by 1
-    assert gen_bernoulli_poly(1, one) == Fraction(1, 2)
+    assert multi_gen_bernoulli_poly(1, 1, one) == Fraction(1, 2)
     for n in range(7):
         for z in (0, 2, Fraction(1, 2)):
-            assert gen_bernoulli_poly(n, one, z) == norlund_poly(
+            assert multi_gen_bernoulli_poly(n, 1, one, z) == norlund_poly(
                 n, 1, Fraction(z) + 1)
 
 
 def test_gen_bernoulli_quadratic():
     half = eta_order(5) // 2
     chi3 = char_build(3, {2: half}, 5)
-    assert gen_bernoulli_poly(1, chi3) == Fraction(-1, 3)
-    assert isinstance(gen_bernoulli_poly(2, chi3), Fraction)
+    assert multi_gen_bernoulli_poly(1, 1, chi3) == Fraction(-1, 3)
+    assert isinstance(multi_gen_bernoulli_poly(2, 1, chi3), Fraction)
     # odd character: even-index values vanish
-    assert gen_bernoulli_poly(2, chi3) == 0
+    assert multi_gen_bernoulli_poly(2, 1, chi3) == 0
 
 
 def test_gen_bernoulli_padic_values():
     w = omega_pow(5, 1)
     with pytest.raises(ValueError):
-        gen_bernoulli_poly(1, w)
-    v = gen_bernoulli_poly(1, w, prec=6)
-    x = gen_bernoulli_poly(1, w, prec=10)
+        multi_gen_bernoulli_poly(1, 1, w)
+    v = multi_gen_bernoulli_poly(1, 1, w, prec=6)
+    x = multi_gen_bernoulli_poly(1, 1, w, prec=10)
     assert residue(x, 6) == residue(v, 6)
 
 
@@ -139,7 +138,7 @@ def test_gen_bernoulli_prec_is_absolute_at_every_order(p):
     # p = 5, B_{2, omega^2} = 4/5 kept 9 digits when prec meant significant
     # digits for order <= 2
     if p == 5:
-        value = gen_bernoulli_poly(2, omega_pow(5, 2), 0, prec=10)
+        value = multi_gen_bernoulli_poly(2, 1, omega_pow(5, 2), 0, prec=10)
         assert (value.val, value.prec) == (-1, 10)
     for k in range(max(p - 1, 2)):
         chi = omega_pow(p, k) if k else principal_char(p)
@@ -155,11 +154,16 @@ def test_gen_bernoulli_prec_is_absolute_at_every_order(p):
 
 
 def test_multi_gen_reduces_to_gen():
+    # order 1 is the generalized Bernoulli polynomial
+    # f^(n-1) * sum_{a=1..f} chi(a) B_n((a+z)/f), here at f = 3, z = 2
     half = eta_order(5) // 2
     chi3 = char_build(3, {2: half}, 5)
+    values = {1: 1, 2: -1, 3: 0}
     for n in range(6):
-        assert multi_gen_bernoulli_poly(n, 1, chi3, 2) == gen_bernoulli_poly(
-            n, chi3, 2)
+        want = Fraction(3) ** (n - 1) * sum(
+            chi * norlund_poly(n, 1, Fraction(a + 2, 3))
+            for a, chi in values.items())
+        assert multi_gen_bernoulli_poly(n, 1, chi3, 2) == want
 
 
 def test_multi_gen_principal_is_shifted_norlund():

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from qpl import (Lpq_special, PadicNumber, PrecisionExhausted, QContext,
-                 omega_pow)
+from qpl import (DomainError, Lpq_at_r, Lpq_special, Lq_special,
+                 PadicNumber, PreconditionViolated, PrecisionExhausted,
+                 QContext, carlitz_beta, omega_pow, partial_q_zeta_special,
+                 series_beta, verify_binom_op_thm, verify_classical_kummer,
+                 verify_thm53, verify_thm54)
 from qpl import cli, congruences
 from qpl.cli import main
 
@@ -216,10 +219,13 @@ def test_default_q_at_p2(argv, code):
     if argv.startswith("lp-table"):
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert rows and all(row[1] == "5" for row in rows)
-    assert cli._parse(cli._build_parser(), argv.split()).q in (None, "1+p^2")
+    # bernoulli has no --q, so its run spec has no q
+    spec = cli._parse(cli._build_parser(), argv.split())
+    assert getattr(spec, "q", None) in (None, "1+p^2")
     # odd p keeps 1 + p, and the echoed q spec with it
     odd = argv.replace("--p 2", "--p 5")
-    assert cli._parse(cli._build_parser(), odd.split()).q in (None, "1+p")
+    spec = cli._parse(cli._build_parser(), odd.split())
+    assert getattr(spec, "q", None) in (None, "1+p")
 
 
 @pytest.mark.parametrize("argv", [
@@ -569,9 +575,15 @@ def test_malformed_precision_env_is_a_usage_error(monkeypatch, capsys):
     assert run_json(["bernoulli", "--n", "2"])[0] == 0
     code, doc = run_json(["qbernoulli", "--p", "5", "--n", "1", "--prec", "7"])
     assert code == 0 and doc["params"]["prec"] == 7
+    # the classical congruence reads no precision, so not QPL_PRECISION
+    classical = ["kummer-verify", "--theorem", "classical", "--p", "5",
+                 "--n", "2", "--c", "4", "--k", "1"]
+    code, doc = run_json(classical)
+    assert code == 0 and doc["total"] == 1
     monkeypatch.setenv("QPL_PRECISION", "0")
     assert usage_error(capsys, ["qbernoulli", "--p", "5", "--n", "1"]) \
         == "qpl: error: --prec must be >= 1"
+    assert run_json(classical)[0] == 0
 
 
 def exit_outcome(call, *args):
@@ -694,6 +706,19 @@ RANGES = [
     (CELL + ["--theorem", "54", "--n", "2", "--k2", "0"],
      "--k2 must be >= 1"),
 ]
+# kummer-verify cells that pass the range table but not their theorem's
+# tighter bounds, and an --n-list that names no n
+RANGES += [
+    (CELL + ["--theorem", "54", "--n", "0", "--k2", "5"],
+     "theorem 54 needs --n >= 1"),
+    # the later --k 0 overrides the cell's --k 1
+    (CELL + ["--theorem", "54", "--n", "2", "--k", "0", "--k2", "4"],
+     "theorem 54 needs --k >= 1"),
+    (["kummer-verify", "--p", "5", "--theorem", "classical", "--n", "0",
+      "--c", "4", "--k", "1"], "classical verification needs --n >= 1"),
+    (CELL + ["--theorem", "53", "--n-list", ","],
+     "theorems 53/binop need --n-list"),
+]
 REFUSALS += RANGES
 IDS += [argv[0] + " " + message for argv, message in RANGES]
 
@@ -704,6 +729,46 @@ def test_refusal_bytes_are_the_full_parsers(monkeypatch, argv, message):
     full = cli._build_parser()
     full.parse_args(argv)
     assert exit_outcome(main, argv) == exit_outcome(full.error, message)
+
+
+# the library's own refusals behind the command line's: a query reaches
+# none of them, since _validate refuses first, so each is called directly
+# (name, exception, message, call on QContext(5, 6, 10) and omega^2)
+LIBRARY_REFUSALS = [
+    ("n_list", PreconditionViolated, "n_list must contain positive integers",
+     lambda ctx, w: verify_thm53(ctx, w, 1, [], 4, 1, 5)),
+    ("thm53", PreconditionViolated, "need r >= 1, c >= 1, k >= 0",
+     lambda ctx, w: verify_thm53(ctx, w, 1, [1, 2], 0, 1, 5)),
+    ("thm54", PreconditionViolated, "need r, n, c, k, k' >= 1",
+     lambda ctx, w: verify_thm54(ctx, w, 1, 0, 4, 1, 5, 5)),
+    ("binop", PreconditionViolated, "need r >= 1, c >= 1, k >= 0",
+     lambda ctx, w: verify_binom_op_thm(ctx, w, 1, [1, 2], 4, -1, 5)),
+    ("classical", PreconditionViolated, "need n >= 1, c >= 1, k >= 0",
+     lambda ctx, w: verify_classical_kummer(5, 0, 4, 1)),
+    ("partial residues", DomainError, "residues must satisfy 1 <= a_i <= F",
+     lambda ctx, w: partial_q_zeta_special(ctx, 2, 1, [11], 10)),
+    ("Lq_special n", ValueError, "need n >= 0 and r >= 1",
+     lambda ctx, w: Lq_special(ctx, -1, 1, w)),
+    ("Lq_special F", DomainError, "F = 7 is not a multiple of the modulus 5",
+     lambda ctx, w: Lq_special(ctx, 2, 1, w, 0, 7)),
+    ("Lpq_special r", ValueError, "need n >= 0 and r >= 1",
+     lambda ctx, w: Lpq_special(ctx, 2, 0, w)),
+    ("Lpq_at_r r", ValueError, "order r must be >= 1",
+     lambda ctx, w: Lpq_at_r(ctx, 0, w)),
+    ("carlitz_beta n", ValueError, "n must be >= 0",
+     lambda ctx, w: carlitz_beta(ctx, -1)),
+    ("series_beta k", ValueError, "k must be >= 0",
+     lambda ctx, w: series_beta(ctx, -1, 1)),
+]
+
+
+@pytest.mark.parametrize("error, message, call",
+                         [row[1:] for row in LIBRARY_REFUSALS],
+                         ids=[row[0] for row in LIBRARY_REFUSALS])
+def test_library_refusals_behind_the_cli(error, message, call):
+    with pytest.raises(error) as info:
+        call(QContext(5, Fraction(6), 10), omega_pow(5, 2))
+    assert str(info.value) == message
 
 
 def test_one_process_builds_the_parser_once(monkeypatch):
