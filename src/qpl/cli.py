@@ -17,7 +17,8 @@ declared once, in its subcommand's parser, and a handler reads it from the
 namespace; params echo the options a query sets (_params).  _parse fills in
 the defaults that depend on QPL_PRECISION and --p, and _validate refuses
 what argparse cannot check (missing or conflicting kummer-verify options,
-values out of range) as a usage error.
+values out of range) as a usage error.  Each kummer-verify mode is one row
+of _MODES: what it needs, refuses and bounds, and a q-theorem's verifier.
 """
 
 import argparse
@@ -202,18 +203,10 @@ def _grid_worker(cells: list) -> list:
     for cell in cells:
         chi = parse_char_spec(cell.chi, cell.p)
         z = _parse_scalar(cell.z)
-        if cell.theorem == "54":
-            n, k = cell.n, (cell.k, cell.k2)
-        else:
-            n, k = cell.n_list, cell.k
+        mode = _MODES[cell.theorem]
+        n, k = mode.nk(cell)
         try:
-            if cell.theorem == "53":
-                reports = verify_thm53(ctx, chi, cell.r, n, cell.c, k, z)
-            elif cell.theorem == "54":
-                reports = [verify_thm54(ctx, chi, cell.r, n, cell.c, *k, z)]
-            else:
-                reports = verify_binom_op_thm(ctx, chi, cell.r, n, cell.c,
-                                              k, z)
+            reports = mode.verify(ctx, chi, cell.r, n, cell.c, k, z)
         except (InconclusivePrecision, PreconditionViolated) as exc:
             reports = [uncertified_report(ctx, chi, cell.theorem, exc, z,
                                           r=cell.r, c=cell.c, n=n, k=k)]
@@ -428,65 +421,87 @@ def _option(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
-def _given(given: set, dests) -> list:
-    """The options among dests that are in given."""
-    return [_option(d) for d in dests if d in given]
-
-
 #: the least value of each integer option, by destination, in the order
 #: _validate checks them; --n-list is checked by its least entry
 _LEAST = {"prec": 1, "r": 1, "n": 0, "n_list": 1, "c": 1, "k": 0, "k2": 1,
           "jobs": 1, "F": 1, "r_max": 1, "n_max": 0, "cases": 0}
-#: tighter bounds of two kummer-verify theorems, checked after _LEAST
-_THEOREM_LEAST = {"54": ("theorem 54", {"n": 1, "k": 1}),
-                  "classical": ("classical verification", {"n": 1})}
+
+
+class Mode(NamedTuple):
+    """One kummer-verify mode: its name in a bound's refusal, the option
+    groups it needs (each with its message, in checking order), the options
+    it refuses and the phrase listing them, its least values (checked after
+    _LEAST's), and for a q-theorem its verifier, verify(ctx, chi, r, n, c,
+    k, z) -> reports, and the (n, k) it reads off a cell."""
+
+    name: str
+    needs: tuple = ()
+    refuses: tuple = ()
+    refusal: str = ""
+    least: dict = {}
+    verify: Callable = None
+    nk: Callable = None
+
+
+_CELL_NEEDS = ((("chi", "c", "k"), "need --chi, --c, --k (or --grid default)"),
+               (("z",), "need --z (admissible lattice point)"))
+#: theorems 53 and binop, which read the same options
+_LIST = Mode("theorems 53/binop",
+             _CELL_NEEDS + ((("n_list",), "theorems 53/binop need --n-list"),),
+             ("n", "k2"), "theorems 53/binop do not take %s",
+             nk=lambda cell: (cell.n_list, cell.k))
+#: every kummer-verify mode, by --theorem, and --grid default's cells; a
+#: verifier is looked up when a cell runs, so a rebound name is the one run
+_MODES = {
+    "53": _LIST._replace(verify=lambda *a: verify_thm53(*a)),
+    "binop": _LIST._replace(verify=lambda *a: verify_binom_op_thm(*a)),
+    "54": Mode("theorem 54",
+               _CELL_NEEDS + ((("n", "k2"), "theorem 54 needs --n and --k2"),),
+               ("n_list",), "theorem 54 does not take %s", {"n": 1, "k": 1},
+               lambda ctx, chi, r, n, c, k, z: [
+                   verify_thm54(ctx, chi, r, n, c, *k, z)],
+               lambda cell: (cell.n, (cell.k, cell.k2))),
+    "classical": Mode(
+        "classical verification",
+        ((("n", "c"), "classical verification needs --n and --c"),
+         (("k",), "classical verification needs --k")),
+        ("grid", "r", "n_list", "k2", "z", "prec", "q", "jobs"),
+        "classical verification does not take %s", {"n": 1}),
+    "grid": Mode("--grid default", (),
+                 ("r", "chi", "n_list", "n", "c", "k", "k2", "z"),
+                 "--grid default sets its own %s"),
+}
 
 
 def _validate(parser: argparse.ArgumentParser, spec: argparse.Namespace,
               given: set) -> None:
     """Refuse spec, whose destinations in given are the options argv gave;
-    an option spec's subcommand lacks reads as absent."""
+    an option spec's subcommand lacks reads as absent.  A kummer-verify
+    spec meets its row of _MODES: needs, refusals, _LEAST, least values."""
     if spec.subcommand == "bernoulli":
         if spec.chi is not None and spec.p is None:
             parser.error("--chi requires --p")
-    if spec.subcommand == "kummer-verify":
-        if spec.theorem == "classical":
-            if None in (spec.n, spec.c):
-                parser.error("classical verification needs --n and --c")
-            if spec.k is None:
-                parser.error("classical verification needs --k")
-            extra = _given(given, ("grid", "r", "n_list", "k2", "z", "prec",
-                                   "q", "jobs"))
-            if extra:
-                parser.error("classical verification does not take %s"
-                             % ", ".join(extra))
-        elif spec.grid is None:
-            if spec.chi is None or spec.c is None or spec.k is None:
-                parser.error("need --chi, --c, --k (or --grid default)")
-            if spec.z is None:
-                parser.error("need --z (admissible lattice point)")
-            if spec.theorem == "54" and (spec.n is None or spec.k2 is None):
-                parser.error("theorem 54 needs --n and --k2")
-            # an empty --n-list (",") names no n either
-            if spec.theorem in ("53", "binop") and not spec.n_list:
-                parser.error("theorems 53/binop need --n-list")
-        else:
-            extra = _given(given, ("r", "chi", "n_list", "n", "c", "k", "k2",
-                                   "z"))
-            if extra:
-                parser.error("--grid default sets its own %s"
-                             % ", ".join(extra))
     values = vars(spec)
+    theorem = values.get("theorem")
+    mode = _MODES.get("grid" if values.get("grid") and theorem != "classical"
+                      else theorem, Mode(""))
+    for dests, message in mode.needs:
+        # an empty --n-list (",") names no n either
+        if any(values[d] in (None, ()) for d in dests):
+            parser.error(message)
+    extra = [_option(d) for d in mode.refuses if d in given]
+    if extra:
+        parser.error(mode.refusal % ", ".join(extra))
     for dest, least in _LEAST.items():
         value = values.get(dest)
         if isinstance(value, tuple):
             value = min(value, default=None)
         if value is not None and value < least:
             parser.error("%s must be >= %d" % (_option(dest), least))
-    name, bounds = _THEOREM_LEAST.get(values.get("theorem"), (None, {}))
-    for dest, least in bounds.items():
+    for dest, least in mode.least.items():
         if values[dest] is not None and values[dest] < least:
-            parser.error("%s needs %s >= %d" % (name, _option(dest), least))
+            parser.error("%s needs %s >= %d"
+                         % (mode.name, _option(dest), least))
 
 
 def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:

@@ -27,8 +27,10 @@ has no separate Euler factor, and the series has a single outer weight.
 
 Conventions: s is an integer or a PadicNumber in the disk D, z lies in the
 valuation ring, and characters should be primitive (an imprimitive modulus
-changes Euler factors at its extra primes).  The inner series coefficients
-beta^(r)_k follow the context convention flag; see qbernoulli.series_beta.
+changes Euler factors at its extra primes).  The context convention flag
+picks one family of multiple q-Bernoulli polynomials for both layers: the
+inner series coefficients beta^(r)_k (qbernoulli.series_beta) and the
+window sums of the closed forms (qbernoulli._series_family).
 """
 
 import itertools
@@ -62,9 +64,9 @@ from .padic import (
     padic_power,
 )
 from .qbernoulli import (
-    _PURE_SUM,
     _beta_headroom,
     _certified,
+    _series_family,
     _unit_inverses,
     _window_sum,
     series_beta,
@@ -139,9 +141,9 @@ def choose_F(f: int, p: int, r: int = 1, purpose: str = "interpolation") -> int:
 
 def _special(ctx: QContext, n: int, r: int, chi: DirichletCharacter, z,
              F: int, rows) -> PadicNumber:
-    """(-1)^r/(n+1)_r times the window sum of order n + r over rows,
-    certified to ctx.prec."""
-    return _window_sum(ctx, _PURE_SUM, n + r, r, chi, z, F, rows,
+    """(-1)^r/(n+1)_r times the window sum of order n + r over rows, in
+    the family the context convention flag picks, certified to ctx.prec."""
+    return _window_sum(ctx, _series_family(ctx), n + r, r, chi, z, F, rows,
                        Fraction((-1) ** r, pochhammer(n + 1, r)))
 
 
@@ -177,7 +179,8 @@ def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
             beta^(r)_{n+r,q^F}((z+a_1+...+a_r)/F)
 
     over a window F that is a multiple of the modulus of chi.  F defaults
-    to the modulus, where the sum is multi_gen_q_beta_poly at order n + r.
+    to the modulus, where under pure_sum the sum is multi_gen_q_beta_poly
+    at order n + r.
     The value does not depend on F, which the test suite checks.  It is
     certified to ctx.prec or PrecisionExhausted is raised.
     """
@@ -538,12 +541,14 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     s in D, C(r-s, k) is p-integral, and the series ends at the index
     _last_index proves from that and the beta floor; where no beta floor
     is proven (pure-sum) DivergenceDetected is raised before the first
-    term.  At s = -n the value equals Lpq_special.
+    term.  At s = -n the value equals Lpq_special in the same context,
+    whose family the convention flag picks as it picks the coefficients'.
 
     Under the Carlitz convention only r = 1 is evaluated: at r >= 2 the
     coefficients are the integral family, which the pure-sum row weight
     and prefactor above do not fit, so DivergenceDetected is raised before
-    the first term at every s, finite series included.
+    the first term at every s, finite series included, while the closed
+    forms (Lpq_special and the others) give integral-family values there.
     """
     params.validate(ctx)
     r, chi, F, z = params.r, params.chi, params.F, params.z

@@ -671,7 +671,10 @@ def _require_prime(p: int) -> None:
 class QContext:
     """Shared evaluation context: the prime, the exact rational q, the working
     precision, and the convention flag, which picks the family of every
-    series coefficient (qbernoulli._series_family).
+    series coefficient and of every closed special value of lfunctions
+    (qbernoulli._series_family): pure_sum or, under carlitz, the integral
+    family, whose closed forms hold at every r while lfunctions.Lpq_eval
+    evaluates it at r = 1 only.
 
     q must satisfy q = 1 (mod R*), i.e. v_p(q-1) >= 1 for odd p and >= 2 for
     p = 2; this is the condition every congruence result below relies on.

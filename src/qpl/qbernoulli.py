@@ -1,9 +1,9 @@
 """q-Bernoulli numbers and polynomials over Z_p.
 
-Two families of order-r polynomials at base Q = q^d are kept strictly
-apart.  Both are (1 - Q)^(r-n) sum_i a_i Q^(ix) (1 - Q^i)^(-r) for an
-integer vector a_i, evaluated from one coefficient table (_coeff_table),
-and each is one record (_Family) that every sum takes:
+Two families of order-r polynomials at base Q = q^d, each with a code
+path of its own.  Both are (1 - Q)^(r-n) sum_i a_i Q^(ix) (1 - Q^i)^(-r)
+for an integer vector a_i, evaluated from one coefficient table
+(_coeff_table), and each is one record (_Family) that every sum takes:
 
 * _PURE_SUM, multi_q_beta_poly: the order-r generating-function
   coefficients, a_i = (-1)^(r+i-1) n!/(n-r)! C(n-r, i-1) for
@@ -15,14 +15,29 @@ and each is one record (_Family) that every sum takes:
   and each fold gives int Q^(jt) dmu_Q(t) = j/[j]_Q for j >= 1 and
   beta_0 = (Q - 1)/log Q for j = 0.
 
-At r = 1 both vectors are (-1)^i i C(n, i), so the Carlitz polynomial
-beta_n(x) is volkenborn_beta_poly at r = 1, the pure-sum single plus
+They are one finite identity apart.  With n_(k) = n!/(n-k)!, S(r, k) the
+Stirling numbers of the second kind and N = n - k + i + r, for n >= r
+
+    beta^int_n(x) = beta_0^r (1 - Q)^(-n)
+        + sum_{k=1..r} sum_{i=0..k-1} S(r, k) (-1)^(k+r) C(k-1, i)
+              (n_(k)/N_(r)) (1 - Q)^(r-k) (Q - 1)^i beta^pure_N(x),
+
+from j^r = sum_k S(r, k) j!/(j-k)! in the integral vector and
+Q^(ky) = Q^y (1 - (1 - Q)[y]_Q)^(k-1) in each weight.  At r = 1 both
+vectors are (-1)^i i C(n, i), so the Carlitz polynomial beta_n(x) is
+volkenborn_beta_poly at r = 1, the pure-sum single plus
 beta_0 (1 - Q)^(-n); the pure-sum r = 1 case is NOT the Carlitz sequence,
-whose numbers beta_n(0) have a table of their own (carlitz_beta).  The
-context convention flag decides which family feeds series expansions.
-Every closed special value is a window sum over residue rows
-(_window_sum), one integer Horner sum (_horner_sum), the kernel that also
-evaluates a single value (_family_sum).
+whose numbers beta_n(0) have a table of their own (carlitz_beta).
+
+The context convention flag (_series_family) picks the family of series
+expansions and of the closed special values of lfunctions alike, carlitz
+the integral one at every r, although lfunctions.Lpq_eval sums the
+integral family only at r = 1.  The functions named for a family do not
+read it: multi_q_beta_poly and multi_gen_q_beta_poly are pure-sum,
+volkenborn_beta_poly and gen_q_beta_poly integral.  Every closed special
+value is a window sum over residue rows (_window_sum), one integer Horner
+sum (_horner_sum), the kernel that also evaluates a single value
+(_family_sum).
 """
 
 from __future__ import annotations
@@ -484,7 +499,9 @@ def multi_gen_q_beta_poly(ctx: QContext, n: int, r: int,
         [f]_q^(n-r) sum_{a_1..a_r=1..f} chi(a_1+...+a_r)
                      beta^(r)_{n,q^f}((z+a_1+...+a_r)/f)
 
-    certified to ctx.prec or PrecisionExhausted is raised.
+    with beta^(r) the pure-sum family under either convention flag (the
+    integral one at r = 1 is gen_q_beta_poly), certified to ctx.prec or
+    PrecisionExhausted is raised.
     """
     f = chi.modulus
     return _window_sum(ctx, _PURE_SUM, n, r, chi, z, f,

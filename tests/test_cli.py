@@ -721,6 +721,23 @@ RANGES += [
 ]
 REFUSALS += RANGES
 IDS += [argv[0] + " " + message for argv, message in RANGES]
+# a single cell refuses the options that only the other theorems read, and
+# lists them in the order of its mode's row, not of argv
+OTHERS = [
+    (CELL + ["--theorem", "53", "--n-list", "1,2", "--n", "3"],
+     "theorems 53/binop do not take --n"),
+    (CELL + ["--theorem", "53", "--n-list", "1,2", "--k2", "9"],
+     "theorems 53/binop do not take --k2"),
+    (CELL + ["--theorem", "binop", "--n-list", "1,2", "--n", "3"],
+     "theorems 53/binop do not take --n"),
+    (CELL + ["--theorem", "54", "--n", "2", "--k2", "5", "--n-list", "7,8"],
+     "theorem 54 does not take --n-list"),
+    (CELL + ["--theorem", "53", "--k2", "9", "--n-list", "1,2", "--n", "3"],
+     "theorems 53/binop do not take --n, --k2"),
+]
+REFUSALS += OTHERS
+IDS += [argv[argv.index("--theorem") + 1] + " " + message
+        for argv, message in OTHERS]
 
 
 @pytest.mark.parametrize("argv, message", REFUSALS, ids=IDS)
@@ -729,6 +746,24 @@ def test_refusal_bytes_are_the_full_parsers(monkeypatch, argv, message):
     full = cli._build_parser()
     full.parse_args(argv)
     assert exit_outcome(main, argv) == exit_outcome(full.error, message)
+
+
+def test_cells_call_the_verifiers_bound_in_cli(monkeypatch):
+    # a cell looks its verifier up in cli when it runs, so that a name
+    # rebound after import, as the benchmark's timers and tracer do, is the
+    # one called
+    called = []
+    for name in ("verify_thm53", "verify_thm54", "verify_binom_op_thm"):
+        def counting(*args, name=name, verify=getattr(cli, name)):
+            called.append(name)
+            return verify(*args)
+        monkeypatch.setattr(cli, name, counting)
+    for theorem, options in (("53", ["--n-list", "1,2"]),
+                             ("54", ["--n", "2", "--k2", "5"]),
+                             ("binop", ["--n-list", "1,2"])):
+        code, doc = run_json(CELL + ["--theorem", theorem] + options)
+        assert code in (0, 3) and doc["reports"], theorem
+    assert called == ["verify_thm53", "verify_thm54", "verify_binom_op_thm"]
 
 
 # the library's own refusals behind the command line's: a query reaches

@@ -277,6 +277,23 @@ def test_interpolation_identity_order_one(ctx):
                 assert bound_of(got - closed) >= ctx.prec - 4
 
 
+@pytest.mark.parametrize("p", (5, 7))
+def test_carlitz_series_is_its_closed_form(p):
+    # The convention flag picks the family of the closed form too, so the
+    # carlitz series at s = -n is the integral-family Lpq_special, every
+    # digit, in AC1's cells at r = 1 (q = 1 + p, prec 12): at the cells
+    # where chi omega^-(n+1) is principal the integral family carries
+    # beta_0 (1 - Q)^(-n) times the row count, which the pure sum lacks
+    ctx = QContext(p, Fraction(1 + p), 12, convention="carlitz")
+    for chi in (principal_char(p), omega_pow(p, 1), omega_pow(p, 2)):
+        F = choose_F(chi.conductor, p, 1)
+        for n in range(5):
+            for z in (0, p):
+                got = Lpq_eval(ctx, LParams(r=1, chi=chi, F=F, z=z, s=-n))
+                closed = Lpq_special(ctx, n, 1, chi, z)
+                assert digits_of(got.value) == digits_of(closed), (chi, n, z)
+
+
 def test_difference_identity_order_one(ctx):
     chi = omega_pow(5, 2)
     F = choose_F(chi.conductor, ctx.p, 1, "difference")

@@ -575,6 +575,38 @@ def test_volkenborn_order_one_is_carlitz():
                     assert_agree(kim, pure, ctx.prec)
 
 
+def _stirling2(r, k):
+    """Stirling numbers of the second kind, by inclusion-exclusion."""
+    return sum((-1) ** (k - j) * math.comb(k, j) * j ** r
+               for j in range(k + 1)) // math.factorial(k)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_integral_family_is_a_finite_pure_sum_combination(p):
+    # For n >= r, with N = n - k + i + r and n_(k) = n!/(n-k)!,
+    #   beta^int_n(x) = beta_0^r (1-Q)^(-n) + sum_{k<=r} sum_{i<k} S(r,k)
+    #     (-1)^(k+r) C(k-1,i) (n_(k)/N_(r)) (1-Q)^(r-k) (Q-1)^i beta^pure_N(x)
+    # at base Q = q^d, beta_0 = (Q - 1)/log Q, to ctx.prec in every cell
+    ctx = QContext(p, Fraction(1 + p), 40)
+    for d in (1, 2, p):
+        Q = PadicNumber.from_fraction(ctx.q ** d, p, 80)
+        beta_0 = (Q - 1) / iwasawa_log(Q)
+        for r, x in itertools.product((1, 2, 3), (0, 1, p)):
+            for n in range(r, 8):
+                want = beta_0 ** r / (1 - Q) ** n
+                for k in range(1, r + 1):
+                    for i in range(k):
+                        N = n - k + i + r
+                        c = Fraction(_stirling2(r, k) * (-1) ** (k + r)
+                                     * math.comb(k - 1, i) * math.perm(n, k),
+                                     math.perm(N, r))
+                        want = want + c * (1 - Q) ** (r - k) * (Q - 1) ** i \
+                            * multi_q_beta_poly(ctx, N, r, x, d)
+                assert want.prec >= ctx.prec, (d, r, x, n)
+                assert_agree(volkenborn_beta_poly(ctx, n, r, x, d), want,
+                             ctx.prec)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_integral_window_sum_adds_the_beta0_term(p):
     # The integral family's window sum, whose beta_0^r (1 - Q)^(-n) term is
