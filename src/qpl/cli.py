@@ -115,6 +115,11 @@ def _emit(doc: dict, stream) -> None:
 def _cmd_bernoulli(spec: argparse.Namespace, stream) -> int:
     if spec.chi is not None:
         chi = parse_char_spec(spec.chi, spec.p)
+        if chi.order > 2:
+            raise ValueError(
+                "qpl bernoulli gives exact rational values: --chi needs a "
+                "character of order <= 2, %s has order %d"
+                % (spec.chi, chi.order))
         value = multi_gen_bernoulli_poly(spec.n, 1, chi)
         desc = {"n": spec.n, "chi": chi.to_dict(), "p": spec.p}
     else:

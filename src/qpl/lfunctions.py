@@ -8,18 +8,19 @@ The series layer (Lpq_eval, Lpq_at_r) evaluates the two-variable p-adic
 q-L-function as a double sum: a finite outer sum over residue vectors,
 grouped by their sum into rows, and an inner k-series that ends at an index
 proven before the sum starts, from lower bounds on the valuations of its
-factors that hold for every k (see _last_index).  Each row's weight, angle
-and geometric factor (_outer_rows) and each series coefficient t_k =
-c_k beta^(r)_k (_series_terms, with c_k from _int_binomials or
-_padic_binomials) is formed in integers modulo a power of p and built into
-a PadicNumber once, with the (val, unit, prec) that the chain of
-PadicNumber operations for it gives.  The two sums are swapped
-(_k_series): sum_k t_k geom^k is one integer Horner evaluation per row.
-The rows are summed in integers and built into one PadicNumber at the
-precision the term-by-term sum keeps, capped at the stop target, so the
-value is that sum's digit for digit.
+factors that hold for every k (see _last_index).  Each row's weight
+count chi(A) q^(w E), E = A + p* z, angle <E>_q and geometric factor
+(_outer_rows) and each series coefficient t_k = c_k beta^(r)_k
+(_series_terms, with c_k from _int_binomials or _padic_binomials) is
+formed in integers modulo a power of p and built into a PadicNumber once,
+with the (val, unit, prec) that the chain of PadicNumber operations for it
+gives.  The two sums are swapped (_k_series): sum_k t_k geom^k is one
+integer Horner evaluation per row.  The rows are summed in integers and
+built into one PadicNumber at the precision the term-by-term sum keeps,
+capped at the stop target, so the value is that sum's digit for digit.
 Lpq_difference_rhs is the finite sum that a shift of z by r*F adds to the
-function, the right side of the difference equation that test AC2 checks.
+function, the right side of the difference equation that test AC2 checks;
+its rows are _outer_rows' at w = 1, where the series take w = 1 - r.
 
 Both layers drop the same terms: the residue vectors whose sum is divisible
 by p.  Lpq_special is the residue-sum closed form of Lpq_eval at s = -n; it
@@ -56,7 +57,6 @@ from .padic import (
     _require_integral,
     _scaled_exponent,
     _teich_lift,
-    angle_q,
     in_D,
     int_valuation,
     iwasawa_log,
@@ -260,16 +260,16 @@ def _pole_guard(r: int, s, chi: DirichletCharacter) -> None:
 
 
 def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
-                v_div: int, m: int):
+                v_div: int, m: int, w: int):
     """Working context, stop target, [F]_q and grouped outer-sum rows of a
-    k-series whose sum is divided by [F]_q^r and by a prefactor of
-    valuation v_div, with beta headroom certified up to k = m.
+    sum over residue vectors in [1, F]^r, divided by [F]_q^r and by a
+    prefactor of valuation v_div, with beta headroom certified up to k = m.
 
-    Each row belongs to one residue sum A prime to p and holds the weight
-    (multiplicity) chi(A) q^((1-r)(A + p* z)), the principal-unit angle, and
-    the geometric factor q^(A + p* z) [F]_q / [A + p* z]_q.  The q-power in
-    the weight is the prefactor the order-r expansion carries; it is 1 at
-    r = 1.
+    Each row belongs to one residue sum A prime to p, of multiplicity count,
+    and holds the weight count chi(A) q^(w E), E = A + p* z, the
+    principal-unit angle <E>_q and the geometric factor q^E [F]_q / [E]_q.
+    The k-series pass w = 1 - r, the prefactor of the order-r expansion
+    (q^0 = 1 at r = 1), and the difference sum passes w = 1.
 
     The rows are formed in integers, and each value is built once with the
     (val, unit, prec) that QContext.q_power, q_bracket and angle_q give it:
@@ -281,11 +281,12 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
       the exponent), and q_power's exponential gives the same power of q.
     - E is prime to p, so 1 - q^E and 1 - q both have valuation v(q - 1),
       and [E]_q is the quotient of their units.  One batched inverse serves
-      every bracket, and q^(-E) at r >= 2.  The angle is [E]_q w(A^(-1)).
+      every bracket, and q^(-E) at w < 0; q^(w E) at w > 0 is a power of
+      q^E.  The angle is [E]_q omega(A^(-1)).
     - Every value carries work digits, except under a PadicNumber z whose
       E is known to R < work digits.  Then the angle and geom carry R, and
-      the weight at r >= 2 min(work, v_p(r - 1) + v(q - 1) + R); at r = 1
-      it is count chi(A) q^0, whose exponent is the int 0."""
+      the weight at w != 0 min(work, v_p(w) + v(q - 1) + R); at w = 0 it
+      is count chi(A) q^0, whose exponent is the int 0."""
     p, pstar, vq = ctx.p, ctx.p_star, ctx.v_q1
     vF = int_valuation(F, p)
     # pad: r*vF for the 1/[F]^r division, v_div for the prefactor, headroom
@@ -303,14 +304,14 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
     else:
         digits = work
         shift = e.numerator * pow(e.denominator, -1, mod)
-    weight_digits = (work if r == 1 else
-                     min(work, int_valuation(r - 1, p) + vq + digits))
+    weight_digits = (work if w == 0 else
+                     min(work, int_valuation(w, p) + vq + digits))
     q_shift = pow(q, shift, wide)
     powers = [q_shift * pow(q, total, wide) % wide for total, _ in sums]
     p_vq = _ppow(p, vq)
     nums = [(1 - qe) % wide // p_vq for qe in powers]
     den = (1 - q) % wide // p_vq
-    inv = _unit_inverses(nums + [den] + (powers if r > 1 else []), mod)
+    inv = _unit_inverses(nums + [den] + (powers if w < 0 else []), mod)
     n = len(sums)
     # [E]_q = num/den, and [F]_q/[E]_q = [F]_q den/num
     bracket_scale = inv[n]
@@ -326,8 +327,8 @@ def _outer_rows(ctx: QContext, chi: DirichletCharacter, r: int, F: int, z,
             "angle projection left the principal-unit disk"
         vc = int_valuation(count, p)
         weight = count // _ppow(p, vc) * chi.lift(total, work)
-        if r > 1:
-            weight *= pow(inv[n + 1 + i], r - 1, wmod)
+        if w:
+            weight *= pow(inv[n + 1 + i] if w < 0 else powers[i], abs(w), wmod)
         rows.append((
             PadicNumber(p, vc, weight % wmod, vc + weight_digits),
             PadicNumber(p, 0, angle, digits),
@@ -569,7 +570,7 @@ def Lpq_eval(ctx: QContext, params: LParams) -> SeriesValue:
     # headroom for negative beta valuations up to the finite degree, or for
     # an infinite series up to its start (series_beta_floor bounds the rest)
     wctx, target, br_F, rows = _outer_rows(
-        ctx, chi, r, F, z, v_prod, r if last is None else last)
+        ctx, chi, r, F, z, v_prod, r if last is None else last, 1 - r)
     coeffs = (_int_binomials(r - s) if isinstance(s, int)
               else _padic_binomials(r - s, wctx.prec))
     heads = [wt * padic_power(angle, r - s) for wt, angle, _ in rows]
@@ -601,7 +602,7 @@ def Lpq_at_r(ctx: QContext, r: int, chi: DirichletCharacter, z=0,
     LParams(r=r, chi=chi, F=F, z=z, s=r).validate(ctx)
     fact = math.factorial(r - 1)
     wctx, target, br_F, rows = _outer_rows(
-        ctx, chi, r, F, z, int_valuation(fact, ctx.p), r)
+        ctx, chi, r, F, z, int_valuation(fact, ctx.p), r, 1 - r)
 
     def log_term():
         log_sum = PadicNumber.exact_zero(ctx.p, wctx.prec)
@@ -625,24 +626,23 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
 
     over residue sums prime to p, with chi_r the omega^(-r) twist of chi.
     F must be a multiple of choose_F(f, p, r, "difference"),
-    p (p*)^(-1) r lcm(f, p*).
+    p (p*)^(-1) r lcm(f, p*).  The rows are _outer_rows' over the window
+    p* F at weight exponent w = 1, each weight times its angle^(-s).
     """
     if r < 1:
         raise ValueError("order r must be >= 1")
-    p, pstar = ctx.p, ctx.p_star
-    step = choose_F(chi.conductor, p, r, "difference")
+    step = choose_F(chi.conductor, ctx.p, r, "difference")
     if F % step != 0:
         raise DomainError(
             "F = %d is not a multiple of p (p*)^(-1) r lcm(f, p*) = %d"
             % (F, step)
         )
     chir = char_twist_omega(chi, r)
-    shift = _scaled_exponent(pstar, z)
-    work = ctx.prec + 4
-    wctx = ctx.with_precision(work)
-    acc = PadicNumber.exact_zero(p, work)
-    for total, count in residue_sums(pstar * F, r, chir, p):
-        angle = angle_q(wctx, total, z, work)
-        acc = acc + (count * chir.eval(total, work) * padic_power(angle, -s)
-                     * wctx.q_power(1, shift + total, work))
+    # _outer_rows reads only p* z: check z's type, then that z is in Z_p
+    _scaled_exponent(ctx.p_star, z)
+    _require_integral(z, ctx.p)
+    wctx, _, _, rows = _outer_rows(ctx, chir, r, ctx.p_star * F, z, 0, 0, 1)
+    acc = PadicNumber.exact_zero(ctx.p, wctx.prec)
+    for wt, angle, _ in rows:
+        acc = acc + wt * padic_power(angle, -s)
     return _certified(-acc, ctx.prec, "difference sum")

@@ -98,6 +98,22 @@ def test_bernoulli_exact():
     assert doc["precision"] == "exact"
 
 
+def test_bernoulli_refuses_a_character_with_padic_values():
+    # a character of order > 2 has values outside Q, and bernoulli takes
+    # no precision to give them at
+    code, doc = run_json(["bernoulli", "--n", "2", "--chi", "omega",
+                          "--p", "5"])
+    assert code == 1
+    assert doc == {"error": {
+        "type": "ValueError",
+        "message": "qpl bernoulli gives exact rational values: --chi needs "
+                   "a character of order <= 2, omega has order 4"},
+        "schema": "qpl/2"}
+    code, doc = run_json(["bernoulli", "--n", "2", "--chi", "omega^2",
+                          "--p", "5"])
+    assert code == 0 and doc["value"] == "4/5"
+
+
 def usage_error(capsys, argv):
     """The message of the usage error, exit 2, that argv draws."""
     capsys.readouterr()

@@ -40,10 +40,15 @@ from qpl import (
     volkenborn_beta_poly,
 )
 
-from qpl import QplError, classical, lfunctions
+from qpl import QplError, classical, lfunctions, padic
 from qpl.classical import TERM_BUDGET
 from qpl.characters import eta_order
-from qpl.padic import int_valuation, p_star, teichmuller_int
+from qpl.padic import (
+    _scaled_exponent,
+    int_valuation,
+    p_star,
+    teichmuller_int,
+)
 from qpl.qbernoulli import _beta_headroom, _certified
 
 from helpers import assert_agree, bound_of, digits_of, sample_qs
@@ -306,6 +311,45 @@ def test_difference_identity_order_one(ctx):
             assert bound_of(left - right) >= ctx.prec - 4
 
 
+# v(left - right) of AC2's difference identity at r >= 2 (q = 1 + p, prec
+# 12), per character (1, omega, omega^2) and n = 0..4; z = 0 and z = p give
+# the same valuation in every cell.  Every cell falls short of 8.
+AC2_DEFECT = {
+    (2, 5): ((2, 2, -2, 2, 2), (2, 1, 1, -3, 0), (0, 1, 1, 1, -5)),
+    (2, 7): ((2, 3, 2, 2, -4), (2, 1, 1, 1, 1), (0, 1, 1, 1, 1)),
+    (3, 5): ((2, -2, 1, 2, 2), (2, 1, -3, 0, 1), (2, 1, 1, -3, 0)),
+    (3, 7): ((2, 2, 2, -4, 1), (2, 1, 1, 1, -5), (2, 1, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("r,p", sorted(AC2_DEFECT))
+def test_ac2_defect_at_higher_order(r, p):
+    # The acceptance test checks only that these cells fail; a change to
+    # the series or to the difference sum that moves a valuation is a
+    # change to the mathematics, to be recorded with its old and new value
+    ctx = QContext(p, Fraction(1 + p), 12)
+    got = []
+    for h in (0, 1, 2):
+        chi = omega_pow(p, h)
+        F = choose_F(chi.conductor, p, r, "difference")
+        cells = []
+        for n in range(5):
+            vals = set()
+            for z in (0, p):
+                left = Lpq_eval(ctx, LParams(r=r, chi=chi, F=F,
+                                             z=z + r * F, s=-n)).value \
+                    - Lpq_eval(ctx, LParams(r=r, chi=chi, F=F,
+                                            z=z, s=-n)).value
+                right = Lpq_difference_rhs(ctx, -n, z, chi, r, F)
+                vals.add((left - right).valuation_bound())
+            assert len(vals) == 1, (h, n, vals)
+            v, exact = vals.pop()
+            assert exact, (h, n)
+            cells.append(v)
+        got.append(tuple(cells))
+    assert tuple(got) == AC2_DEFECT[r, p]
+
+
 def test_eval_returns_series_diagnostics(ctx):
     chi = omega_pow(5, 2)
     params = LParams(r=1, chi=chi, F=5, z=0, s=-2)
@@ -400,7 +444,7 @@ def test_outer_row_valuations():
                        (2, 0, 8, 1)):
         ctx = QContext(p, Fraction(5 if p == 2 else 1 + p), 10)
         chi = omega_pow(p, h)
-        _, _, _, rows = lfunctions._outer_rows(ctx, chi, 1, F, z, 0, 1)
+        _, _, _, rows = lfunctions._outer_rows(ctx, chi, 1, F, z, 0, 1, 0)
         vF = int_valuation(F, p)
         for weight, angle, geom in rows:
             assert geom.valuation_bound() == (vF, True)
@@ -570,7 +614,7 @@ def _series_args(p, prec, k, last=None):
     chi = omega_pow(p, 1)
     F = choose_F(chi.conductor, p)
     wctx, target, br_F, rows = lfunctions._outer_rows(ctx, chi, 1, F, 0, 0,
-                                                      last or 1)
+                                                      last or 1, 0)
 
     def args(heads, rows=rows):
         coeffs = (Fraction((-1) ** j, j) if j else Fraction(1)
@@ -644,7 +688,7 @@ def test_k_series_makes_no_per_row_term_padic_operations(monkeypatch):
 # operations: the references the integer rows and coefficients must match
 # in (val, unit, prec).
 
-def _outer_rows_loop(ctx, chi, r, F, z, v_div, m):
+def _outer_rows_loop(ctx, chi, r, F, z, v_div, m, w):
     p = ctx.p
     vF = int_valuation(F, p)
     work = ctx.prec + r * vF + v_div + 4 + _beta_headroom(ctx, m, r, F)
@@ -654,7 +698,7 @@ def _outer_rows_loop(ctx, chi, r, F, z, v_div, m):
     for total, count in classical.residue_sums(F, r, chi, p):
         exponent = z * wctx.p_star + total
         weight = (count * chi.eval(total, work)
-                  * wctx.q_power(1, exponent * (1 - r), work))
+                  * wctx.q_power(1, exponent * w, work))
         bracket = wctx.q_bracket(1, exponent, work)
         inv_t = pow(teichmuller_int(total % wctx.p_star, p, work), -1,
                     p ** work)
@@ -712,14 +756,17 @@ def test_outer_rows_match_padic_loop(p):
                     case += 1
                     ctx = ctxs[case % 3]
                     v_div, m = (0, 1) if case % 2 else (2, r + 3)
-                    args = (ctx, chi, r, F, z, v_div, m)
-                    got = _rows_outcome(lambda: lfunctions._outer_rows(*args))
-                    # the loop coerces A at an exact zero's precision
-                    plain = (0 if isinstance(z, PadicNumber)
-                             and z.is_exact_zero else z)
-                    want = _rows_outcome(lambda: _outer_rows_loop(
-                        ctx, chi, r, F, plain, v_div, m))
-                    assert got == want, (ctx.q, chi, F, r, z, v_div, m)
+                    # the k-series' weight exponent and the difference sum's
+                    for w in (1 - r, 1):
+                        args = (ctx, chi, r, F, z, v_div, m, w)
+                        got = _rows_outcome(
+                            lambda: lfunctions._outer_rows(*args))
+                        # the loop coerces A at an exact zero's precision
+                        plain = (0 if isinstance(z, PadicNumber)
+                                 and z.is_exact_zero else z)
+                        want = _rows_outcome(lambda: _outer_rows_loop(
+                            ctx, chi, r, F, plain, v_div, m, w))
+                        assert got == want, (ctx.q, chi, F, r, z, v_div, m, w)
 
 
 def test_outer_rows_make_no_per_row_padic_operations(monkeypatch):
@@ -742,12 +789,119 @@ def test_outer_rows_make_no_per_row_padic_operations(monkeypatch):
     for r, z in ((1, 0), (2, 5), (3, Fraction(1, 2)),
                  (2, PadicNumber.from_int(3, 5, 9))):
         counts["ops"] = 0
-        _, _, _, rows = lfunctions._outer_rows(ctx, chi, r, 25, z, 0, 1)
+        _, _, _, rows = lfunctions._outer_rows(ctx, chi, r, 25, z, 0, 1,
+                                               1 - r)
         assert len(rows) >= 20
         assert counts["ops"] <= 2, (r, z, counts["ops"])
     counts["ops"] = 0
-    _outer_rows_loop(ctx, chi, 2, 25, 5, 0, 1)
+    _outer_rows_loop(ctx, chi, 2, 25, 5, 0, 1, -1)
     assert counts["ops"] > 2 * len(rows), counts["ops"]
+
+
+# The difference sum as the per-row PadicNumber loop it was before its rows
+# came from _outer_rows: the reference it must match in repr, and in the
+# type and message of every refusal, in the same order.
+
+def _difference_rhs_loop(ctx, s, z, chi, r, F):
+    if r < 1:
+        raise ValueError("order r must be >= 1")
+    p, pstar = ctx.p, ctx.p_star
+    step = choose_F(chi.conductor, p, r, "difference")
+    if F % step != 0:
+        raise DomainError(
+            "F = %d is not a multiple of p (p*)^(-1) r lcm(f, p*) = %d"
+            % (F, step))
+    chir = char_twist_omega(chi, r)
+    shift = _scaled_exponent(pstar, z)
+    work = ctx.prec + 4
+    wctx = ctx.with_precision(work)
+    acc = PadicNumber.exact_zero(p, work)
+    for total, count in classical.residue_sums(pstar * F, r, chir, p):
+        angle = angle_q(wctx, total, z, work)
+        acc = acc + (count * chir.eval(total, work) * padic_power(angle, -s)
+                     * wctx.q_power(1, shift + total, work))
+    return _certified(-acc, ctx.prec, "difference sum")
+
+
+def _repr_outcome(f):
+    try:
+        return repr(f())
+    except Exception as exc:
+        return (type(exc).__name__, str(exc).split("\n")[0])
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_difference_rhs_matches_padic_loop(p):
+    # each case takes one of the three q and of three precisions in turn;
+    # z integral, a Fraction, a short or long PadicNumber, zero at
+    # precision or exact zero; s integer or p-adic, short or long; and
+    # r F p* <= 400
+    order = 2 if p == 2 else p - 1
+    ctxs = [QContext(p, q, prec) for q in sample_qs(p) for prec in (4, 10, 20)]
+    points = (0, -1, -3, 2, PadicNumber.from_int(-2 + p ** 3, p, 5),
+              PadicNumber.from_fraction(Fraction(-3, 11), p, 30))
+    shifts = ((0, p) + _shifts(p)[2:6]
+              + (PadicNumber.zero_at(p, 1), PadicNumber.exact_zero(p, 2)))
+    case, outcomes = 0, set()
+    for chi in (principal_char(p), omega_pow(p, 1), omega_pow(p, 2 % order)):
+        for r in (1, 2, 3):
+            F = choose_F(chi.conductor, p, r, "difference")
+            if r * F * p_star(p) > 400:
+                continue
+            for z in shifts:
+                for s in points:
+                    case += 1
+                    ctx = ctxs[case % len(ctxs)]
+                    got = _repr_outcome(
+                        lambda: Lpq_difference_rhs(ctx, s, z, chi, r, F))
+                    want = _repr_outcome(
+                        lambda: _difference_rhs_loop(ctx, s, z, chi, r, F))
+                    assert got == want, (ctx.q, ctx.prec, chi, r, z, s)
+                    outcomes.add(want[0] if isinstance(want, tuple) else "")
+    assert outcomes == {"", "PrecisionExhausted"}
+    # refusals: z outside Z_p or of another prime, a str or float z, a
+    # Fraction s, s outside D, r = 0 and a bad F, alone and together
+    ctx = ctxs[1]
+    w = omega_pow(p, 1)
+    F = choose_F(w.conductor, p, 1, "difference")
+    other = PadicNumber.from_int(3, 11, 5)
+    bad_s = PadicNumber.from_fraction(Fraction(1, p), p, 8)
+    for s, z, r, F in ((0, Fraction(1, p), 1, F), (0, Fraction(1, p * p), 1, F),
+                       (0, other, 1, F), (0, "1/2", 1, F), (-1, 0.5, 1, F),
+                       (Fraction(1, 2), 1, 1, F), (bad_s, 0, 1, F),
+                       (-1, 0, 0, F), (-1, 0, 1, F + 1),
+                       (-1, Fraction(1, p), 1, F + 1),
+                       (Fraction(1, 2), Fraction(1, p), 1, F),
+                       (bad_s, "1/2", 1, F), (-1, "1/2", 0, F)):
+        got = _repr_outcome(lambda: Lpq_difference_rhs(ctx, s, z, w, r, F))
+        want = _repr_outcome(lambda: _difference_rhs_loop(ctx, s, z, w, r, F))
+        assert isinstance(want, tuple) and got == want, (s, z, r, F)
+
+
+def test_difference_rhs_forms_no_per_row_power(monkeypatch):
+    # The rows come from _outer_rows' integer pass: no q-power and no
+    # exponential per row at s = -1, where the loop makes one q-power per
+    # row, and at z = 1/2 one more and two exponentials
+    ctx = QContext(5, Fraction(6), 12)
+    chi = omega_pow(5, 1)
+    counts = {"q_power": 0, "padic_exp": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            counts[name] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    monkeypatch.setattr(QContext, "q_power",
+                        counted("q_power", QContext.q_power))
+    monkeypatch.setattr(padic, "padic_exp",
+                        counted("padic_exp", padic.padic_exp))
+    for z, loop in ((5, (20, 0)), (Fraction(1, 2), (40, 40))):
+        for f, want in ((Lpq_difference_rhs, (0, 0)),
+                        (_difference_rhs_loop, loop)):
+            counts.update(q_power=0, padic_exp=0)
+            f(ctx, -1, z, chi, 1, 5)
+            assert (counts["q_power"], counts["padic_exp"]) == want, (f, z)
 
 
 def _padic_points(p):
