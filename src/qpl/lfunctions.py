@@ -113,12 +113,17 @@ class LParams:
                 % (self.F, base)
             )
         _require_integral(self.z, ctx.p)
-        s = self.s
-        if isinstance(s, PadicNumber):
-            if s.p != ctx.p or not in_D(s):
-                raise DomainError("s lies outside the convergence disk D")
-        elif not isinstance(s, int):
-            raise TypeError("s must be an integer or a PadicNumber")
+        _require_s(ctx, self.s)
+
+
+def _require_s(ctx: QContext, s) -> None:
+    """Refuse an s that is neither an int nor a PadicNumber in D, the
+    points where Lpq_eval and Lpq_difference_rhs are defined."""
+    if isinstance(s, PadicNumber):
+        if s.p != ctx.p or not in_D(s):
+            raise DomainError("s lies outside the convergence disk D")
+    elif not isinstance(s, int):
+        raise TypeError("s must be an integer or a PadicNumber")
 
 
 def choose_F(f: int, p: int, r: int = 1, purpose: str = "interpolation") -> int:
@@ -641,6 +646,7 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
     # _outer_rows reads only p* z: check z's type, then that z is in Z_p
     _scaled_exponent(ctx.p_star, z)
     _require_integral(z, ctx.p)
+    _require_s(ctx, s)
     wctx, _, _, rows = _outer_rows(ctx, chir, r, ctx.p_star * F, z, 0, 0, 1)
     acc = PadicNumber.exact_zero(ctx.p, wctx.prec)
     for wt, angle, _ in rows:

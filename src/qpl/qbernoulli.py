@@ -35,9 +35,18 @@ the integral one at every r, although lfunctions.Lpq_eval sums the
 integral family only at r = 1.  The functions named for a family do not
 read it: multi_q_beta_poly and multi_gen_q_beta_poly are pure-sum,
 volkenborn_beta_poly and gen_q_beta_poly integral.  Every closed special
-value is a window sum over residue rows (_window_sum), one integer Horner
-sum (_horner_sum), the kernel that also evaluates a single value
-(_family_sum).
+value is a window sum over residue rows (_window_sum), one dot product
+of a coefficient table with the window's power sums (_PowerSums) in
+_dot_sum, the kernel that also evaluates a single value (_family_sum).
+
+Only the integral family is a q-analogue of Norlund's B_n^(r)(x)
+(classical.norlund_poly): as q -> 1 it tends to the r-fold Volkenborn
+integral of (x + t_1+...+t_r)^n, which is B_n^(r)(x); the tests find
+v(beta^int_n(x) - B_n^(r)(x)) >= m - 1 at q = 1 + p^m.  The pure-sum
+single is the Carlitz polynomial minus beta_0 (1 - Q)^(-n), where beta_0
+-> 1 and (1 - Q)^(-n) has no limit for n >= 1, so it has none either (the
+identity above carries this to r >= 2).  The argument rests on Kim's
+definitions; the body of the source paper was not available.
 """
 
 from __future__ import annotations
@@ -105,6 +114,40 @@ class QBernoulliTable:
         self.entries = self.entries[:lo] + _carlitz_run(
             self.ctx, lo, max(n, len(self.entries) - 1), self.base_power,
             self.target)
+
+
+class _PowerSums:
+    """The power sums of one context's window rows (t, count), t ascending
+    from t0, which no order, z or window F changes: sums[i-1] = sum_t count
+    chi(t) q^(i(t-t0)) modulo p^(digits + min v_p(count)), and classes, the
+    distinct (v_p(count), q^(t-t0) mod p^2) of the rows.  A plain class,
+    as a dataclass adds about 1 ms to each import (Python 3.11)."""
+
+    def __init__(self, ctx: QContext, chi: DirichletCharacter, rows):
+        self.ctx, self.chi, self.rows = ctx, chi, rows
+        self.digits, self.sums, self.classes = 0, [], ()
+
+    def extend(self, length: int, digits: int) -> None:
+        """G_1..G_length to digits digits; a record short of either is
+        rebuilt at the larger length and the larger digits."""
+        if length <= len(self.sums) and digits <= self.digits:
+            return
+        p, rows = self.ctx.p, self.rows
+        self.digits = digits = max(digits, self.digits)
+        length = max(length, len(self.sums))
+        vals = [int_valuation(count, p) for _, count in rows]
+        mod, wide = _ppow(p, digits), _ppow(p, digits + min(vals))
+        q = self.ctx.q_int(digits)
+        sums, shifts = [0] * length, []
+        for t, count in rows:
+            y = pow(q, t - rows[0][0], mod)
+            w = count * self.chi.lift(t, digits)
+            for i in range(length):
+                w = w * y % wide
+                sums[i] += w
+            shifts.append(y % (p * p))
+        self.sums = [g % wide for g in sums]
+        self.classes = tuple(sorted(set(zip(vals, shifts))))
 
 
 def _carlitz_constants(ctx: QContext, d: int, digits: int):
@@ -264,7 +307,9 @@ _INTEGRAL = _Family(_integral_a, _carlitz_term,
 def _coeff_table(ctx: QContext, family: _Family, n: int, r: int, d: int,
                  rel: int):
     """The x-independent part of a family at base Q = q^d, to rel
-    significant digits: (base, coeffs, pref) with pref = (1-Q)^(r-n) and
+    significant digits: (base, coeffs, pref, s0, s1) with pref =
+    (1-Q)^(r-n), s0 and s1 the sums of coeffs[i-1] and i coeffs[i-1]
+    modulo p^2, and
 
         coeffs[i-1] * p^base = a_i (1-Q^i)^(-r)   mod p^(base+rel)
 
@@ -317,44 +362,46 @@ def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
     inv_w0 = pow(units[0], r - 1, mod) * inv[0] % mod     # (1-Q)'s unit, inverted
     pval = (r - n) * _base_valuation(ctx, d)
     return (base, coeffs,
-            PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
+            PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel),
+            sum(coeffs) % (p * p),
+            sum(i * c for i, c in enumerate(coeffs, 1)) % (p * p))
 
 
-def _horner_sum(p: int, table, rows, digits: int = None) -> PadicNumber:
-    """pref sum_{(w, u, k) in rows} w sum_i coeffs[i-1] u^i for a table
-    (base, coeffs, pref) of _coeff_table: each u the integer unit of a
-    q-power known modulo p^k, each w a nonzero integer, exact or, with
-    digits given, known to that many significant digits.
+def _dot_sum(p: int, table, unit: int, k: int, sums,
+             classes=((0, 1),), work: int = None) -> PadicNumber:
+    """pref sum_i coeffs[i-1] U^i G_i for a table (base, coeffs, pref, s0,
+    s1) of _coeff_table, U the unit of a q-power known modulo p^k and G_i
+    = sums[i-1] the power sums of window rows (_PowerSums), all 1 for a
+    one-row window of weight 1 and shift 1, whose classes are the default.
 
-    The module's one Horner loop, in integers modulo p^d for each row, d =
-    min(rel, k) with rel = pref.rel (Brent & Zimmermann, Modern Computer
-    Arithmetic, 4.4).  One value is built, at the precision of the
-    PadicNumber sum of the products w * pref m p^base: each is known
-    modulo p^(v(pref) + base + v_p(w) + min(d, v(m) + digits)), reading
-    v(m) as d where m = 0 modulo p^d.
+    This is sum_t w_t m_t, m_t = sum_i coeffs[i-1] (U y_t)^i modulo p^d, d
+    = min(rel, k) with rel = pref.rel, known modulo p^(d + min v_p(w_t)).
+    With weights known to work digits, row t keeps v_p(w_t) + min(d, v(m_t)
+    + work) of these digits.  As d <= work + 2 in a window sum, only v(m_t)
+    < 2 matters, and U y_t = 1 mod p gives m_t = s0 + (U y_t - 1) s1 mod p^2
+    for each class (v_p(w_t), y_t mod p^2) of rows.
     """
-    base, coeffs, pref = table
-    rel = pref.rel
-    total, reach = 0, []
-    for w, u, k in rows:
-        d = min(rel, k)
-        mod = _ppow(p, d)
-        m = 0
-        for a in reversed(coeffs):
-            m = (m + a) * u % mod
-        if digits is not None and m:
-            d = min(d, int_valuation(m, p) + digits)
-        reach.append(d + int_valuation(w, p))
-        total += w * m
+    base, coeffs, pref, s0, s1 = table
+    d = min(pref.rel, k)
+    mod, p2 = _ppow(p, d), p * p
+    total, ui = 0, 1
+    for c, g in zip(coeffs, sums):
+        ui = ui * unit % mod
+        total += c * ui * g
+    reach = d + classes[0][0]           # the classes are sorted
+    if work is not None:
+        for v, y in classes:
+            m = (s0 + (unit * y - 1) * s1) % p2
+            reach = min(reach, v + work + (2 if m == 0 else m % p == 0))
     # at the row of least v_p(w m) the sum keeps at most d - v(m) <= rel
     # significant digits, all of which the product with pref keeps
-    return pref * _normalize(p, total, base, base + min(reach))
+    return pref * _normalize(p, total, base, base + reach)
 
 
 def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
                 d: int) -> PadicNumber:
-    """The family's value at x and base Q = q^d: a Horner sum in u = Q^x
-    modulo p^rel plus the term, each to rel = ctx.prec + pad + 2 digits.
+    """The family's value at x and base Q = q^d: a one-row dot sum in u =
+    Q^x modulo p^rel plus the term, each to rel = ctx.prec + pad + 2 digits.
     An empty vector sums to 0, but x must still lie in the domain of Q^x."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
@@ -366,8 +413,8 @@ def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
         value = PadicNumber.exact_zero(ctx.p, ctx.prec)
     else:
         u = ctx.q_power(d, x, rel)
-        value = _horner_sum(ctx.p, _coeff_table(ctx, family, n, r, d, rel),
-                            [(1, u.unit, u.rel)])
+        table = _coeff_table(ctx, family, n, r, d, rel)
+        value = _dot_sum(ctx.p, table, u.unit, u.rel, [1] * len(table[1]))
     if family.term:
         value = value + family.term(ctx, n, r, d, rel)
     return value
@@ -430,15 +477,15 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
     the (r - n) v_p(F) digits [F]_q^(n-r) costs at n < r, so the value is
     certified to ctx.prec or PrecisionExhausted is raised.
 
-    All rows share one coefficient table, so this is one _horner_sum over
-    u_t = q^(z+t), z + t being the exact exponent F (z+t)/F, with integer
-    weights count chi(t), chi(t) lifted to work digits.  One q_power, at
-    the first row, refuses a z outside the domain and gives u_t0; every
-    other row is u_t0 q^(t-t0) in integers modulo p^min(rel, u_t0.rel),
-    the digits each row's own q_power keeps of the sum (a shift by an
-    integer moves no digit of z).  It keeps the precision of the per-row
-    PadicNumber sum of count chi(t) beta_t: each row is known to its
-    q-power's digits above p^v_p(count).
+    All rows share one coefficient table, so the sum over u_t = q^(z+t),
+    z + t being the exact exponent F (z+t)/F, with weights count chi(t),
+    is sum_i c_i U^i G_i: one q_power, at the first row, refuses a z
+    outside the domain and gives U = u_t0, and G_i are the rows' power
+    sums, kept in the context memo.  So it is one _dot_sum modulo
+    p^min(rel, U.rel), the digits each row's own q_power keeps of the sum
+    (a shift by an integer moves no digit of z), and it keeps the precision
+    of the per-row PadicNumber sum of count chi(t) beta_t: each row is
+    known to its q-power's digits above p^v_p(count).
 
     The term does not depend on x, so it comes times sum_t count chi(t):
     the row count for a principal chi, and 0 for any other over the full
@@ -463,11 +510,12 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
         acc = PadicNumber.exact_zero(p, work)
     else:
         d = min(rel, first.rel)
-        mod, q = _ppow(p, d), ctx.q_int(d)
-        acc = _horner_sum(p, _coeff_table(ctx, family, n, r, F, rel),
-                          [(count * chi.lift(t, work),
-                            first.unit * pow(q, t - t0, mod) % mod, d)
-                           for t, count in rows], work)
+        table = _coeff_table(ctx, family, n, r, F, rel)
+        sums = ctx._memo(("power_sums", chi, tuple(rows)),
+                         lambda: _PowerSums(ctx, chi, rows))
+        sums.extend(len(table[1]), d)
+        acc = _dot_sum(p, table, first.unit, d, sums.sums, sums.classes,
+                       work)
     if family.term and chi.is_principal:
         acc = acc + (sum(count for _, count in rows)
                      * family.term(ctx, n, r, F, rel))

@@ -409,6 +409,23 @@ def test_evaluation_points_refused(ctx):
         Lpq_difference_rhs(ctx, -1, 0, w, 2, 5)
 
 
+def test_difference_sum_refuses_s_as_the_series_does(ctx):
+    # The difference sum is defined at the points of the series: an s
+    # that Lpq_eval refuses, the difference sum refuses with the same
+    # exception and message, before any row is built
+    w = omega_pow(5, 1)
+    for s in (Fraction(-1), Fraction(1, 2), 2.0, "1",
+              PadicNumber.from_int(3, 7, 10),
+              PadicNumber.from_fraction(Fraction(1, 5), 5, 10)):
+        refusals = []
+        for call in (lambda: Lpq_eval(ctx, LParams(r=1, chi=w, F=5, s=s)),
+                     lambda: Lpq_difference_rhs(ctx, s, 0, w, 1, 5)):
+            with pytest.raises((TypeError, DomainError)) as info:
+                call()
+            refusals.append((info.type, str(info.value)))
+        assert refusals[0] == refusals[1], (s, refusals)
+
+
 def test_near_pole_series_carlitz():
     # The expansion about s = r converges only in the carlitz convention
     # at order one; elsewhere the term ratios blow up and the evaluator
@@ -800,7 +817,8 @@ def test_outer_rows_make_no_per_row_padic_operations(monkeypatch):
 
 # The difference sum as the per-row PadicNumber loop it was before its rows
 # came from _outer_rows: the reference it must match in repr, and in the
-# type and message of every refusal, in the same order.
+# type and message of every refusal, in the same order.  An s is refused
+# where the loop's padic_power refused it, but as Lpq_eval refuses it.
 
 def _difference_rhs_loop(ctx, s, z, chi, r, F):
     if r < 1:
@@ -818,6 +836,7 @@ def _difference_rhs_loop(ctx, s, z, chi, r, F):
     acc = PadicNumber.exact_zero(p, work)
     for total, count in classical.residue_sums(pstar * F, r, chir, p):
         angle = angle_q(wctx, total, z, work)
+        lfunctions._require_s(ctx, s)
         acc = acc + (count * chir.eval(total, work) * padic_power(angle, -s)
                      * wctx.q_power(1, shift + total, work))
     return _certified(-acc, ctx.prec, "difference sum")

@@ -31,10 +31,12 @@ from qpl import (
     principal_char,
     volkenborn_beta_poly,
 )
-from qpl.characters import eta_order
-from qpl.classical import pochhammer, residue_sums
+from qpl.characters import DirichletCharacter, eta_order
+from qpl.classical import norlund_poly, pochhammer, residue_sums
 from qpl.padic import (
     _ceil_log,
+    _normalize,
+    _ppow,
     _require_integral,
     _scaled_exponent,
     int_valuation,
@@ -747,11 +749,63 @@ def _mixed_rows(p, more):
     return rows
 
 
+# The per-row kernel of the closed values before the window power sums,
+# kept as the reference that _dot_sum must match digit for digit.
+
+def _horner_sum(p: int, table, rows, digits: int = None) -> PadicNumber:
+    """pref sum_{(w, u, k) in rows} w sum_i coeffs[i-1] u^i for a table
+    (base, coeffs, pref) of _coeff_table: each u the integer unit of a
+    q-power known modulo p^k, each w a nonzero integer, exact or, with
+    digits given, known to that many significant digits.
+
+    The module's one Horner loop, in integers modulo p^d for each row, d =
+    min(rel, k) with rel = pref.rel (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.4).  One value is built, at the precision of the
+    PadicNumber sum of the products w * pref m p^base: each is known
+    modulo p^(v(pref) + base + v_p(w) + min(d, v(m) + digits)), reading
+    v(m) as d where m = 0 modulo p^d.
+    """
+    base, coeffs, pref = table[:3]
+    rel = pref.rel
+    total, reach = 0, []
+    for w, u, k in rows:
+        d = min(rel, k)
+        mod = _ppow(p, d)
+        m = 0
+        for a in reversed(coeffs):
+            m = (m + a) * u % mod
+        if digits is not None and m:
+            d = min(d, int_valuation(m, p) + digits)
+        reach.append(d + int_valuation(w, p))
+        total += w * m
+    # at the row of least v_p(w m) the sum keeps at most d - v(m) <= rel
+    # significant digits, all of which the product with pref keeps
+    return pref * _normalize(p, total, base, base + min(reach))
+
+
+def _as_window(p, rows, length):
+    """(U, sums, classes) for _dot_sum of rows (w, u, k) that share one k:
+    u = U y for U the first row's u, and G_i = sum w y^i."""
+    k = rows[0][2]
+    mod, unit = p ** k, rows[0][1]
+    vmin = min(int_valuation(w, p) for w, _, _ in rows)
+    sums, classes = [0] * length, set()
+    for w, u, _ in rows:
+        y = u * pow(unit, -1, mod) % mod
+        for i in range(length):
+            sums[i] += w * pow(y, i + 1, mod)
+        classes.add((int_valuation(w, p), y % (p * p)))
+    return unit, [g % p ** (k + vmin) for g in sums], sorted(classes)
+
+
 def test_horner_sum_is_the_padic_sum_of_its_rows():
     # One sum over rows equals the PadicNumber sum of weight times each
     # row's one-row sum, digit for digit, for q-powers of different
     # precision, weights divisible by p, and weights known exactly or to
-    # so few digits that they bound a row's precision
+    # so few digits that they bound a row's precision.  On rows that
+    # share one precision k, the dot sum over the rows' power sums is the
+    # Horner sum, digit for digit, where min(k, rel) <= digits + 2 as in
+    # every window sum
     p, rng = 5, random.Random(5)
     ctx = QContext(p, Fraction(6), 12)
     table = qbernoulli._coeff_table(ctx, qbernoulli._PURE_SUM, 6, 2, 5, 20)
@@ -765,10 +819,17 @@ def test_horner_sum_is_the_padic_sum_of_its_rows():
             for w, u, k in rows:
                 weight = w if digits is None else PadicNumber.from_int(
                     w, p, digits)
-                want = want + weight * qbernoulli._horner_sum(p, table,
-                                                              [(1, u, k)])
-            assert digits_of(qbernoulli._horner_sum(p, table, rows, digits)) \
+                want = want + weight * _horner_sum(p, table, [(1, u, k)])
+            assert digits_of(_horner_sum(p, table, rows, digits)) \
                 == digits_of(want), (rows, digits)
+            k = rng.randrange(1, 25 if digits is None else digits + 3)
+            shared = [(w, ctx.q_power(1, rng.randrange(50), k).unit, k)
+                      for w, _, _ in rows]
+            unit, sums, classes = _as_window(p, shared, len(table[1]))
+            got = qbernoulli._dot_sum(p, table, unit, k, sums, classes,
+                                      digits)
+            assert digits_of(got) == digits_of(
+                _horner_sum(p, table, shared, digits)), (shared, digits)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
@@ -817,7 +878,7 @@ def _special_chain(ctx, n, r, chi, z, F, rows):
     for t, count in rows:
         u = wctx.q_power(1, z + t, rel)
         terms.append((count * chi.lift(t, work), u.unit, u.rel))
-    acc = qbernoulli._horner_sum(ctx.p, table, terms, work)
+    acc = _horner_sum(ctx.p, table, terms, work)
     window = qbernoulli._certified(wctx.q_bracket(1, F) ** (n - r) * acc,
                                   inner.prec, "special value")
     return qbernoulli._certified(window * Fraction((-1) ** r, poch),
@@ -867,6 +928,67 @@ def test_special_values_match_padic_chain(p):
                  else "zero" if got[1] == 0 else "value"] += 1
     assert all(seen[kind] for kind in ("value", "zero", "PrecisionExhausted",
                                        "DomainError")), seen
+
+
+def test_power_sums_lift_each_row_once_per_window(monkeypatch):
+    # The power sums of a window do not depend on the order, z or F: a
+    # second Lpq_special call at the same (chi, r, h), at an order no
+    # higher and another z, lifts no character value
+    ctx = QContext(5, Fraction(6), 14)
+    chi = omega_pow(5, 2)
+    lifts = []
+    monkeypatch.setattr(DirichletCharacter, "lift",
+                        lambda self, a, prec, lift=DirichletCharacter.lift:
+                        lifts.append(a) or lift(self, a, prec))
+    first = Lpq_special(ctx, 6, 2, chi, 0)
+    assert lifts
+    lifts.clear()
+    for n, z in ((2, 3), (6, Fraction(1, 2)), (2, 0)):
+        Lpq_special(ctx, n, 2, chi, z)
+    assert lifts == []
+    assert digits_of(Lpq_special(ctx, 6, 2, chi, 0)) == digits_of(first)
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_special_values_do_not_depend_on_call_order(p):
+    # A record built for a high order serves the lower ones, and one
+    # built low is rebuilt for the higher ones, also where a z known to
+    # few digits asks for fewer digits than the record holds but more
+    # power sums: n ascending and n descending, each on a fresh context,
+    # give the same digits and the same refusals
+    chars = (principal_char(p), omega_pow(p, 1), omega_pow(p, 2))
+    for prec in (3, 14):
+        short = PadicNumber.from_fraction(Fraction(1, 3), p, prec + 8)
+        points = [(n, r, chi, z) for n in range(12) for r in (1, 2, 3)
+                  for chi in chars for z in (short, 0, 1, Fraction(1, 2))]
+        runs = []
+        for step in (1, -1):
+            ctx = QContext(p, Fraction(1 + p), prec)
+            runs.append([_outcome(Lpq_special, ctx, *point)
+                         for point in points[::step]][::step])
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_integral_family_tends_to_norlund_as_q_tends_to_one(p):
+    # At q = 1 + p^m the integral family is B_n^(r)(0) to within m - 1
+    # digits at every order (least 3 and 7 at m = 4 and 8); the pure-sum
+    # family moves away as m grows, the counterexample the module
+    # docstring gives.  volkenborn_beta_poly at r = 1 is _family_sum's
+    # one-row window at r = 1 as at r >= 2.
+    least = {}
+    for m in (4, 8):
+        ctx = QContext(p, Fraction(1 + p ** m), 40)
+        for r, n in itertools.product((1, 2, 3), range(9)):
+            want = norlund_poly(n, r, 0)
+            assert bound_of(volkenborn_beta_poly(ctx, n, r, 0) - want) \
+                >= m - 1, (m, r, n)
+        least[m] = min(bound_of(multi_q_beta_poly(ctx, n, r, 0)
+                                - norlund_poly(n, r, 0))
+                       for r, n in itertools.product((1, 2, 3), range(9)))
+    assert least[8] < least[4] < 0, least
+    if p == 5:
+        assert least == {4: -34, 8: -66}
 
 
 def test_window_sum_makes_no_per_row_padic_operations(monkeypatch):
