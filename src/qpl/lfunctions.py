@@ -193,6 +193,8 @@ def Lq_special(ctx: QContext, n: int, r: int, chi: DirichletCharacter,
         raise ValueError("need n >= 0 and r >= 1")
     if F is None:
         F = chi.modulus
+    if F < 1:
+        raise ValueError("F must be a positive integer")
     if F % chi.modulus != 0:
         raise DomainError("F = %d is not a multiple of the modulus %d"
                           % (F, chi.modulus))
@@ -402,17 +404,17 @@ def _k_series(ctx: QContext, wctx: QContext, target: int, r: int, F: int,
     lines = [(h, g) for h, (_, _, g) in zip(heads, rows)
              if not h.is_exact_zero]
     if terms and lines:
-        acc = acc + _horner_rows(ctx.p, wctx.prec, target, terms, lines,
+        acc = acc + _horner_rows(ctx.p, target, terms, lines,
                                  int_valuation(F, ctx.p))
     value = _certified(acc / divisor, ctx.prec, "series evaluation")
     return SeriesValue(value, len(betas))
 
 
-def _horner_rows(p: int, work: int, target: int, terms, lines,
+def _horner_rows(p: int, target: int, terms, lines,
                  vg: int) -> PadicNumber:
     """sum over lines (head, geom) of head sum_{(j, t) in terms} t geom^j
-    modulo p^M, for _k_series; terms ascend in j, every geom has valuation
-    vg, and geom^0 = 1 carries work digits.
+    modulo p^M, for _k_series; terms ascend in j, and every geom has
+    valuation vg.
 
     M is the absolute precision of the term-by-term PadicNumber sum,
     capped at target.  That sum adds t_j S_j, with S_j = sum_rows head
@@ -434,7 +436,7 @@ def _horner_rows(p: int, work: int, target: int, terms, lines,
     b = min(t.val for _, t in terms)
     hb = min(h.val for h, _ in lines)
     # P_j - j vg at j = 0 and at j >= 1
-    p_at = (min(h.val + min(h.rel, work) for h, _ in lines),
+    p_at = (min(h.prec for h, _ in lines),
             min(h.val + min(h.rel, g.rel) for h, g in lines))
     lifted = [(h.unit * _ppow(p, h.val - hb), h.val, g.unit * _ppow(p, vg))
               for h, g in lines]
@@ -636,6 +638,8 @@ def Lpq_difference_rhs(ctx: QContext, s, z, chi: DirichletCharacter, r: int,
     """
     if r < 1:
         raise ValueError("order r must be >= 1")
+    if F < 1:
+        raise ValueError("F must be a positive integer")
     step = choose_F(chi.conductor, ctx.p, r, "difference")
     if F % step != 0:
         raise DomainError(

@@ -37,7 +37,8 @@ read it: multi_q_beta_poly and multi_gen_q_beta_poly are pure-sum,
 volkenborn_beta_poly and gen_q_beta_poly integral.  Every closed special
 value is a window sum over residue rows (_window_sum), one dot product
 of a coefficient table with the window's power sums (_PowerSums) in
-_dot_sum, the kernel that also evaluates a single value (_family_sum).
+_dot_sum, the kernel that also evaluates a single value (_family_sum);
+it keeps every digit that its exact weights and power sums prove.
 
 Only the integral family is a q-analogue of Norlund's B_n^(r)(x)
 (classical.norlund_poly): as q -> 1 it tends to the r-fold Volkenborn
@@ -119,13 +120,14 @@ class QBernoulliTable:
 class _PowerSums:
     """The power sums of one context's window rows (t, count), t ascending
     from t0, which no order, z or window F changes: sums[i-1] = sum_t count
-    chi(t) q^(i(t-t0)) modulo p^(digits + min v_p(count)), and classes, the
-    distinct (v_p(count), q^(t-t0) mod p^2) of the rows.  A plain class,
-    as a dataclass adds about 1 ms to each import (Python 3.11)."""
+    chi(t) q^(i(t-t0)), the exact weights count chi(t) lifted at digits
+    digits, modulo p^(digits + vmin), vmin the least v_p(count).  A plain
+    class, as a dataclass adds about 1 ms to each import (Python 3.11)."""
 
     def __init__(self, ctx: QContext, chi: DirichletCharacter, rows):
         self.ctx, self.chi, self.rows = ctx, chi, rows
-        self.digits, self.sums, self.classes = 0, [], ()
+        self.vmin = min(int_valuation(count, ctx.p) for _, count in rows)
+        self.digits, self.sums = 0, []
 
     def extend(self, length: int, digits: int) -> None:
         """G_1..G_length to digits digits; a record short of either is
@@ -135,19 +137,16 @@ class _PowerSums:
         p, rows = self.ctx.p, self.rows
         self.digits = digits = max(digits, self.digits)
         length = max(length, len(self.sums))
-        vals = [int_valuation(count, p) for _, count in rows]
-        mod, wide = _ppow(p, digits), _ppow(p, digits + min(vals))
+        mod, wide = _ppow(p, digits), _ppow(p, digits + self.vmin)
         q = self.ctx.q_int(digits)
-        sums, shifts = [0] * length, []
+        sums = [0] * length
         for t, count in rows:
             y = pow(q, t - rows[0][0], mod)
             w = count * self.chi.lift(t, digits)
             for i in range(length):
                 w = w * y % wide
                 sums[i] += w
-            shifts.append(y % (p * p))
         self.sums = [g % wide for g in sums]
-        self.classes = tuple(sorted(set(zip(vals, shifts))))
 
 
 def _carlitz_constants(ctx: QContext, d: int, digits: int):
@@ -307,9 +306,7 @@ _INTEGRAL = _Family(_integral_a, _carlitz_term,
 def _coeff_table(ctx: QContext, family: _Family, n: int, r: int, d: int,
                  rel: int):
     """The x-independent part of a family at base Q = q^d, to rel
-    significant digits: (base, coeffs, pref, s0, s1) with pref =
-    (1-Q)^(r-n), s0 and s1 the sums of coeffs[i-1] and i coeffs[i-1]
-    modulo p^2, and
+    significant digits: (base, coeffs, pref) with pref = (1-Q)^(r-n) and
 
         coeffs[i-1] * p^base = a_i (1-Q^i)^(-r)   mod p^(base+rel)
 
@@ -362,40 +359,29 @@ def _build_coeff_table(ctx: QContext, a: list, n: int, r: int, d: int,
     inv_w0 = pow(units[0], r - 1, mod) * inv[0] % mod     # (1-Q)'s unit, inverted
     pval = (r - n) * _base_valuation(ctx, d)
     return (base, coeffs,
-            PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel),
-            sum(coeffs) % (p * p),
-            sum(i * c for i, c in enumerate(coeffs, 1)) % (p * p))
+            PadicNumber(p, pval, pow(inv_w0, n - r, mod), pval + rel))
 
 
 def _dot_sum(p: int, table, unit: int, k: int, sums,
-             classes=((0, 1),), work: int = None) -> PadicNumber:
-    """pref sum_i coeffs[i-1] U^i G_i for a table (base, coeffs, pref, s0,
-    s1) of _coeff_table, U the unit of a q-power known modulo p^k and G_i
-    = sums[i-1] the power sums of window rows (_PowerSums), all 1 for a
-    one-row window of weight 1 and shift 1, whose classes are the default.
-
-    This is sum_t w_t m_t, m_t = sum_i coeffs[i-1] (U y_t)^i modulo p^d, d
-    = min(rel, k) with rel = pref.rel, known modulo p^(d + min v_p(w_t)).
-    With weights known to work digits, row t keeps v_p(w_t) + min(d, v(m_t)
-    + work) of these digits.  As d <= work + 2 in a window sum, only v(m_t)
-    < 2 matters, and U y_t = 1 mod p gives m_t = s0 + (U y_t - 1) s1 mod p^2
-    for each class (v_p(w_t), y_t mod p^2) of rows.
+             vmin: int) -> PadicNumber:
+    """pref sum_i coeffs[i-1] U^i G_i for a table (base, coeffs, pref) of
+    _coeff_table, U the unit of a q-power known modulo p^k and G_i =
+    sums[i-1] the power sums of window rows (_PowerSums), divisible by
+    p^vmin and known modulo p^(d + vmin), d = min(rel, k) with rel =
+    pref.rel; all 1, with vmin 0, for a one-row window.  Each coeffs[i-1]
+    U^i is known modulo p^d, so the sum is known modulo p^(d + vmin), the
+    digits that the rows' exact weights prove.
     """
-    base, coeffs, pref, s0, s1 = table
+    base, coeffs, pref = table
     d = min(pref.rel, k)
-    mod, p2 = _ppow(p, d), p * p
+    mod = _ppow(p, d)
     total, ui = 0, 1
     for c, g in zip(coeffs, sums):
         ui = ui * unit % mod
         total += c * ui * g
-    reach = d + classes[0][0]           # the classes are sorted
-    if work is not None:
-        for v, y in classes:
-            m = (s0 + (unit * y - 1) * s1) % p2
-            reach = min(reach, v + work + (2 if m == 0 else m % p == 0))
-    # at the row of least v_p(w m) the sum keeps at most d - v(m) <= rel
-    # significant digits, all of which the product with pref keeps
-    return pref * _normalize(p, total, base, base + reach)
+    # the sum keeps at most d <= rel significant digits, all of which the
+    # product with pref keeps
+    return pref * _normalize(p, total, base, base + d + vmin)
 
 
 def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
@@ -414,7 +400,8 @@ def _family_sum(ctx: QContext, family: _Family, n: int, r: int, x,
     else:
         u = ctx.q_power(d, x, rel)
         table = _coeff_table(ctx, family, n, r, d, rel)
-        value = _dot_sum(ctx.p, table, u.unit, u.rel, [1] * len(table[1]))
+        value = _dot_sum(ctx.p, table, u.unit, u.rel,
+                         [1] * len(table[1]), 0)
     if family.term:
         value = value + family.term(ctx, n, r, d, rel)
     return value
@@ -481,18 +468,17 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
     z + t being the exact exponent F (z+t)/F, with weights count chi(t),
     is sum_i c_i U^i G_i: one q_power, at the first row, refuses a z
     outside the domain and gives U = u_t0, and G_i are the rows' power
-    sums, kept in the context memo.  So it is one _dot_sum modulo
-    p^min(rel, U.rel), the digits each row's own q_power keeps of the sum
-    (a shift by an integer moves no digit of z), and it keeps the precision
-    of the per-row PadicNumber sum of count chi(t) beta_t: each row is
-    known to its q-power's digits above p^v_p(count).
+    sums, kept in the context memo.  So it is one _dot_sum, known modulo
+    p^(d + vmin) with d = min(rel, U.rel), the digits each row's own
+    q_power keeps of the sum (a shift by an integer moves no digit of z),
+    and vmin the least v_p(count): every weight is an exact integer times
+    a root of unity, and the power sums hold it to d + vmin digits.
 
     The term does not depend on x, so it comes times sum_t count chi(t):
     the row count for a principal chi, and 0 for any other over the full
     residue sums, where the sum over a_1 alone runs over periods of chi.
-    [F]_q^(n-r) and scale multiply the sum's unit in integers and the
-    result is truncated once, to the digits of the PadicNumber chain
-    scale * certified([F]_q^(n-r) * sum).
+    [F]_q^(n-r) and scale are exact, so they multiply the sum's unit in
+    integers, modulo the digits the result keeps, and cost no digit of it.
     """
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
@@ -501,39 +487,36 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
     vden = int_valuation(scale.denominator, p)
     prec = ctx.prec + vden - vnum
     vF = int_valuation(F, p)
-    work = prec + family.pad(ctx, n, r, F) + max(r - n, 0) * vF + 4
-    rel = work + 2                      # work holds the family's pad
+    rel = prec + family.pad(ctx, n, r, F) + max(r - n, 0) * vF + 6
     z = _scaled_exponent(1, z)
     t0 = rows[0][0]
     first = ctx.q_power(1, z + t0, rel)
     if n < r and not family.vector(n, r):
-        acc = PadicNumber.exact_zero(p, work)
+        acc = PadicNumber.exact_zero(p, rel)
     else:
         d = min(rel, first.rel)
         table = _coeff_table(ctx, family, n, r, F, rel)
         sums = ctx._memo(("power_sums", chi, tuple(rows)),
                          lambda: _PowerSums(ctx, chi, rows))
         sums.extend(len(table[1]), d)
-        acc = _dot_sum(p, table, first.unit, d, sums.sums, sums.classes,
-                       work)
+        acc = _dot_sum(p, table, first.unit, d, sums.sums, sums.vmin)
     if family.term and chi.is_principal:
         acc = acc + (sum(count for _, count in rows)
                      * family.term(ctx, n, r, F, rel))
-    # [F]_q = p^v_p(F) b, b a unit known modulo p^work, so the product
-    # [F]_q^(n-r) acc keeps min(work, acc.rel) digits
-    val = vF * (n - r)
     if acc.is_exact_zero:
-        return PadicNumber.exact_zero(p, min(val + work, acc.prec, ctx.prec))
-    val += acc.val
-    kept = val + min(work, acc.rel)
+        return PadicNumber.exact_zero(p, ctx.prec)
+    # [F]_q = p^v_p(F) b for an exact unit b, so the product
+    # [F]_q^(n-r) acc keeps the acc.rel digits of acc
+    val = vF * (n - r) + acc.val
+    kept = val + acc.rel
     if kept < prec:
         raise PrecisionExhausted("special value retains %d digits, %d "
                                  "requested" % (kept, prec))
     if acc.unit == 0 or val >= prec:
         return PadicNumber.zero_at(p, ctx.prec)
     mod = _ppow(p, prec - val)
-    b = (ctx.one_minus_q_pow(F, work).unit
-         * pow(ctx.one_minus_q_pow(1, work).unit, -1, mod))
+    b = (ctx.one_minus_q_pow(F, prec - val).unit
+         * pow(ctx.one_minus_q_pow(1, prec - val).unit, -1, mod))
     unit = (acc.unit * pow(b, n - r, mod) * (scale.numerator // _ppow(p, vnum))
             * pow(scale.denominator // _ppow(p, vden), -1, mod))
     return PadicNumber(p, val + vnum - vden, unit % mod, ctx.prec)

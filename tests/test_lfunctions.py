@@ -407,6 +407,14 @@ def test_evaluation_points_refused(ctx):
     with pytest.raises(DomainError, match=r"^F = 5 is not a multiple of p "
                        r"\(p\*\)\^\(-1\) r lcm\(f, p\*\) = 10$"):
         Lpq_difference_rhs(ctx, -1, 0, w, 2, 5)
+    # a window F <= 0 is a multiple of every modulus, but no window
+    for F in (0, -5, -25):
+        with pytest.raises(ValueError,
+                           match=r"^F must be a positive integer$"):
+            Lq_special(ctx, 2, 1, w, 0, F=F)
+        with pytest.raises(ValueError,
+                           match=r"^F must be a positive integer$"):
+            Lpq_difference_rhs(ctx, 0, 0, w, 1, F)
 
 
 def test_difference_sum_refuses_s_as_the_series_does(ctx):

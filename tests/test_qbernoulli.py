@@ -750,7 +750,8 @@ def _mixed_rows(p, more):
 
 
 # The per-row kernel of the closed values before the window power sums,
-# kept as the reference that _dot_sum must match digit for digit.
+# kept as the reference that _dot_sum must match digit for digit on exact
+# weights, and as the kernel of the PadicNumber chain below.
 
 def _horner_sum(p: int, table, rows, digits: int = None) -> PadicNumber:
     """pref sum_{(w, u, k) in rows} w sum_i coeffs[i-1] u^i for a table
@@ -765,7 +766,7 @@ def _horner_sum(p: int, table, rows, digits: int = None) -> PadicNumber:
     modulo p^(v(pref) + base + v_p(w) + min(d, v(m) + digits)), reading
     v(m) as d where m = 0 modulo p^d.
     """
-    base, coeffs, pref = table[:3]
+    base, coeffs, pref = table
     rel = pref.rel
     total, reach = 0, []
     for w, u, k in rows:
@@ -784,31 +785,32 @@ def _horner_sum(p: int, table, rows, digits: int = None) -> PadicNumber:
 
 
 def _as_window(p, rows, length):
-    """(U, sums, classes) for _dot_sum of rows (w, u, k) that share one k:
-    u = U y for U the first row's u, and G_i = sum w y^i."""
+    """(U, sums, vmin) for _dot_sum of rows (w, u, k) that share one k:
+    u = U y for U the first row's u, G_i = sum w y^i and vmin the least
+    v_p(w)."""
     k = rows[0][2]
     mod, unit = p ** k, rows[0][1]
     vmin = min(int_valuation(w, p) for w, _, _ in rows)
-    sums, classes = [0] * length, set()
+    sums = [0] * length
     for w, u, _ in rows:
         y = u * pow(unit, -1, mod) % mod
         for i in range(length):
             sums[i] += w * pow(y, i + 1, mod)
-        classes.add((int_valuation(w, p), y % (p * p)))
-    return unit, [g % p ** (k + vmin) for g in sums], sorted(classes)
+    return unit, [g % p ** (k + vmin) for g in sums], vmin
 
 
 def test_horner_sum_is_the_padic_sum_of_its_rows():
     # One sum over rows equals the PadicNumber sum of weight times each
     # row's one-row sum, digit for digit, for q-powers of different
     # precision, weights divisible by p, and weights known exactly or to
-    # so few digits that they bound a row's precision.  On rows that
-    # share one precision k, the dot sum over the rows' power sums is the
-    # Horner sum, digit for digit, where min(k, rel) <= digits + 2 as in
-    # every window sum
+    # so few digits that they bound a row's precision.  On rows of exact
+    # weights that share one precision k, the dot sum over the rows' power
+    # sums is the Horner sum, digit for digit, and keeps the d + vmin
+    # digits they prove, d = min(k, rel) and vmin the least v_p(weight)
     p, rng = 5, random.Random(5)
     ctx = QContext(p, Fraction(6), 12)
     table = qbernoulli._coeff_table(ctx, qbernoulli._PURE_SUM, 6, 2, 5, 20)
+    base, _, pref = table
     for _ in range(60):
         rows = []
         for _ in range(rng.randrange(1, 6)):
@@ -822,14 +824,14 @@ def test_horner_sum_is_the_padic_sum_of_its_rows():
                 want = want + weight * _horner_sum(p, table, [(1, u, k)])
             assert digits_of(_horner_sum(p, table, rows, digits)) \
                 == digits_of(want), (rows, digits)
-            k = rng.randrange(1, 25 if digits is None else digits + 3)
-            shared = [(w, ctx.q_power(1, rng.randrange(50), k).unit, k)
-                      for w, _, _ in rows]
-            unit, sums, classes = _as_window(p, shared, len(table[1]))
-            got = qbernoulli._dot_sum(p, table, unit, k, sums, classes,
-                                      digits)
-            assert digits_of(got) == digits_of(
-                _horner_sum(p, table, shared, digits)), (shared, digits)
+        k, scale = rng.randrange(1, 25), p ** rng.randrange(3)
+        shared = [(w * scale, ctx.q_power(1, rng.randrange(50), k).unit, k)
+                  for w, _, _ in rows]
+        unit, sums, vmin = _as_window(p, shared, len(table[1]))
+        got = qbernoulli._dot_sum(p, table, unit, k, sums, vmin)
+        assert digits_of(got) == digits_of(
+            _horner_sum(p, table, shared)), shared
+        assert got.prec == pref.val + base + min(k, pref.rel) + vmin, shared
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
