@@ -11,6 +11,17 @@ Character values lie in Z_p, so the coefficient ring R*[chi] collapses to
 R* and every bound is a plain valuation; a CLI document of theorems 53, 54
 or binop says so once (_NOTE_COLLAPSE), not in each report's notes.
 
+Each operator is a list of (offset, exact weight) pairs, one pair per term
+of its expansion: Delta_c^k is (m c, (-1)^(k-m) C(k, m)) for m = 0..k, and
+the binomial-coefficient operator is the pairs of each Delta_c^m times
+s(k, m) / (k! (p*)^m), left unmerged.  A witness op(z) - op(0) is one
+integer sum over the pairs at z and the negated pairs at 0 (_padic_sum).
+Its precision rule is the one of the PadicNumber chain sum_i x_i w_i: the
+chain is known modulo p^M, M the least prec(x_i) + v_p(w_i) over the
+values that are not exact zeros, and its digits are those of
+sum_i w_i X_i modulo p^M for integer representatives X_i; so the kernel
+returns the chain's value, digit for digit and at its precision.
+
 Report theorem tokens match the CLI: "53" (k-th difference membership and
 n-independence), "54" (agreement between two operator powers k = k' mod p-1),
 "binop" (binomial-coefficient operator form), "classical" (exact-rational
@@ -20,12 +31,13 @@ Kummer baseline for B_n/n).
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial, inf
+from math import comb, factorial, inf, lcm
 
 from .errors import InconclusivePrecision, PreconditionViolated
 from .padic import (
     PadicNumber,
     QContext,
+    _normalize,
     _require_prime,
     _scaled_exponent,
     _valuation_at_least,
@@ -94,6 +106,77 @@ class CongruenceReport:
 # -- operators --------------------------------------------------------------
 
 
+def _diff_pairs(c: int, k: int) -> list:
+    """Delta_c^k as (offset, weight) pairs: (m c, (-1)^(k-m) C(k, m)) for
+    m = 0..k."""
+    return [(m * c, -comb(k, m) if (k - m) % 2 else comb(k, m))
+            for m in range(k + 1)]
+
+
+def _binom_pairs(c: int, k: int, p_star: int) -> list:
+    """((p*)^{-1} Delta_c choose k) as (offset, weight) pairs: the pairs of
+    Delta_c^m times s(k, m) / (k! (p*)^m) for each m with s(k, m) != 0,
+    unmerged, so that each pair is one term of the expansion."""
+    kfact = factorial(k)
+    return [(off, w * Fraction(s, kfact * p_star**m))
+            for m, s in stirling_expansion(k) if s
+            for off, w in _diff_pairs(c, m)]
+
+
+def _kernel_weights(p: int, weights) -> tuple:
+    """The kernel's form of exact nonzero weights w_i = p^v_i a_i / D, with
+    D the least common unit denominator: ([(v_i, a_i)], D)."""
+    den = 1
+    split = []
+    for w in weights:
+        a, d = w.numerator, w.denominator
+        va, vd = int_valuation(a, p), int_valuation(d, p)
+        split.append((va - vd, a // p**va, d // p**vd))
+        den = lcm(den, d // p**vd)
+    return [(v, a * (den // d)) for v, a, d in split], den
+
+
+def _padic_sum(values, weights, den: int) -> PadicNumber:
+    """sum_i w_i x_i for PadicNumber values x_i and exact nonzero weights
+    w_i in _kernel_weights' form: the digits and the precision p^M of the
+    chain x_0 w_0 + x_1 w_1 + ... of PadicNumber operations (see the module
+    docstring), formed in integers.  The chain reduces each product and
+    each partial sum modulo p^M or a higher power of p, so the integer sum
+    modulo p^M is its value.  Exact zeros drop out of the sum and of M;
+    when every x_i is one, the chain returns the exact zero at the first
+    value's precision.
+    """
+    p = values[0].p
+    top = None
+    terms = []
+    for x, (v, a) in zip(values, weights):
+        if x.val is None:
+            continue
+        if top is None or x.prec + v < top:
+            top = x.prec + v
+        if x.unit:
+            terms.append((x.val + v, x.unit * a))
+    if top is None:
+        return PadicNumber.exact_zero(p, values[0].prec)
+    base = min([top] + [e for e, _ in terms])
+    m = sum(u * p**(e - base) for e, u in terms)
+    if den != 1:
+        m *= pow(den, -1, p**(top - base))
+    return _normalize(p, m, base, top)
+
+
+def _apply(pairs, seq, n: int):
+    """sum_i w_i seq(n + offset_i) for pairs (offset_i, w_i): the kernel
+    when every value is a PadicNumber of one prime, exact arithmetic
+    otherwise (where mixed primes raise, as PadicNumber arithmetic does)."""
+    values = [seq(n + off) for off, _ in pairs]
+    weights = [w for _, w in pairs]
+    if all(isinstance(x, PadicNumber) and x.p == values[0].p
+           for x in values):
+        return _padic_sum(values, *_kernel_weights(values[0].p, weights))
+    return sum(x * w for x, w in zip(values, weights))
+
+
 def forward_diff(seq, n: int, c: int, k: int):
     """k-th forward difference with step c at index n:
 
@@ -106,13 +189,7 @@ def forward_diff(seq, n: int, c: int, k: int):
         raise ValueError("difference order k must be >= 0")
     if c < 1:
         raise ValueError("step c must be >= 1")
-    acc = None
-    for m in range(k + 1):
-        term = seq(n + m * c) * comb(k, m)
-        if (k - m) % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return _apply(_diff_pairs(c, k), seq, n)
 
 
 def stirling_expansion(k: int) -> tuple:
@@ -134,14 +211,7 @@ def binom_operator(seq, n: int, c: int, k: int, p_star: int):
         raise ValueError("operator order k must be >= 0")
     if p_star < 1:
         raise ValueError("p_star must be a positive integer")
-    kfact = factorial(k)
-    acc = None
-    for m, s in stirling_expansion(k):
-        if s == 0:
-            continue
-        term = forward_diff(seq, n, c, m) * Fraction(s, kfact * p_star**m)
-        acc = term if acc is None else acc + term
-    return acc
+    return _apply(_binom_pairs(c, k, p_star), seq, n)
 
 
 # -- the structure under test ----------------------------------------------
@@ -248,10 +318,11 @@ class _Cell:
     Construction reads z (an exact zero is the lattice point 0), checks
     that it lies on the lattice of step choose_F(f_chi, p, lattice_r)
     (PreconditionViolated otherwise) and that ctx.prec reaches depth +
-    CERT_MARGIN (InconclusivePrecision otherwise).  An operator is a
-    callable op(seq, n) on sequences seq(m) = B_m^r(z0); its witness is
-    the operator at z minus the operator at 0.  c, k and extra go into
-    every report's point.
+    CERT_MARGIN (InconclusivePrecision otherwise).  An operator is a list
+    of (offset, exact weight) pairs; its witness at n is the operator
+    applied to m -> B_m^r(z) minus the operator applied to m -> B_m^r(0).
+    Every report's point is the cell's head (p, q and chi, built once), r,
+    n, c, k and extra.
     """
 
     def __init__(self, ctx: QContext, chi: DirichletCharacter, theorem: str,
@@ -266,31 +337,41 @@ class _Cell:
             )
         self.ctx, self.chi, self.r, self.z = ctx, chi, r, z
         self.theorem = theorem
+        self.head = _point(ctx, chi)
         self.point = dict(c=c, k=k, z=_zdesc(z), **extra)
+        self._pairs = self._weights = None
 
-    def witness(self, op, n: int) -> PadicNumber:
-        def seq(z0):
-            return lambda m: Bnr_structure(self.ctx, m, self.r, self.chi, z0)
-
-        return op(seq(self.z), n) - op(seq(0), n)
+    def witness(self, pairs, n: int) -> PadicNumber:
+        """The one place a cell reads its values: B_{n+off}^r(z) for each
+        pair in order, then B_{n+off}^r(0), summed by one kernel call over
+        the pairs at z and the negated pairs at 0.  The kernel's weights are
+        worked out once per operator."""
+        if pairs is not self._pairs:
+            weights = [w for _, w in pairs]
+            self._pairs = pairs
+            self._weights = _kernel_weights(
+                self.ctx.p, weights + [-w for w in weights])
+        ctx, r, chi = self.ctx, self.r, self.chi
+        values = [Bnr_structure(ctx, n + off, r, chi, z0)
+                  for z0 in (self.z, 0) for off, _ in pairs]
+        return _padic_sum(values, *self._weights)
 
     def report(self, check: str, n, w: PadicNumber,
                required: int) -> CongruenceReport:
         obs, ok, inc = _verdict(w, required)
         return CongruenceReport(
-            self.theorem, check,
-            _point(self.ctx, self.chi, r=self.r, n=n, **self.point),
+            self.theorem, check, dict(self.head, r=self.r, n=n, **self.point),
             required, obs, ok, inc, _value_doc(w), self.notes,
         )
 
-    def families(self, op, n_list, req_member: int, req_indep: int,
+    def families(self, pairs, n_list, req_member: int, req_indep: int,
                  scale=None) -> list:
         """A membership report per n, then an n-independence report per
         pair of n, on the witnesses times scale (unscaled when None)."""
         reports = []
         values = {}
         for n in n_list:
-            w = self.witness(op, n)
+            w = self.witness(pairs, n)
             reports.append(self.report("membership", n, w, req_member))
             values[n] = w if scale is None else w * scale
         for na, nb in combinations(n_list, 2):
@@ -321,8 +402,8 @@ def verify_thm53(ctx: QContext, chi: DirichletCharacter, r: int,
     req_indep = ps_val + thr
     cell = _Cell(ctx, chi, "53", r, z, lattice_r=r,
                  depth=max(req_member, req_indep + k * ps_val), c=c, k=k)
-    return cell.families(lambda seq, n: forward_diff(seq, n, c, k), n_list,
-                         req_member, req_indep, Fraction(1, ctx.p_star**k))
+    return cell.families(_diff_pairs(c, k), n_list, req_member, req_indep,
+                         Fraction(1, ctx.p_star**k))
 
 
 def verify_thm54(ctx: QContext, chi: DirichletCharacter, r: int, n: int,
@@ -345,8 +426,7 @@ def verify_thm54(ctx: QContext, chi: DirichletCharacter, r: int, n: int,
                  c=c, k=(k, k_prime))
 
     def scaled_quantity(j):
-        w = cell.witness(lambda seq, m: forward_diff(seq, m, c, j), n)
-        return w * Fraction(1, ctx.p_star**j)
+        return cell.witness(_diff_pairs(c, j), n) * Fraction(1, ctx.p_star**j)
 
     w = scaled_quantity(k) - scaled_quantity(k_prime)
     return cell.report("k-pair", n, w, required)
@@ -375,10 +455,8 @@ def verify_binom_op_thm(ctx: QContext, chi: DirichletCharacter, r: int,
              + int_valuation(factorial(k), ctx.p))
     cell = _Cell(ctx, chi, "binop", r, z, lattice_r=1, depth=depth, c=c, k=k,
                  stirling_terms=[[m, s] for m, s in stirling_expansion(k)])
-    return cell.families(
-        lambda seq, n: binom_operator(seq, n, c, k, ctx.p_star), n_list,
-        req_member, req_indep,
-    )
+    return cell.families(_binom_pairs(c, k, ctx.p_star), n_list,
+                         req_member, req_indep)
 
 
 def _is_prime_power_of(f: int, p: int) -> bool:

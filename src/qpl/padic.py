@@ -40,8 +40,9 @@ __all__ = [
 
 #: entries kept by the power cache, by the Teichmuller lift cache and by
 #: each QContext's memo; several times the peaks of one round of each
-#: perfbench workload at seed 1 (528 powers, 250 lifts, 253 context
-#: entries, 12 of them power-sum records), so that none of them evicts
+#: perfbench workload at seed 1 (528 powers, 250 lifts, 261 context
+#: entries, 12 of them power-sum records and 11 [F]_q units), so that none
+#: of them evicts
 PPOW_CACHE_CAP = 4096
 TEICH_CACHE_CAP = 1024
 CONTEXT_CACHE_CAP = 1024
@@ -58,13 +59,15 @@ def _ppow(p: int, e: int) -> int:
 
 def _memoized(cache: dict, cap: int, key, build):
     """cache[key], built by build() on a miss and stored after evicting the
-    oldest entry if cap are held: the one eviction policy of the keyed
-    stores of the library."""
+    oldest entries while cap are held: the one eviction policy of the keyed
+    stores of the library.  The eviction follows the build, which may store
+    into the same cache."""
     got = cache.get(key)
     if got is None:
-        if len(cache) >= cap:
+        got = build()
+        while len(cache) >= cap:
             del cache[next(iter(cache))]
-        got = cache[key] = build()
+        cache[key] = got
     return got
 
 
@@ -617,6 +620,8 @@ def _valuation_at_least(x, p: int, k: int) -> bool:
     """v_p(x) >= k, provably, for an int, Fraction or PadicNumber x; 0 passes."""
     if isinstance(x, PadicNumber):
         return x.valuation_ge(k)
+    if isinstance(x, int):
+        return x == 0 or int_valuation(x, p) >= k
     x = Fraction(x)
     return x == 0 or fraction_valuation(x, p) >= k
 

@@ -506,7 +506,9 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
     if acc.is_exact_zero:
         return PadicNumber.exact_zero(p, ctx.prec)
     # [F]_q = p^v_p(F) b for an exact unit b, so the product
-    # [F]_q^(n-r) acc keeps the acc.rel digits of acc
+    # [F]_q^(n-r) acc keeps the acc.rel digits of acc; b modulo
+    # p^(prec - val) depends only on F and those digits, and is kept in
+    # the context memo
     val = vF * (n - r) + acc.val
     kept = val + acc.rel
     if kept < prec:
@@ -515,8 +517,9 @@ def _window_sum(ctx: QContext, family: _Family, n: int, r: int,
     if acc.unit == 0 or val >= prec:
         return PadicNumber.zero_at(p, ctx.prec)
     mod = _ppow(p, prec - val)
-    b = (ctx.one_minus_q_pow(F, prec - val).unit
-         * pow(ctx.one_minus_q_pow(1, prec - val).unit, -1, mod))
+    b = ctx._memo(("Fq_unit", F, prec - val),
+                  lambda: ctx.one_minus_q_pow(F, prec - val).unit
+                  * pow(ctx.one_minus_q_pow(1, prec - val).unit, -1, mod))
     unit = (acc.unit * pow(b, n - r, mod) * (scale.numerator // _ppow(p, vnum))
             * pow(scale.denominator // _ppow(p, vden), -1, mod))
     return PadicNumber(p, val + vnum - vden, unit % mod, ctx.prec)

@@ -5,8 +5,9 @@ valuation certificates."""
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction
-from math import factorial, inf
+from math import comb, factorial, inf
 
 import pytest
 
@@ -14,11 +15,14 @@ from qpl import (
     Bnr_structure,
     InconclusivePrecision,
     PadicNumber,
+    PrecisionExhausted,
     PreconditionViolated,
     QContext,
     bernoulli_number,
     char_build,
+    choose_F,
     omega_pow,
+    p_star,
     principal_char,
     verify_binom_op_thm,
     verify_classical_kummer,
@@ -77,6 +81,166 @@ def test_binom_operator_order_zero_is_identity():
 def test_stirling_expansion_audit_trail():
     rows = stirling_expansion(3)
     assert rows == ((0, 0), (1, 2), (2, -3), (3, 1))
+
+
+# -- the operators as weight pairs --------------------------------------------
+#
+# The chains below are how forward_diff and binom_operator summed PadicNumber
+# values term by term; they are the reference that the integer kernel must
+# match in every digit and in its precision.
+
+
+def _chain_sum(values, weights):
+    """sum x_i w_i as a chain of PadicNumber *, unary - and +."""
+    acc = None
+    for x, w in zip(values, weights):
+        term = x * abs(w)
+        if w < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _chain_diff(seq, n, c, k):
+    acc = None
+    for m in range(k + 1):
+        term = seq(n + m * c) * comb(k, m)
+        if (k - m) % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _chain_binom(seq, n, c, k, ps):
+    acc = None
+    for m, s in stirling_expansion(k):
+        if s:
+            weight = Fraction(s, factorial(k) * ps**m)
+            term = _chain_diff(seq, n, c, m) * weight
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def _random_value(rng, p):
+    """Values at mixed precisions and valuations, zeros at precision and
+    exact zeros."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return PadicNumber.exact_zero(p, rng.randrange(-3, 15))
+    if kind == 1:
+        return PadicNumber.zero_at(p, rng.randrange(-3, 15))
+    x = Fraction(rng.choice((1, -1)) * rng.randrange(1, p**12)
+                 * p**rng.randrange(3),
+                 rng.randrange(1, 50) * p**rng.randrange(3))
+    return PadicNumber.from_fraction(x, p, rng.randrange(1, 15))
+
+
+def _same(got, want):
+    return ((got.val, got.unit, got.prec) == (want.val, want.unit, want.prec)
+            and repr(got) == repr(want))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_kernel_is_the_padic_chain(p):
+    # weights with powers of p in numerator and denominator, of both signs
+    rng = random.Random(p)
+    for _ in range(400):
+        count = rng.randrange(1, 7)
+        values = [_random_value(rng, p) for _ in range(count)]
+        weights = [Fraction(rng.choice((1, -1)) * rng.randrange(1, 30)
+                            * p**rng.randrange(4),
+                            rng.randrange(1, 30) * p**rng.randrange(4))
+                   for _ in range(count)]
+        got = congruences._apply(list(enumerate(weights)),
+                                 values.__getitem__, 0)
+        want = _chain_sum(values, weights)
+        assert _same(got, want), (values, weights, got, want)
+
+
+def test_kernel_of_exact_zeros_is_the_chains_exact_zero():
+    values = [PadicNumber.exact_zero(5, prec) for prec in (7, 3, 11)]
+    weights = [Fraction(1, 25), -3, Fraction(10, 7)]
+    got = congruences._apply(list(enumerate(weights)), values.__getitem__, 0)
+    assert got.is_exact_zero and _same(got, _chain_sum(values, weights))
+    assert got.prec == 7
+
+
+def test_operators_refuse_mixed_primes():
+    mixed = [PadicNumber.from_int(3, 5, 6), PadicNumber.from_int(3, 7, 6)]
+    with pytest.raises(ValueError, match="mixed primes"):
+        forward_diff(mixed.__getitem__, 0, 1, 1)
+    with pytest.raises(ValueError, match="mixed primes"):
+        binom_operator(mixed.__getitem__, 0, 1, 1, 5)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_operator_pairs_are_the_padic_chain(monkeypatch, p):
+    # forward_diff and binom_operator at k <= 4 against the chains they
+    # replaced, and a cell's witness against the chain at z minus the
+    # chain at 0, on values served in place of the special values
+    rng = random.Random(10 + p)
+    ps = p_star(p)
+    ctx = QContext(p, Fraction(1 + ps), 30)
+    chi = principal_char(p)
+    z = choose_F(1, p, 1, "difference")
+    table = {}
+    monkeypatch.setattr(congruences, "Bnr_structure",
+                        lambda ctx, m, r, chi, z0: table[m, z0])
+    for _ in range(60):
+        c, n = rng.randrange(1, 5), rng.randrange(1, 4)
+        table.clear()
+        table.update(((m, z0), _random_value(rng, p))
+                     for z0 in (z, 0) for m in range(n, n + 4 * c + 1))
+        at_z, at_0 = (lambda m: table[m, z]), (lambda m: table[m, 0])
+        for k in range(5):
+            for seq in (at_z, at_0):
+                assert _same(forward_diff(seq, n, c, k),
+                             _chain_diff(seq, n, c, k))
+                assert _same(binom_operator(seq, n, c, k, ps),
+                             _chain_binom(seq, n, c, k, ps))
+            cell = congruences._Cell(ctx, chi, "53", 1, z, 1, 1, c, k)
+            assert _same(cell.witness(congruences._diff_pairs(c, k), n),
+                         _chain_diff(at_z, n, c, k)
+                         - _chain_diff(at_0, n, c, k))
+            assert _same(cell.witness(congruences._binom_pairs(c, k, ps), n),
+                         _chain_binom(at_z, n, c, k, ps)
+                         - _chain_binom(at_0, n, c, k, ps))
+
+
+@pytest.mark.parametrize("theorem, first", (("53", "n=9 at z=5"),
+                                             ("54", "n=6 at z=5"),
+                                             ("binop", "n=9 at z=5")))
+def test_cell_raises_where_the_chain_raises(monkeypatch, w2, theorem, first):
+    # Special values that cannot be certified raise at the first of them
+    # that the chain read: every value at z before any value at 0, in the
+    # order of the operator's terms
+    ctx = QContext(5, Fraction(6), 14)
+    real = congruences.Lpq_special
+    bad = {(2, 0), (5, 0), (6, 5), (9, 5)}
+
+    def special(ctx, n, r, chi, z):
+        if (n, z) in bad:
+            raise PrecisionExhausted("value n=%d at z=%s" % (n, z))
+        return real(ctx, n, r, chi, z)
+
+    monkeypatch.setattr(congruences, "Lpq_special", special)
+    seq = lambda z0: lambda m: Bnr_structure(ctx, m, 1, w2, z0)
+    if theorem == "54":
+        call = lambda: verify_thm54(ctx, w2, 1, 2, 4, 1, 5, 5)
+        chain = lambda: (_chain_diff(seq(5), 2, 4, 1)
+                         - _chain_diff(seq(0), 2, 4, 1))
+    else:
+        verify = verify_thm53 if theorem == "53" else verify_binom_op_thm
+        call = lambda: verify(ctx, w2, 1, [1, 2], 4, 2, 5)
+        op = (_chain_diff if theorem == "53"
+              else lambda seq, n, c, k: _chain_binom(seq, n, c, k, 5))
+        chain = lambda: [op(seq(5), n, 4, 2) - op(seq(0), n, 4, 2)
+                         for n in (1, 2)]
+    with pytest.raises(PrecisionExhausted) as want:
+        chain()
+    with pytest.raises(PrecisionExhausted) as got:
+        call()
+    assert str(got.value) == str(want.value) == "value " + first
 
 
 # -- classical baseline ------------------------------------------------------

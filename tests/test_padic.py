@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qpl import (
+    Bnr_structure,
     DivisionByZero,
     DomainError,
     Lpq_special,
@@ -761,6 +762,31 @@ def test_caches_stay_within_their_caps():
                       (oracles._carlitz_beta_seq, oracles.ORACLE_CACHE_CAP),
                       (oracles._sum_count_row, oracles.ORACLE_CACHE_CAP)):
         assert memo.cache_info().maxsize == cap, memo.__name__
+
+
+def test_a_build_that_stores_into_its_own_memo_keeps_the_cap():
+    # Bnr_structure's build stores its twisted window, power sums, [F]_q
+    # unit and q lifts into the memo the value itself goes into: a miss in
+    # a full memo still leaves cap entries, and the value is the one a
+    # fresh context gives
+    p, q = 5, Fraction(6)
+    cap = padic.CONTEXT_CACHE_CAP
+    ctx = QContext(p, q, 12)
+    for prec in range(100, 100 + cap):
+        ctx.with_precision(prec).q_int()
+    assert len(ctx._cache) == cap
+    chi = characters.omega_pow(p, 2)
+    want = digits_of(Bnr_structure(QContext(p, q, 12), 2, 1, chi, 5))
+    assert digits_of(Bnr_structure(ctx, 2, 1, chi, 5)) == want
+    assert len(ctx._cache) == cap
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_valuation_at_least_reads_an_int_as_its_fraction(p):
+    for x in [0, 1, -1, p, -p, 2 * p**3, -7 * p**4, p**9 + 1, 25, -250]:
+        for k in range(-2, 11):
+            assert (padic._valuation_at_least(x, p, k)
+                    == padic._valuation_at_least(Fraction(x), p, k)), (x, k)
 
 
 @pytest.mark.parametrize("p, q", ((2, 5), (7, 8)))
