@@ -166,15 +166,9 @@ def _padic_sum(values, weights, den: int) -> PadicNumber:
 
 
 def _apply(pairs, seq, n: int):
-    """sum_i w_i seq(n + offset_i) for pairs (offset_i, w_i): the kernel
-    when every value is a PadicNumber of one prime, exact arithmetic
-    otherwise (where mixed primes raise, as PadicNumber arithmetic does)."""
-    values = [seq(n + off) for off, _ in pairs]
-    weights = [w for _, w in pairs]
-    if all(isinstance(x, PadicNumber) and x.p == values[0].p
-           for x in values):
-        return _padic_sum(values, *_kernel_weights(values[0].p, weights))
-    return sum(x * w for x, w in zip(values, weights))
+    """sum_i w_i seq(n + offset_i) for pairs (offset_i, w_i), in exact
+    arithmetic: on PadicNumber values this is the chain the kernel sums."""
+    return sum(seq(n + off) * w for off, w in pairs)
 
 
 def forward_diff(seq, n: int, c: int, k: int):
@@ -339,22 +333,23 @@ class _Cell:
         self.theorem = theorem
         self.head = _point(ctx, chi)
         self.point = dict(c=c, k=k, z=_zdesc(z), **extra)
-        self._pairs = self._weights = None
 
-    def witness(self, pairs, n: int) -> PadicNumber:
+    def operator(self, pairs) -> tuple:
+        """pairs in the form witness takes: the offsets, and the kernel
+        weights of the pairs at z followed by the negated pairs at 0."""
+        weights = [w for _, w in pairs]
+        return ([off for off, _ in pairs],
+                _kernel_weights(self.ctx.p, weights + [-w for w in weights]))
+
+    def witness(self, op, n: int) -> PadicNumber:
         """The one place a cell reads its values: B_{n+off}^r(z) for each
-        pair in order, then B_{n+off}^r(0), summed by one kernel call over
-        the pairs at z and the negated pairs at 0.  The kernel's weights are
-        worked out once per operator."""
-        if pairs is not self._pairs:
-            weights = [w for _, w in pairs]
-            self._pairs = pairs
-            self._weights = _kernel_weights(
-                self.ctx.p, weights + [-w for w in weights])
+        offset of op (from operator) in order, then B_{n+off}^r(0), summed
+        by one kernel call."""
+        offsets, weights = op
         ctx, r, chi = self.ctx, self.r, self.chi
         values = [Bnr_structure(ctx, n + off, r, chi, z0)
-                  for z0 in (self.z, 0) for off, _ in pairs]
-        return _padic_sum(values, *self._weights)
+                  for z0 in (self.z, 0) for off in offsets]
+        return _padic_sum(values, *weights)
 
     def report(self, check: str, n, w: PadicNumber,
                required: int) -> CongruenceReport:
@@ -368,10 +363,11 @@ class _Cell:
                  scale=None) -> list:
         """A membership report per n, then an n-independence report per
         pair of n, on the witnesses times scale (unscaled when None)."""
+        op = self.operator(pairs)
         reports = []
         values = {}
         for n in n_list:
-            w = self.witness(pairs, n)
+            w = self.witness(op, n)
             reports.append(self.report("membership", n, w, req_member))
             values[n] = w if scale is None else w * scale
         for na, nb in combinations(n_list, 2):
@@ -426,7 +422,8 @@ def verify_thm54(ctx: QContext, chi: DirichletCharacter, r: int, n: int,
                  c=c, k=(k, k_prime))
 
     def scaled_quantity(j):
-        return cell.witness(_diff_pairs(c, j), n) * Fraction(1, ctx.p_star**j)
+        op = cell.operator(_diff_pairs(c, j))
+        return cell.witness(op, n) * Fraction(1, ctx.p_star**j)
 
     w = scaled_quantity(k) - scaled_quantity(k_prime)
     return cell.report("k-pair", n, w, required)

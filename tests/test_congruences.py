@@ -151,8 +151,8 @@ def test_kernel_is_the_padic_chain(p):
                             * p**rng.randrange(4),
                             rng.randrange(1, 30) * p**rng.randrange(4))
                    for _ in range(count)]
-        got = congruences._apply(list(enumerate(weights)),
-                                 values.__getitem__, 0)
+        got = congruences._padic_sum(
+            values, *congruences._kernel_weights(p, weights))
         want = _chain_sum(values, weights)
         assert _same(got, want), (values, weights, got, want)
 
@@ -160,7 +160,8 @@ def test_kernel_is_the_padic_chain(p):
 def test_kernel_of_exact_zeros_is_the_chains_exact_zero():
     values = [PadicNumber.exact_zero(5, prec) for prec in (7, 3, 11)]
     weights = [Fraction(1, 25), -3, Fraction(10, 7)]
-    got = congruences._apply(list(enumerate(weights)), values.__getitem__, 0)
+    got = congruences._padic_sum(values,
+                                 *congruences._kernel_weights(5, weights))
     assert got.is_exact_zero and _same(got, _chain_sum(values, weights))
     assert got.prec == 7
 
@@ -199,10 +200,12 @@ def test_operator_pairs_are_the_padic_chain(monkeypatch, p):
                 assert _same(binom_operator(seq, n, c, k, ps),
                              _chain_binom(seq, n, c, k, ps))
             cell = congruences._Cell(ctx, chi, "53", 1, z, 1, 1, c, k)
-            assert _same(cell.witness(congruences._diff_pairs(c, k), n),
+            diff = cell.operator(congruences._diff_pairs(c, k))
+            binop = cell.operator(congruences._binom_pairs(c, k, ps))
+            assert _same(cell.witness(diff, n),
                          _chain_diff(at_z, n, c, k)
                          - _chain_diff(at_0, n, c, k))
-            assert _same(cell.witness(congruences._binom_pairs(c, k, ps), n),
+            assert _same(cell.witness(binop, n),
                          _chain_binom(at_z, n, c, k, ps)
                          - _chain_binom(at_0, n, c, k, ps))
 
